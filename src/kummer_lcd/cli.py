@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Reports go to stdout as JSON (add --pretty for tables). Exit codes: 0 on
-success, 1 when a mathematical precondition fails (the message names it),
-2 on parse or usage errors. KUMMER_LCD_SPEC_DIR sets a default directory for
-curve-spec lookups; builtin names like hermitian-q3 work everywhere a spec
-path does.
+success, 1 when a mathematical precondition or an internal self-check fails
+(the message names it), 2 on parse or usage errors. KUMMER_LCD_SPEC_DIR sets
+a default directory for curve-spec lookups; builtin names like hermitian-q3
+work everywhere a spec path does.
 """
 
 from __future__ import annotations
@@ -164,7 +164,10 @@ def cmd_semigroup(args) -> int:
     if args.what == "gaps":
         results["gaps"] = sorted(gap_set_single(curve))
     else:
-        indices = [int(t) for t in args.tuple.split(",")] if args.tuple else [1, 2]
+        try:
+            indices = [int(t) for t in args.tuple.split(",")] if args.tuple else [1, 2]
+        except ValueError as exc:
+            raise ParseError(f"--tuple {args.tuple!r}: {exc}") from exc
         if len(set(indices)) != len(indices):
             raise ParseError("--tuple repeats a place index")
         for i in indices:
@@ -307,6 +310,8 @@ def cmd_code_lcd_check(args) -> int:
 
 
 def cmd_code_mindist(args) -> int:
+    if args.budget < 1:
+        raise ParseError(f"--budget must be at least 1, got {args.budget}")
     curve, code = _build_from_args(args)
     result = min_distance(code, budget=args.budget)
     report = {
@@ -438,6 +443,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:
+        print(f"self-check failed: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,13 +1,19 @@
 """Evaluation codes C(D, G), duals, hulls, LCD certificates, minimum distance.
 
-Matrix kernels run over packed integer encodings of field elements (log/exp
-tables for products), which keeps exact row reduction fast enough for the
-length-126 codes over GF(64). Duality is always established numerically, by
-orthogonality plus the dimension count, never assumed from a formula.
+All matrix work goes through one kernel, ``_Kernel``: numpy int32 arrays of
+field elements packed as base-p integers (``FieldSpec.pack``). A product is
+one gather in extended exp/log tables. A sum is XOR when p = 2 and digit-wise
+addition mod p otherwise, so every table has O(q) entries for GF(q). The
+kernel evaluates L(G) bases in the log domain, row reduces, takes nullspaces
+and forms G * H^T for orthogonality. ``FieldElement`` values appear only at
+the boundaries: the rows that ``evaluation_matrix`` returns and the
+``LinearCode.generator`` tuples. Duality is always established numerically,
+by orthogonality plus the dimension count, never assumed from a formula.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence, Tuple
@@ -42,73 +48,121 @@ __all__ = [
 
 DEFAULT_MINDIST_BUDGET = 1 << 24
 
+# dtype of packed elements (below q <= 2^16); logs are np.intp, which
+# indexes without a conversion and holds the exponent sums of evaluation
+_DTYPE = np.int32
+# cells of the largest intermediate array G * H^T builds at once
+_DOT_CHUNK_CELLS = 1 << 16
+
 
 # ---------------------------------------------------------------------------
-# exact row reduction on packed-int matrices
+# the matrix kernel: exact arithmetic on numpy arrays of packed elements
 
-def _pack_matrix(spec: FieldSpec, rows) -> list:
-    return [[spec.pack(x) for x in row] for row in rows]
+class _Kernel:
+    """Vectorised GF(p^k) arithmetic, row reduction and products.
 
-def _unpack_matrix(spec: FieldSpec, rows) -> tuple:
-    return tuple(tuple(spec.unpack(x) for x in row) for row in rows)
+    ``log`` sends 0 to 2(q - 1) and ``exp`` is the power table repeated twice
+    and then padded with zeros, so ``exp[log[a] + log[b]]`` is a * b for every
+    pair, zero included, with no reduction mod q - 1 and no mask.
+    """
+
+    def __init__(self, spec: FieldSpec):
+        q, p = spec.order, spec.p
+        units = q - 1
+        powers = np.array([spec.pack(x) for x in spec.elements()[1:]], dtype=_DTYPE)
+        self.p = p
+        self.units = units
+        self.log = np.empty(q, dtype=np.intp)
+        self.log[powers] = np.arange(units)
+        self.log[0] = 2 * units
+        self.exp = np.concatenate([powers, powers, np.zeros(2 * units + 1, dtype=_DTYPE)])
+        self.weights = [p ** i for i in range(spec.k)]
+        values = np.arange(q, dtype=_DTYPE)
+        self.neg = values if p == 2 else sum(
+            (-(values // w) % p) * w for w in self.weights)
+
+    def mul(self, a, b):
+        return self.exp[self.log[a] + self.log[b]]
+
+    def inv(self, a: int) -> int:
+        return int(self.exp[(self.units - self.log[a]) % self.units])
+
+    def add(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        # digit i of a sum is (a // p^i + b // p^i) mod p; for i = 0 no division
+        p = self.p
+        out = (a + b) % p
+        for w in self.weights[1:]:
+            out += (a // w + b // w) % p * w
+        return out
+
+    def total(self, a, axis: int):
+        """Field sum of a along one axis."""
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis=axis)
+        p = self.p
+        return sum((a // w % p).sum(axis=axis) % p * w for w in self.weights)
+
+    def rref(self, mat) -> Tuple[np.ndarray, list]:
+        """Reduced row echelon form of a copy of mat: (rank x n rows, pivots)."""
+        m = np.array(mat, dtype=_DTYPE)
+        rows, n = m.shape
+        pivots = []
+        rank = 0
+        for col in range(n):
+            if rank == rows:
+                break
+            found = np.flatnonzero(m[rank:, col])
+            if not found.size:
+                continue
+            pivot = rank + int(found[0])
+            if pivot != rank:
+                m[[rank, pivot]] = m[[pivot, rank]]
+            lead = int(m[rank, col])
+            if lead != 1:
+                m[rank, col:] = self.mul(m[rank, col:], self.inv(lead))
+            others = np.flatnonzero(m[:, col])
+            others = others[others != rank]
+            if others.size:
+                factors = self.neg[m[others, col]]
+                m[others, col:] = self.add(
+                    m[others, col:], self.mul(factors[:, None], m[rank, col:]))
+            pivots.append(col)
+            rank += 1
+        return m[:rank], pivots
+
+    def nullspace(self, mat) -> np.ndarray:
+        """Canonical (row reduced) basis of { v : mat . v = 0 }."""
+        reduced, pivots = self.rref(mat)
+        n = reduced.shape[1]
+        free = np.setdiff1d(np.arange(n), pivots)
+        basis = np.zeros((free.size, n), dtype=_DTYPE)
+        basis[np.arange(free.size), free] = 1
+        basis[:, pivots] = self.neg[reduced[:, free]].T
+        return self.rref(basis)[0]
+
+    def dot_t(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The matrix a . b^T."""
+        out = np.zeros((len(a), len(b)), dtype=_DTYPE)
+        step = max(1, _DOT_CHUNK_CELLS // max(1, b.size))
+        for i in range(0, len(a), step):
+            out[i:i + step] = self.total(self.mul(a[i:i + step, None, :], b[None]), axis=2)
+        return out
 
 
-def _rref(spec: FieldSpec, rows: list) -> Tuple[list, list]:
-    """Reduced row echelon form in place on a copy; returns (rows, pivots)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    n = len(mat[0])
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = spec.int_inv(mat[rank][col])
-        if inv != 1 or mat[rank][col] != 1:
-            row = mat[rank]
-            for j in range(col, n):
-                row[j] = spec.int_mul(row[j], inv)
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                factor = spec.int_neg(mat[i][col])
-                src = mat[rank]
-                dst = mat[i]
-                for j in range(col, n):
-                    if src[j]:
-                        dst[j] = spec.int_add(dst[j], spec.int_mul(factor, src[j]))
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    return mat[:rank], pivots
+@functools.lru_cache(maxsize=None)
+def _kernel(spec: FieldSpec) -> _Kernel:
+    return _Kernel(spec)
 
 
-def _nullspace(spec: FieldSpec, rows: list, n: int) -> list:
-    """Canonical (row reduced) basis of { v : rows . v = 0 }."""
-    reduced, pivots = _rref(spec, rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = [0] * n
-        vec[free] = 1
-        for i, col in enumerate(pivots):
-            vec[col] = spec.int_neg(reduced[i][free])
-        basis.append(vec)
-    reduced_basis, _ = _rref(spec, basis)
-    return reduced_basis
+def _pack_matrix(spec: FieldSpec, rows, n: int) -> np.ndarray:
+    packed = np.array([[spec.pack(x) for x in row] for row in rows], dtype=_DTYPE)
+    return packed.reshape(len(packed), n)
 
 
-def _dot(spec: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = spec.int_add(acc, spec.int_mul(a, b))
-    return acc
+def _unpack_matrix(spec: FieldSpec, packed: np.ndarray) -> tuple:
+    return tuple(tuple(map(spec.unpack, row)) for row in packed.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +184,13 @@ class LinearCode:
     generator: tuple  # k x n matrix of FieldElement, RREF
     column_labels: tuple
     provenance: Optional[CodeProvenance] = dataclass_field(default=None, compare=False)
+    _packed: Optional[np.ndarray] = dataclass_field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self._packed is None:
+            object.__setattr__(self, "_packed",
+                               _pack_matrix(self.field, self.generator, self.n))
+        self._packed.setflags(write=False)
 
     @staticmethod
     def from_rows(spec: FieldSpec, rows, column_labels,
@@ -139,22 +200,60 @@ class LinearCode:
         for row in rows:
             if len(row) != n:
                 raise ValueError("row length does not match the column labels")
-        reduced, _ = _rref(spec, _pack_matrix(spec, rows))
-        return LinearCode(field=spec, n=n, k=len(reduced),
-                          generator=_unpack_matrix(spec, reduced),
-                          column_labels=tuple(column_labels),
-                          provenance=provenance)
+        reduced, _ = _kernel(spec).rref(_pack_matrix(spec, rows, n))
+        return _code_from_packed(spec, reduced, column_labels, provenance)
 
-    def packed_generator(self) -> list:
-        return _pack_matrix(self.field, self.generator)
+    def packed_generator(self) -> np.ndarray:
+        """The generator as a read-only k x n array of packed elements."""
+        return self._packed
 
     def __repr__(self):
         return f"LinearCode[{self.n},{self.k}] over {self.field!r}"
 
 
+def _code_from_packed(spec: FieldSpec, packed: np.ndarray, column_labels,
+                      provenance: Optional[CodeProvenance] = None) -> LinearCode:
+    return LinearCode(field=spec, n=packed.shape[1], k=len(packed),
+                      generator=_unpack_matrix(spec, packed),
+                      column_labels=tuple(column_labels), provenance=provenance,
+                      _packed=packed)
+
+
 def evaluation_matrix(curve: KummerCurve, functions: Sequence, places: Sequence[Place]) -> list:
-    """Rows of function values at the given affine places, unreduced."""
-    return [[f.evaluate(p) for p in places] for f in functions]
+    """Rows of function values at the given affine places, unreduced.
+
+    Each term c * x^t * y^j / prod_i (y - alpha_i)^(d_i) of a function has
+    the value exp(log c + t log a + j log b - sum_i d_i log(b - alpha_i)) at
+    P(a, b), and 0 when b = 0 < j, so whole rows are filled by gathers from
+    per-place log vectors.
+    """
+    spec = curve.field
+    kern = _kernel(spec)
+    if any(p.kind != AFFINE for p in places):
+        raise ValueError("evaluation is defined at affine places only")
+    a = np.array([spec.pack(p.a) for p in places], dtype=_DTYPE)
+    b = np.array([spec.pack(p.b) for p in places], dtype=_DTYPE)
+    log_a, log_b, b_zero = kern.log[a], kern.log[b], b == 0
+    diffs = [kern.add(b, kern.neg[spec.pack(alpha)]) for alpha in curve.alphas]
+    log_diffs = [kern.log[diff] for diff in diffs]
+    vanishing = [not diff.all() for diff in diffs]
+    out = np.zeros((len(functions), len(places)), dtype=_DTYPE)
+    for row, f in zip(out, functions):
+        for t, (num, dens) in f.terms.items():
+            base = t * log_a
+            for d, log_diff, vanishes in zip(dens, log_diffs, vanishing):
+                if d:
+                    if vanishes:
+                        raise ZeroDivisionError(
+                            "denominator vanishes; the place is not on the curve")
+                    base = base - d * log_diff
+            for j, c in enumerate(num):
+                if c:
+                    values = kern.exp[(base + j * log_b + kern.log[spec.pack(c)]) % kern.units]
+                    if j:
+                        values[b_zero] = 0
+                    row[:] = kern.add(row, values)
+    return [list(map(spec.unpack, row)) for row in out.tolist()]
 
 
 def _resolve_D(curve: KummerCurve, D) -> Tuple[Divisor, tuple]:
@@ -196,31 +295,26 @@ def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
 
 def dual(code: LinearCode) -> LinearCode:
     """Euclidean dual: the canonical basis of the right kernel."""
-    spec = code.field
-    basis = _nullspace(spec, code.packed_generator(), code.n)
-    return LinearCode(field=spec, n=code.n, k=len(basis),
-                      generator=_unpack_matrix(spec, basis),
-                      column_labels=code.column_labels)
+    basis = _kernel(code.field).nullspace(code.packed_generator())
+    return _code_from_packed(code.field, basis, code.column_labels)
 
 
 def hull(code: LinearCode) -> LinearCode:
     """C intersect C-dual, computed as the kernel of the stacked orthogonals."""
-    spec = code.field
+    kern = _kernel(code.field)
     gen = code.packed_generator()
-    dual_gen = _nullspace(spec, gen, code.n)
-    stacked = dual_gen + gen  # orthogonal complements of C and of C-dual
-    basis = _nullspace(spec, stacked, code.n)
-    return LinearCode(field=spec, n=code.n, k=len(basis),
-                      generator=_unpack_matrix(spec, basis),
-                      column_labels=code.column_labels)
+    # orthogonal complements of C and of C-dual
+    stacked = np.vstack([kern.nullspace(gen), gen])
+    basis = kern.nullspace(stacked)
+    return _code_from_packed(code.field, basis, code.column_labels)
 
 
 def hull_dimension_by_rank(code: LinearCode) -> int:
     """Second route: dim C + dim C-dual - rank of the stacked generators."""
-    spec = code.field
+    kern = _kernel(code.field)
     gen = code.packed_generator()
-    dual_gen = _nullspace(spec, gen, code.n)
-    _, pivots = _rref(spec, gen + dual_gen)
+    dual_gen = kern.nullspace(gen)
+    _, pivots = kern.rref(np.vstack([gen, dual_gen]))
     return code.k + len(dual_gen) - len(pivots)
 
 
@@ -229,9 +323,7 @@ def is_lcd(code: LinearCode) -> bool:
 
 
 def is_self_orthogonal(code: LinearCode) -> bool:
-    spec = code.field
-    gen = code.packed_generator()
-    return all(_dot(spec, u, v) == 0 for u in gen for v in gen)
+    return _orthogonal(code, code)
 
 
 def _row_space_equal(a: LinearCode, b: LinearCode) -> bool:
@@ -239,9 +331,8 @@ def _row_space_equal(a: LinearCode, b: LinearCode) -> bool:
 
 
 def _orthogonal(a: LinearCode, b: LinearCode) -> bool:
-    spec = a.field
-    pa, pb = a.packed_generator(), b.packed_generator()
-    return all(_dot(spec, u, v) == 0 for u in pa for v in pb)
+    """Whether G_a . G_b^T vanishes."""
+    return not _kernel(a.field).dot_t(a.packed_generator(), b.packed_generator()).any()
 
 
 # ---------------------------------------------------------------------------
@@ -444,30 +535,19 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_MINDIST_BUDGET) -> MinD
 def _min_weight_enum(code: LinearCode) -> int:
     spec = code.field
     N = spec.order
-    spec._ensure_tables()
-    log = np.zeros(N, dtype=np.int64)
-    for value, e in enumerate(spec._log):
-        log[value] = max(e, 0)
-    exp = np.array(spec._exp, dtype=np.int64)
-    gen = np.array(code.packed_generator(), dtype=np.int64)
+    kern = _kernel(spec)
+    gen = code.packed_generator()
 
     if spec.p == 2:
-        def add(u, v):
-            return np.bitwise_xor(u, v)
+        add = np.bitwise_xor
     else:
-        table = np.zeros((N, N), dtype=np.int64)
-        for x in range(N):
-            for y in range(N):
-                table[x, y] = spec.int_add(x, y)
+        # one lookup per sum beats the digit-wise kernel sum in this inner
+        # loop; the table is bounded since q^2 <= q^k <= budget
+        values = np.arange(N, dtype=np.int64)
+        table = kern.add(values[:, None], values[None, :])
 
         def add(u, v):
             return table[u, v]
-
-    def mul(scalars, row):
-        out = exp[(log[scalars] + log[row][None, :]) % (N - 1)]
-        mask = (scalars == 0) | (row[None, :] == 0)
-        out[mask] = 0
-        return out
 
     total = N ** code.k
     best = code.n + 1
@@ -479,7 +559,7 @@ def _min_weight_enum(code: LinearCode) -> int:
         for i in range(code.k):
             digit = rest % N
             rest //= N
-            words = add(words, mul(digit[:, None], gen[i]))
+            words = add(words, kern.mul(digit[:, None], gen[i][None, :]))
         weights = np.count_nonzero(words, axis=1)
         if start == 0:
             weights = weights[1:]

@@ -241,17 +241,6 @@ class KummerCurve:
     def infinity(self) -> Place:
         return Place.infinity()
 
-    def defining_poly(self) -> tuple:
-        """Coefficients of prod (y - alpha_i), little-endian."""
-        coeffs = [self.field.one]
-        for alpha in self.alphas:
-            nxt = [self.field.zero] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i + 1] = nxt[i + 1] + c
-                nxt[i] = nxt[i] - c * alpha
-            coeffs = nxt
-        return tuple(coeffs)
-
     def lhs_at(self, b: FieldElement) -> FieldElement:
         out = self.field.one
         for alpha in self.alphas:

@@ -3,7 +3,8 @@
 Elements are coefficient vectors over GF(p) in the power basis of a pinned
 monic irreducible modulus, so serialized values stay stable across runs and
 machines. Each field lazily builds generator-power tables (exp/log) that give
-fast inversion, powering, and the canonical element order ``0, g^0, g^1, ...``.
+fast inversion and the canonical element order ``0, g^0, g^1, ...``, plus the
+lookup tables between elements and their packed base-p integers.
 """
 
 from __future__ import annotations
@@ -63,17 +64,6 @@ def _ptrim(c: list) -> list:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
 
 
 def _pdivmod(a: Sequence[int], b: Sequence[int], p: int):
@@ -199,7 +189,6 @@ class FieldSpec:
         self._exp = None
         self._log = None
         self._elements = None
-        self._neg_table = None
         if generator is None:
             gen_coeffs = self._find_generator()
         else:
@@ -267,43 +256,50 @@ class FieldSpec:
             if self._order_of(t) == self.order - 1:
                 return t
         for packed in range(1, self.order):
-            cand = self.unpack(packed)
-            if self._order_of(cand.coeffs) == self.order - 1:
-                return cand.coeffs
+            cand = self._digits(packed)
+            if self._order_of(cand) == self.order - 1:
+                return cand
         raise AssertionError("no generator found; field construction is broken")
 
     # -- packed-integer view (base-p digits) ----------------------------------
 
-    def pack(self, x) -> int:
-        coeffs = x.coeffs if isinstance(x, FieldElement) else x
-        n = 0
-        for c in reversed(coeffs):
-            n = n * self.p + c
-        return n
-
-    def unpack(self, n: int):
+    def _digits(self, n: int) -> tuple:
         coeffs = []
         for _ in range(self.k):
             coeffs.append(n % self.p)
             n //= self.p
-        return FieldElement(self, tuple(coeffs))
+        return tuple(coeffs)
+
+    def pack(self, x) -> int:
+        """The base-p integer sum_i c_i p^i of an element or coefficient tuple."""
+        if self._exp is None:
+            self._ensure_tables()
+        return self._pack_index[x.coeffs if isinstance(x, FieldElement) else tuple(x)]
+
+    def unpack(self, n: int) -> "FieldElement":
+        if self._exp is None:
+            self._ensure_tables()
+        return self._by_packed[n]
 
     def _ensure_tables(self):
         if self._exp is not None:
             return
+        by_packed = [FieldElement(self, self._digits(n)) for n in range(self.order)]
+        pack_index = {x.coeffs: n for n, x in enumerate(by_packed)}
         n = self.order - 1
         exp = [0] * n
         log = [-1] * self.order
         cur = self.one.coeffs
         gen = self.generator.coeffs
         for i in range(n):
-            packed = self.pack(cur)
+            packed = pack_index[cur]
             exp[i] = packed
             log[packed] = i
             cur = self._tuple_mul(cur, gen)
-        elements = (self.zero,) + tuple(self.unpack(e) for e in exp)
+        elements = (by_packed[0],) + tuple(by_packed[e] for e in exp)
         # the _exp guard is assigned last so a concurrent first use never
         # observes a half-built table set
+        self._by_packed, self._pack_index = by_packed, pack_index
         self._log, self._elements, self._exp = log, elements, exp
 
     def elements(self) -> tuple:
@@ -313,46 +309,8 @@ class FieldSpec:
 
     def enum_index(self, x) -> int:
         """Position of x in elements(); pins point and column orderings."""
-        self._ensure_tables()
         packed = self.pack(x)
         return 0 if packed == 0 else self._log[packed] + 1
-
-    # -- packed arithmetic for matrix kernels ---------------------------------
-
-    def int_add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def int_neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self._neg_table is None:
-            p = self.p
-            table = [0] * self.order
-            for n in range(self.order):
-                m, out, mult = n, 0, 1
-                for _ in range(self.k):
-                    out += ((-m) % p) * mult
-                    m //= p
-                    mult *= p
-                table[n] = out
-            self._neg_table = table
-        return self._neg_table[a]
-
-    def int_mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        self._ensure_tables()
-        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
 
     def int_inv(self, a: int) -> int:
         if a == 0:

@@ -166,3 +166,43 @@ def test_pretty_output(capsys):
     code, out, _ = run_cli(capsys, "curve", "info", "--curve", "hermitian-q2",
                            "--pretty")
     assert code == 0 and "genus: 1" in out
+
+
+def test_semigroup_tuple_with_junk_is_a_parse_error(capsys):
+    code, _, err = run_cli(capsys, "semigroup", "gamma", "--curve", "hermitian-q3",
+                           "--tuple", "1,x")
+    assert code == 2 and "parse error" in err
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_mindist_budget_below_one_is_a_parse_error(capsys, budget):
+    code, out, err = run_cli(capsys, "code", "mindist", "--curve", "hermitian-q2",
+                             "--G", "3*Pinf+1*P1", "--budget", budget)
+    assert code == 2 and "parse error" in err and out == ""
+
+
+def test_failed_self_check_exits_1_with_a_message(capsys, monkeypatch):
+    import kummer_lcd.cli
+
+    def failing_basis(curve, G):
+        raise RuntimeError("L-space dimension self-test failed")
+
+    monkeypatch.setattr(kummer_lcd.cli, "riemann_roch_basis", failing_basis)
+    code, out, err = run_cli(capsys, "rr", "basis", "--curve", "hermitian-q2",
+                             "--divisor", "3*Pinf")
+    assert code == 1 and "self-test failed" in err and out == ""
+
+
+def test_failed_rank_check_exits_1_with_a_message(capsys, monkeypatch):
+    import dataclasses
+    import kummer_lcd.codes
+    original = kummer_lcd.codes.riemann_roch_basis
+
+    def overstated_basis(curve, G):
+        basis = original(curve, G)
+        return dataclasses.replace(basis, dimension=basis.dimension + 1)
+
+    monkeypatch.setattr(kummer_lcd.codes, "riemann_roch_basis", overstated_basis)
+    code, out, err = run_cli(capsys, "code", "build", "--curve", "hermitian-q2",
+                             "--G", "3*Pinf")
+    assert code == 1 and "evaluation lost rank" in err and out == ""

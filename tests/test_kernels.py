@@ -1,0 +1,237 @@
+"""Second routes for the packed-int matrix kernel in ``codes``.
+
+The scalar row reduction below is the one-entry-at-a-time routine the kernel
+replaced, kept here as the oracle. Its arithmetic goes through FieldElement
+coefficient tuples, so it shares no table with the kernel.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from kummer_lcd import (GF, Divisor, FunctionElement, KummerCurve, LinearCode,
+                        Place, build_code, dual, is_self_orthogonal,
+                        riemann_roch_basis)
+from kummer_lcd.codes import _kernel, _orthogonal, evaluation_matrix
+
+FIELD_SIZES = [2, 4, 7, 9, 16, 25, 27, 49, 64, 81]
+
+
+class ScalarOps:
+    """Packed-int arithmetic routed through FieldElement."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def add(self, a, b):
+        return self.spec.pack(self.spec.unpack(a) + self.spec.unpack(b))
+
+    def mul(self, a, b):
+        return self.spec.pack(self.spec.unpack(a) * self.spec.unpack(b))
+
+    def neg(self, a):
+        return self.spec.pack(-self.spec.unpack(a))
+
+    def inv(self, a):
+        return self.spec.pack(self.spec.unpack(a).inverse())
+
+
+def scalar_rref(ops, rows):
+    """Reduced row echelon form of a copy of rows: (rows, pivots)."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    n = len(mat[0])
+    pivots = []
+    rank = 0
+    for col in range(n):
+        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        inv = ops.inv(mat[rank][col])
+        row = mat[rank]
+        for j in range(col, n):
+            row[j] = ops.mul(row[j], inv)
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                factor = ops.neg(mat[i][col])
+                for j in range(col, n):
+                    if row[j]:
+                        mat[i][j] = ops.add(mat[i][j], ops.mul(factor, row[j]))
+        pivots.append(col)
+        rank += 1
+        if rank == len(mat):
+            break
+    return mat[:rank], pivots
+
+
+def scalar_nullspace(ops, rows, n):
+    reduced, pivots = scalar_rref(ops, rows)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        vec = [0] * n
+        vec[free] = 1
+        for i, col in enumerate(pivots):
+            vec[col] = ops.neg(reduced[i][free])
+        basis.append(vec)
+    return scalar_rref(ops, basis)[0]
+
+
+def scalar_dot(ops, u, v):
+    acc = 0
+    for a, b in zip(u, v):
+        acc = ops.add(acc, ops.mul(a, b))
+    return acc
+
+
+def random_matrices(q, rng):
+    """(label, rows, n): empty, zero, full, rank-deficient, tall and wide cases."""
+    def rand(rows, n):
+        return [[rng.randrange(q) for _ in range(n)] for _ in range(rows)]
+
+    ops = ScalarOps(GF(q))
+    base = rand(3, 9)
+    combos = []
+    for _ in range(4):
+        c = [rng.randrange(q) for _ in base]
+        row = [0] * 9
+        for coeff, b in zip(c, base):
+            row = [ops.add(x, ops.mul(coeff, y)) for x, y in zip(row, b)]
+        combos.append(row)
+    sparse = [[x if rng.random() < 0.3 else 0 for x in row] for row in rand(7, 8)]
+    return [("empty", [], 6), ("zero", [[0] * 5 for _ in range(4)], 5),
+            ("square", rand(6, 6), 6), ("rank-deficient", base + combos, 9),
+            ("tall", rand(12, 5), 5), ("wide", rand(4, 11), 11),
+            ("sparse", sparse, 8), ("one-row", rand(1, 7), 7)]
+
+
+def as_array(rows, n):
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
+def test_kernel_arithmetic_matches_field_elements(q):
+    spec = GF(q)
+    kern, ops = _kernel(spec), ScalarOps(spec)
+    rng = random.Random(q)
+    values = np.arange(q, dtype=np.int64)
+    a = values if q <= 16 else np.array(rng.sample(range(q), 16))
+    b = values if q <= 16 else np.array(rng.sample(range(q), 16))
+    added = kern.add(a[:, None], b[None, :])
+    multiplied = kern.mul(a[:, None], b[None, :])
+    for i, x in enumerate(a.tolist()):
+        for j, y in enumerate(b.tolist()):
+            assert added[i, j] == ops.add(x, y)
+            assert multiplied[i, j] == ops.mul(x, y)
+    assert kern.neg.tolist() == [ops.neg(x) for x in range(q)]
+    assert all(kern.inv(x) == ops.inv(x) for x in range(1, q))
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
+def test_rref_and_nullspace_match_scalar_oracle(q):
+    spec = GF(q)
+    kern, ops = _kernel(spec), ScalarOps(spec)
+    rng = random.Random(1000 + q)
+    for label, rows, n in random_matrices(q, rng):
+        reduced, pivots = kern.rref(as_array(rows, n))
+        want_rows, want_pivots = scalar_rref(ops, rows)
+        assert pivots == want_pivots, label
+        assert reduced.tolist() == want_rows, label
+        null = kern.nullspace(as_array(rows, n))
+        assert null.tolist() == scalar_nullspace(ops, rows, n), label
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
+def test_rref_does_not_modify_its_input(q):
+    mat = as_array(random_matrices(q, random.Random(q))[2][1], 6)
+    before = mat.copy()
+    _kernel(GF(q)).rref(mat)
+    assert (mat == before).all()
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
+def test_dot_t_matches_scalar_dot(q):
+    spec = GF(q)
+    kern, ops = _kernel(spec), ScalarOps(spec)
+    rng = random.Random(2000 + q)
+    for rows_a, rows_b, n in ((3, 5, 7), (1, 1, 1), (0, 4, 3), (6, 2, 13)):
+        a = [[rng.randrange(q) for _ in range(n)] for _ in range(rows_a)]
+        b = [[rng.randrange(q) for _ in range(n)] for _ in range(rows_b)]
+        got = kern.dot_t(as_array(a, n), as_array(b, n))
+        assert got.shape == (rows_a, rows_b)
+        assert got.tolist() == [[scalar_dot(ops, u, v) for v in b] for u in a]
+
+
+def test_orthogonality_checks_match_scalar_dot(h3):
+    spec = h3.field
+    ops = ScalarOps(spec)
+    places = h3.affine_places()[:6]
+    one, zero = spec.one, spec.zero
+    self_orth = LinearCode.from_rows(spec, [[one, zero, one, zero, one, zero]], places)
+    # 1 + 1 + 1 = 0 in characteristic 3
+    assert is_self_orthogonal(self_orth)
+    C = build_code(h3, h3.standard_D(), Divisor.of(Place.infinity(), 9))
+    gen = C.packed_generator().tolist()
+    want = all(scalar_dot(ops, u, v) == 0 for u in gen for v in gen)
+    assert is_self_orthogonal(C) == want
+    assert _orthogonal(C, dual(C))
+
+
+def _evaluation_divisors(curve):
+    """Multi-point divisors with positive, negative and simple-zero parts."""
+    g, r = curve.genus, curve.r
+    out = [Divisor.of(Place.infinity(), 2 * g + 2)]
+    G = Divisor({Place.ramified(1): curve.m + 1, Place.infinity(): 2 * g})
+    if r > 1:
+        G = G + Divisor.of(Place.ramified(r), -1)
+    out.append(G)
+    out.append(G + Divisor.of(curve.affine_places()[0], -1))
+    return out
+
+
+def _assert_rows_match(curve, G):
+    functions = riemann_roch_basis(curve, G).functions
+    places = [p for p in curve.affine_places() if G[p] == 0]
+    got = evaluation_matrix(curve, functions, places)
+    assert got == [[f.evaluate(p) for p in places] for f in functions]
+    return places
+
+
+def test_evaluation_matrix_matches_evaluate_on_bundled_curves(family):
+    for curve in family:
+        for G in _evaluation_divisors(curve):
+            _assert_rows_match(curve, G)
+
+
+def test_evaluation_matrix_at_places_with_b_zero():
+    # (0 - 1)(0 - 6) = 6 = 3^3 in GF(7), so P(a, 0) lies on the curve for
+    # a in {3, 5, 6}; every bundled curve has 0 as a root and no such place
+    curve = KummerCurve(GF(7), [1, 6], 3, label="gf7-roots-1-6")
+    zero = curve.field.zero
+    for G in _evaluation_divisors(curve):
+        places = _assert_rows_match(curve, G)
+        assert any(p.b == zero for p in places)
+    # basis terms x^t * y^j with j > 0 vanish there, the others do not
+    basis = riemann_roch_basis(curve, Divisor.of(Place.infinity(), 6)).functions
+    on_b_zero = [p for p in curve.affine_places() if p.b == zero]
+    rows = evaluation_matrix(curve, basis, on_b_zero)
+    for f, row in zip(basis, rows):
+        (num, _), = f.terms.values()
+        assert all((x == zero) == (len(num) > 1) for x in row)
+
+
+def test_evaluation_matrix_rejects_what_evaluate_rejects(h2):
+    with pytest.raises(ValueError):
+        evaluation_matrix(h2, riemann_roch_basis(h2, Divisor.zero()).functions,
+                          [Place.infinity()])
+    # x^2 / y at an off-curve place with b = 0
+    f = FunctionElement.monomial(h2, 2, alpha_exps=(-1, 0))
+    off_curve = Place.affine(h2.field.one, h2.alphas[0])
+    with pytest.raises(ZeroDivisionError):
+        f.evaluate(off_curve)
+    with pytest.raises(ZeroDivisionError):
+        evaluation_matrix(h2, [f], [off_curve])
