@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .curves import Divisor, KummerCurve, Place
 from .functions import _ell_fast
 
@@ -32,6 +34,9 @@ __all__ = [
     "semigroup_membership_oracle",
     "semigroup_multiplicity",
 ]
+
+# lub_closure_membership refuses boxes (bound + 1)^l with more cells (16 MB).
+MAX_BOX_CELLS = 1 << 24
 
 
 def gap_set_single(curve: KummerCurve) -> frozenset:
@@ -149,27 +154,30 @@ def _gamma_in_box(curve: KummerCurve, l: int, bound: int) -> list:
     return gens
 
 
-def _semigroup_box(curve: KummerCurve, l: int, bound: int) -> frozenset:
-    """H(P_1..P_l) intersected with [0, bound]^l, as lub-closure of generators."""
-    key = (l, bound)
-    cached = curve._semigroup_boxes.get(key)
-    if cached is not None:
-        return cached
-    gens = _gamma_in_box(curve, l, bound)
-    zero = (0,) * l
-    members = {zero}
-    members.update(gens)
-    frontier = list(members)
-    while frontier:
-        current = frontier.pop()
-        for gen in gens:
-            lub = tuple(max(a, b) for a, b in zip(current, gen))
-            if lub not in members:
-                members.add(lub)
-                frontier.append(lub)
-    result = frozenset(members)
-    curve._semigroup_boxes[key] = result
-    return result
+def _semigroup_box(curve: KummerCurve, l: int, bound: int) -> np.ndarray:
+    """H(P_1..P_l) on [0, B]^l for some B >= bound, as a read-only boolean grid.
+
+    One pass M <- M | lub(M, g) over the generators leaves every lub of a
+    subset of generators in M. H on [0, b]^l is the restriction of H on
+    [0, B]^l for b <= B, so one grid per tuple size serves every smaller box.
+    """
+    grid = curve._semigroup_boxes.get(l)
+    if grid is not None and grid.shape[0] > bound:
+        return grid
+    grid = np.zeros((bound + 1,) * l, dtype=bool)
+    grid[(0,) * l] = True
+    for gen in _gamma_in_box(curve, l, bound):
+        lub = grid
+        for axis, g in enumerate(gen):  # max(a_i, g_i) folds slices 0..g_i onto g_i
+            if g:
+                lub = np.moveaxis(lub, axis, 0).copy()
+                lub[g] = lub[:g + 1].any(axis=0)
+                lub[:g] = False
+                lub = np.moveaxis(lub, 0, axis)
+        grid |= lub
+    grid.flags.writeable = False
+    curve._semigroup_boxes[l] = grid
+    return grid
 
 
 def lub_closure_membership(curve: KummerCurve, places: Sequence[int],
@@ -186,8 +194,11 @@ def lub_closure_membership(curve: KummerCurve, places: Sequence[int],
     if l > _max_tuple_size(curve):
         raise ValueError(
             f"tuple size {l} outside the supported range 1..{_max_tuple_size(curve)}")
-    bound = max(alpha) if alpha else 0
-    return tuple(alpha) in _semigroup_box(curve, l, bound)
+    bound = max(alpha)
+    if (bound + 1) ** l > MAX_BOX_CELLS:
+        raise ValueError(f"box [0, {bound}]^{l} has {(bound + 1) ** l} cells, "
+                         f"above the cap of {MAX_BOX_CELLS}")
+    return bool(_semigroup_box(curve, l, bound)[tuple(alpha)])
 
 
 def is_nonspecial_gns(curve: KummerCurve, A: Divisor) -> bool:

@@ -3,6 +3,8 @@
 A drawn spec is a prime p, an extension degree k, a set of r roots in
 GF(p^k), and an exponent m coprime to r and to p. The divisor G lives on the
 ramified places and Pinf, with degree in the window 2g - 2 < deg G < n.
+Semigroup points lie in a box [0, b]^l with b <= 2m, and the text forms of
+elements, divisors and functions must parse back to equal objects.
 """
 
 import math
@@ -10,8 +12,11 @@ import math
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from kummer_lcd import (GF, Divisor, KummerCurve, Place, build_code, dual, ell,
-                        hull, hull_dimension_by_rank)
+from kummer_lcd import (GF, Divisor, FunctionElement, KummerCurve, Place,
+                        build_code, dual, ell, format_divisor, format_element,
+                        format_function, hull, hull_dimension_by_rank,
+                        lub_closure_membership, parse_divisor, parse_element,
+                        parse_function, semigroup_membership_oracle)
 
 # field sizes up to 27 keep a drawn curve at a few hundred points
 FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
@@ -67,3 +72,52 @@ def test_hull_routes_agree(case):
     curve, G = case
     code = build_code(curve, curve.standard_D(), G)
     assert hull(code).k == hull_dimension_by_rank(code)
+
+
+@SETTINGS
+@given(curves(), st.data())
+def test_lub_closure_agrees_with_the_oracle(curve, data):
+    top = min(curve.r, curve.r - curve.r // curve.m, curve.field.order - 1)
+    l = data.draw(st.integers(1, top))
+    places = tuple(sorted(data.draw(st.sets(st.integers(1, curve.r),
+                                            min_size=l, max_size=l))))
+    bound = data.draw(st.integers(0, 2 * curve.m))
+    point = st.tuples(*[st.integers(0, bound)] * l)
+    for alpha in data.draw(st.lists(point, min_size=1, max_size=6)):
+        assert (lub_closure_membership(curve, places, alpha)
+                == semigroup_membership_oracle(curve, places, alpha))
+
+
+@SETTINGS
+@given(curves(), st.data())
+def test_element_text_round_trip(curve, data):
+    elements = curve.field.elements()
+    x = elements[data.draw(st.integers(0, len(elements) - 1))]
+    assert parse_element(curve.field, format_element(x)) == x
+
+
+@SETTINGS
+@given(curves(), st.data())
+def test_divisor_text_round_trip(curve, data):
+    places = (list(curve.ramified_places()) + [Place.infinity()]
+              + list(curve.affine_places()))
+    chosen = data.draw(st.lists(st.sampled_from(places), max_size=6, unique=True))
+    D = Divisor({P: data.draw(st.integers(-9, 9)) for P in chosen})
+    assert parse_divisor(curve, format_divisor(D)) == D
+    assert parse_divisor(curve, format_divisor(Divisor.zero())) == Divisor.zero()
+
+
+@SETTINGS
+@given(curves(), st.data())
+def test_function_text_round_trip(curve, data):
+    elements = curve.field.elements()
+    f = FunctionElement.zero(curve)
+    for _ in range(data.draw(st.integers(1, 3))):
+        x_exp = data.draw(st.integers(-2 * curve.m, 2 * curve.m))
+        alpha_exps = data.draw(st.lists(st.integers(-3, 3), min_size=curve.r,
+                                        max_size=curve.r))
+        y_poly = data.draw(st.lists(st.sampled_from(elements), min_size=1, max_size=3))
+        f = f + FunctionElement.monomial(curve, x_exp, alpha_exps, y_poly)
+    assert parse_function(curve, format_function(f)) == f
+    zero = FunctionElement.zero(curve)
+    assert parse_function(curve, format_function(zero)) == zero

@@ -5,11 +5,12 @@ import pytest
 
 from kummer_lcd import (Divisor, Place, ell, enumerate_nonspecial_degree_g,
                         floor_identity_checks, gamma_plus_multi,
-                        gap_set_single, is_nonspecial_gns,
+                        gap_set_single, hermitian_curve, is_nonspecial_gns,
                         lub_closure_membership, nonspecial_degree_g,
                         nonspecial_degree_g_minus_1, parse_divisor,
                         semigroup_membership_oracle, semigroup_multiplicity)
 from kummer_lcd.functions import _ell_fast
+from kummer_lcd.semigroup import MAX_BOX_CELLS, _semigroup_box
 
 
 def test_gap_set_hermitian(h2, h3):
@@ -69,6 +70,39 @@ def test_lub_oracle_agree_small_boxes(h2, h3):
             for alpha in itertools.product(range(0, curve.m + 2), repeat=l):
                 assert (lub_closure_membership(curve, places, alpha)
                         == semigroup_membership_oracle(curve, places, alpha))
+
+
+def test_lub_closure_refuses_boxes_above_the_cap():
+    curve = hermitian_curve(3)
+    cells = (10**4 + 1) ** 3
+    with pytest.raises(ValueError, match=f"{cells} cells, above the cap of {MAX_BOX_CELLS}"):
+        lub_closure_membership(curve, (1, 2, 3), (10**4,) * 3)
+    assert not curve._semigroup_boxes  # refused before any grid is built
+    assert lub_closure_membership(curve, (1, 2, 3), (2, 2, 2))
+
+
+def test_lub_closure_answers_do_not_depend_on_query_order():
+    # bounds 2..12 on l = 3 make the cached grid grow, then serve restrictions
+    points = [(4, 1, 0), (9, 5, 4), (12, 12, 12), (5, 5, 5), (8, 8, 1), (10, 2, 6),
+              (2, 2, 2), (12, 0, 3), (6, 6, 6), (11, 7, 9), (1, 1, 2), (7, 4, 12)]
+    places = (1, 2, 3)
+
+    def answers(order, curve_for):
+        return {alpha: lub_closure_membership(curve_for(), places, alpha)
+                for alpha in order}
+
+    ascending = sorted(points, key=max)
+    shared_up, shared_down = hermitian_curve(4), hermitian_curve(4)
+    up = answers(ascending, lambda: shared_up)
+    down = answers(ascending[::-1], lambda: shared_down)
+    fresh = answers(points, lambda: hermitian_curve(4))
+    assert up == down == fresh
+    assert any(up.values()) and not all(up.values())
+    grid = _semigroup_box(shared_down, 3, 12)
+    assert grid.shape == (13, 13, 13)
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0, 1] = True
 
 
 def test_gns_examples(h3):
