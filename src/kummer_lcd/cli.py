@@ -16,7 +16,8 @@ import os
 import sys
 from . import reference_checks
 from .codes import (build_code, construction_divisors, dual, hull,
-                    lcd_construct_maxcur, min_distance, DEFAULT_MINDIST_BUDGET)
+                    lcd_construct_maxcur, min_distance, DEFAULT_MINDIST_BUDGET,
+                    MAX_MINDIST_BUDGET)
 from .curves import (KummerCurve, builtin_curve, format_divisor,
                      load_curve_spec, parse_divisor, parse_place)
 from .functions import ell, format_function, riemann_roch_basis
@@ -312,6 +313,9 @@ def cmd_code_lcd_check(args) -> int:
 def cmd_code_mindist(args) -> int:
     if args.budget < 1:
         raise ParseError(f"--budget must be at least 1, got {args.budget}")
+    if args.budget > MAX_MINDIST_BUDGET:
+        raise ParseError(f"--budget must be at most MAX_MINDIST_BUDGET = 2^32 = "
+                         f"{MAX_MINDIST_BUDGET}, got {args.budget}")
     curve, code = _build_from_args(args)
     result = min_distance(code, budget=args.budget)
     report = {

@@ -14,6 +14,7 @@ by orthogonality plus the dimension count, never assumed from a formula.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence, Tuple
@@ -47,12 +48,19 @@ __all__ = [
 ]
 
 DEFAULT_MINDIST_BUDGET = 1 << 24
+# largest budget min_distance accepts, so no call enumerates more than 2^32
+# messages
+MAX_MINDIST_BUDGET = 1 << 32
 
 # dtype of packed elements (below q <= 2^16); logs are np.intp, which
 # indexes without a conversion and holds the exponent sums of evaluation
 _DTYPE = np.int32
 # cells of the largest intermediate array G * H^T builds at once
 _DOT_CHUNK_CELLS = 1 << 16
+# cells of the largest table min_distance holds at once: the combinations of
+# the tail rows on the non-pivot columns, a head vector added to them, and
+# the odd-p sum table
+_MINDIST_TABLE_CELLS = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -514,57 +522,83 @@ class MinDistanceResult:
 def min_distance(code: LinearCode, budget: int = DEFAULT_MINDIST_BUDGET) -> MinDistanceResult:
     """Exact minimum weight by message enumeration, within a workload budget.
 
-    Enumerates all q^k messages (numpy batches over packed symbols) when
-    q^k <= budget; otherwise reports only the designed bound, flagged inexact.
+    When q^k <= budget, visits one message per 1-dimensional subspace, the
+    one whose first nonzero digit is 1: (q^k - 1)/(q - 1) words, since scalar
+    multiples share a weight. The RREF generator copies a message onto its k
+    pivot columns, so a word weighs as much as its message plus message . R,
+    R the generator on its n - k non-pivot columns. Otherwise reports only the
+    designed bound n - deg G, flagged inexact. A budget above
+    ``MAX_MINDIST_BUDGET`` raises ValueError.
     """
+    if budget > MAX_MINDIST_BUDGET:
+        raise ValueError(f"budget {budget} is above the cap "
+                         f"MAX_MINDIST_BUDGET = 2^32 = {MAX_MINDIST_BUDGET}")
     if code.k == 0:
         raise ValueError("the zero code has no minimum distance")
     designed = None
     if code.provenance is not None:
         designed = code.n - code.provenance.G.degree
-    N = code.field.order
-    if N ** code.k > budget:
+    if code.field.order ** code.k > budget:
         return MinDistanceResult(d=None, exact=False, designed_bound=designed)
-    if code.k == 1:
-        weight = sum(1 for x in code.generator[0] if not x.is_zero())
-        return MinDistanceResult(d=weight, exact=True, designed_bound=designed)
-    d = _min_weight_enum(code)
-    return MinDistanceResult(d=d, exact=True, designed_bound=designed)
+    return MinDistanceResult(d=_min_weight_enum(code), exact=True,
+                             designed_bound=designed)
 
 
 def _min_weight_enum(code: LinearCode) -> int:
+    """Least weight over the messages whose first nonzero digit is 1.
+
+    ``tail`` holds, one per column, every combination of rows s..k-1 of R,
+    and ``tail_weight`` the Hamming weight of its digits. The table grows by
+    one row at a time while it fits in ``_MINDIST_TABLE_CELLS``; block 1 of
+    each step holds the words whose leading 1 sits at row s. Each message on
+    the head rows 0..s-1 then gives one vector, added to the whole table.
+    """
     spec = code.field
-    N = spec.order
+    q = spec.order
     kern = _kernel(spec)
     gen = code.packed_generator()
+    k, n = gen.shape
+    rest = np.delete(gen, (gen != 0).argmax(axis=1), axis=1)
 
     if spec.p == 2:
         add = np.bitwise_xor
-    else:
-        # one lookup per sum beats the digit-wise kernel sum in this inner
-        # loop; the table is bounded since q^2 <= q^k <= budget
-        values = np.arange(N, dtype=np.int64)
-        table = kern.add(values[:, None], values[None, :])
+    elif q * q <= _MINDIST_TABLE_CELLS:
+        # one lookup per sum beats the digit-wise kernel sum in this inner loop
+        values = np.arange(q, dtype=_DTYPE)
+        table = kern.add(values[:, None], values[None, :]).ravel()
 
         def add(u, v):
-            return table[u, v]
+            return table[u * q + v]
+    else:
+        add = kern.add
 
-    total = N ** code.k
-    best = code.n + 1
-    batch = 1 << 16
-    for start in range(0, total, batch):
-        idx = np.arange(start, min(start + batch, total), dtype=np.int64)
-        words = np.zeros((len(idx), code.n), dtype=np.int64)
-        rest = idx.copy()
-        for i in range(code.k):
-            digit = rest % N
-            rest //= N
-            words = add(words, kern.mul(digit[:, None], gen[i][None, :]))
-        weights = np.count_nonzero(words, axis=1)
-        if start == 0:
-            weights = weights[1:]
-        if len(weights):
-            best = min(best, int(weights.min()))
+    def least(words, weights) -> int:
+        # summing down the short axis keeps the count vectorised over words
+        return int(((words != 0).sum(axis=0, dtype=_DTYPE) + weights).min())
+
+    scalars = np.arange(q, dtype=_DTYPE)
+    tail = np.zeros((n - k, 1), dtype=_DTYPE)
+    tail_weight = np.zeros(1, dtype=_DTYPE)
+    best = n + 1
+    s = k
+    # rows 0 and 1 stay head rows: the table of rows 1..k-1 would serve only
+    # row 0, through one of its q blocks, while q + 1 passes over the table
+    # of rows 2..k-1 visit the same words without building it
+    while s > 2 and q * tail.shape[1] * max(1, n - k) <= _MINDIST_TABLE_CELLS:
+        s -= 1
+        size = tail.shape[1]
+        multiples = kern.mul(rest[s][:, None, None], scalars[None, :, None])
+        tail = add(tail[:, None, :], multiples).reshape(n - k, q * size)
+        tail_weight = ((scalars != 0)[:, None] + tail_weight).ravel()
+        best = min(best, least(tail[:, size:2 * size], tail_weight[size:2 * size]))
+    for lead in range(s):
+        for digits in itertools.product(range(q), repeat=s - 1 - lead):
+            head, weight = rest[lead], 1
+            for row, c in zip(rest[lead + 1:s], digits):
+                if c:
+                    head = add(head, kern.mul(c, row))
+                    weight += 1
+            best = min(best, weight + least(add(tail, head[:, None]), tail_weight))
     return best
 
 

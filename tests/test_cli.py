@@ -181,6 +181,24 @@ def test_mindist_budget_below_one_is_a_parse_error(capsys, budget):
     assert code == 2 and "parse error" in err and out == ""
 
 
+def test_mindist_budget_above_the_cap_is_a_parse_error(capsys):
+    # 9^18 messages: refused before any code is built
+    code, out, err = run_cli(capsys, "code", "mindist", "--curve", "hermitian-q3",
+                             "--G", "20*Pinf", "--budget", str(10 ** 23))
+    assert code == 2 and "parse error" in err and out == ""
+    assert "MAX_MINDIST_BUDGET" in err and str(2 ** 32) in err
+    report = run_json(capsys, "code", "mindist", "--curve", "hermitian-q2",
+                      "--G", "3*Pinf+1*P1", "--budget", str(2 ** 32))
+    assert report["results"]["d"] == 2 and report["results"]["exact"]
+
+
+def test_mindist_of_a_one_dimensional_code(capsys):
+    report = run_json(capsys, "code", "mindist", "--curve", "hermitian-q2",
+                      "--G=0*Pinf")
+    assert report["results"] == {"n": 6, "k": 1, "d": 6, "exact": True,
+                                 "designed_bound": 6}
+
+
 def test_failed_self_check_exits_1_with_a_message(capsys, monkeypatch):
     import kummer_lcd.cli
 

@@ -1,7 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import assume, given
 
 from kummer_lcd import (Divisor, GF, LinearCode, Place, build_code,
                         construction_divisors, dual, dual_partner_divisor,
@@ -10,7 +13,49 @@ from kummer_lcd import (Divisor, GF, LinearCode, Place, build_code,
                         maxcur_family_check, min_distance,
                         nonspecial_degree_g, one_point_hull_probe,
                         parse_divisor, verify_hull_theorem)
+from kummer_lcd import codes
+from kummer_lcd.codes import MAX_MINDIST_BUDGET, _kernel
 from kummer_lcd.gf import format_element_pretty
+from test_properties import SETTINGS, curves_with_divisor
+
+
+def full_enumeration_min_weight(code):
+    """Second route: the least weight over all q^k messages, formed in full.
+
+    This is the enumeration the projective search replaced: each word is k
+    gathers and k sums over all n columns, in batches of 2^16 messages.
+    """
+    spec = code.field
+    N = spec.order
+    kern = _kernel(spec)
+    gen = code.packed_generator()
+
+    if spec.p == 2:
+        add = np.bitwise_xor
+    else:
+        values = np.arange(N, dtype=np.int64)
+        table = kern.add(values[:, None], values[None, :])
+
+        def add(u, v):
+            return table[u, v]
+
+    total = N ** code.k
+    best = code.n + 1
+    batch = 1 << 16
+    for start in range(0, total, batch):
+        idx = np.arange(start, min(start + batch, total), dtype=np.int64)
+        words = np.zeros((len(idx), code.n), dtype=np.int64)
+        rest = idx.copy()
+        for i in range(code.k):
+            digit = rest % N
+            rest //= N
+            words = add(words, kern.mul(digit[:, None], gen[i][None, :]))
+        weights = np.count_nonzero(words, axis=1)
+        if start == 0:
+            weights = weights[1:]
+        if len(weights):
+            best = min(best, int(weights.min()))
+    return best
 
 
 def _pretty_rows(code):
@@ -297,3 +342,103 @@ def test_one_point_hull_probe(h2):
     assert one_point_hull_probe(h2, 3) >= 1
     assert all(one_point_hull_probe(h2, alpha) > 0 for alpha in range(1, 6))
     assert one_point_hull_probe(h2, 0) in (0, 1)  # repetition code, degenerate
+
+
+def _small_codes(curve, max_words):
+    """C(D, G) for one-point and multi-point G with q^k <= max_words."""
+    D = curve.standard_D()
+    A = nonspecial_degree_g(curve)
+    out = []
+    for G in ([Divisor.of(Place.infinity(), a) for a in range(D.degree)]
+              + [A + Divisor.of(Place.infinity(), j) for j in range(-1, 3)]):
+        if 0 <= G.degree < D.degree:
+            k = ell(curve, G)
+            if 0 < k and curve.field.order ** k <= max_words:
+                out.append(build_code(curve, D, G))
+    return out
+
+
+def _random_codes(q, rng, count=8, max_words=1 << 12):
+    """Codes over GF(q) from sparse random rows: varied pivots, zero columns."""
+    spec = GF(q)
+    elements = spec.elements()
+    label = Place.affine(spec.one, spec.one)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 14)
+        k = rng.randint(1, n)
+        rows = [[rng.choice(elements) if rng.random() < 0.6 else spec.zero
+                 for _ in range(n)] for _ in range(k)]
+        code = LinearCode.from_rows(spec, rows, (label,) * n)
+        if 0 < code.k and q ** code.k <= max_words:
+            out.append(code)
+    return out
+
+
+def test_min_distance_matches_full_enumeration_on_bundled_curves(family):
+    for curve in family:
+        small = _small_codes(curve, 1 << 16)
+        assert small, curve.label
+        for code in small:
+            assert min_distance(code).d == full_enumeration_min_weight(code), \
+                (curve.label, code.provenance.G)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_min_distance_matches_full_enumeration_on_random_codes(q):
+    for code in _random_codes(q, random.Random(q)):
+        assert min_distance(code).d == full_enumeration_min_weight(code)
+
+
+@pytest.mark.parametrize("q", [2, 4, 7, 9, 16])
+def test_head_loop_matches_full_enumeration(q, monkeypatch, family):
+    # a 64-cell cap stops the table early, so most rows are head rows; GF(9)
+    # also falls back from the 81-cell sum table to the digit-wise sum
+    monkeypatch.setattr(codes, "_MINDIST_TABLE_CELLS", 64)
+    cases = _random_codes(q, random.Random(100 + q), max_words=1 << 14)
+    cases += [code for curve in family if curve.field.order == q
+              for code in _small_codes(curve, 1 << 14)]
+    for code in cases:
+        assert min_distance(code).d == full_enumeration_min_weight(code)
+
+
+def test_min_distance_table_stays_under_the_cap(h3, monkeypatch):
+    # uncapped, this [24, 6] code over GF(9) holds 9^4 x 18 table cells
+    code = build_code(h3, h3.standard_D(), Divisor.of(Place.infinity(), 8))
+    assert code.k == 6
+    cap = 1 << 12
+    monkeypatch.setattr(codes, "_MINDIST_TABLE_CELLS", cap)
+    tracemalloc.start()
+    try:
+        d = min_distance(code).d
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 16
+    assert peak < 4 * cap * np.dtype(codes._DTYPE).itemsize
+
+
+@SETTINGS
+@given(curves_with_divisor())
+def test_min_distance_matches_full_enumeration_on_drawn_curves(case):
+    curve, G = case
+    code = build_code(curve, curve.standard_D(), G)
+    assume(0 < code.k and curve.field.order ** code.k <= 1 << 14)
+    assert min_distance(code).d == full_enumeration_min_weight(code)
+
+
+def test_min_distance_budget_gate_boundary(h3):
+    code = build_code(h3, h3.standard_D(), Divisor.of(Place.infinity(), 6))
+    words = h3.field.order ** code.k
+    exact = min_distance(code, budget=words)
+    assert exact.exact and exact.d == full_enumeration_min_weight(code)
+    gated = min_distance(code, budget=words - 1)
+    assert gated.d is None and not gated.exact
+    assert gated.designed_bound == exact.designed_bound == code.n - 6
+
+
+def test_min_distance_refuses_a_budget_above_the_cap(h2):
+    code = build_code(h2, h2.standard_D(), parse_divisor(h2, "3*Pinf+1*P1"))
+    assert min_distance(code, budget=MAX_MINDIST_BUDGET).d == 2
+    with pytest.raises(ValueError, match="MAX_MINDIST_BUDGET"):
+        min_distance(code, budget=MAX_MINDIST_BUDGET + 1)

@@ -4,7 +4,8 @@ A drawn spec is a prime p, an extension degree k, a set of r roots in
 GF(p^k), and an exponent m coprime to r and to p. The divisor G lives on the
 ramified places and Pinf, with degree in the window 2g - 2 < deg G < n.
 Semigroup points lie in a box [0, b]^l with b <= 2m, and the text forms of
-elements, divisors and functions must parse back to equal objects.
+elements, divisors and functions must parse back to equal objects. An exact
+minimum distance lies between the Goppa and Singleton bounds.
 """
 
 import math
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 from kummer_lcd import (GF, Divisor, FunctionElement, KummerCurve, Place,
                         build_code, dual, ell, format_divisor, format_element,
                         format_function, hull, hull_dimension_by_rank,
-                        lub_closure_membership, parse_divisor, parse_element,
-                        parse_function, semigroup_membership_oracle)
+                        lub_closure_membership, min_distance, parse_divisor,
+                        parse_element, parse_function,
+                        semigroup_membership_oracle)
 
 # field sizes up to 27 keep a drawn curve at a few hundred points
 FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
@@ -72,6 +74,17 @@ def test_hull_routes_agree(case):
     curve, G = case
     code = build_code(curve, curve.standard_D(), G)
     assert hull(code).k == hull_dimension_by_rank(code)
+
+
+@SETTINGS
+@given(curves_with_divisor())
+def test_min_distance_lies_between_goppa_and_singleton(case):
+    curve, G = case
+    code = build_code(curve, curve.standard_D(), G)
+    assume(0 < code.k and curve.field.order ** code.k <= 1 << 14)
+    result = min_distance(code)
+    assert result.exact and result.designed_bound == code.n - G.degree
+    assert code.n - G.degree <= result.d <= code.n - code.k + 1
 
 
 @SETTINGS
