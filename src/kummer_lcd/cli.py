@@ -278,6 +278,8 @@ def cmd_code_lcd_check(args) -> int:
             raise ParseError("maxcur needs --curve and --G")
         curve = _resolve_curve(args.curve)
         divisors = [parse_divisor(curve, args.G)]
+    elif args.q is None:
+        raise ParseError(f"{args.construction} needs --q")
     elif args.construction == "hermitian":
         curve = builtin_curve(f"hermitian-q{args.q}")
         divisors = construction_divisors("hermitian", curve, args.q)

@@ -1,14 +1,20 @@
 """Evaluation codes C(D, G), duals, hulls, LCD certificates, minimum distance.
 
 All matrix work goes through one kernel, ``_Kernel``: numpy int32 arrays of
-field elements packed as base-p integers (``FieldSpec.pack``). A product is
-one gather in extended exp/log tables. A sum is XOR when p = 2 and digit-wise
-addition mod p otherwise, so every table has O(q) entries for GF(q). The
-kernel evaluates L(G) bases in the log domain, row reduces, takes nullspaces
-and forms G * H^T for orthogonality. ``FieldElement`` values appear only at
-the boundaries: the rows that ``evaluation_matrix`` returns and the
-``LinearCode.generator`` tuples. Duality is always established numerically,
-by orthogonality plus the dimension count, never assumed from a formula.
+field elements packed as base-p integers (``FieldElement.n``). A product is
+one gather in the field's extended exp/log tables. A sum is XOR when p = 2
+and digit-wise addition mod p otherwise, so every table has O(q) entries for
+GF(q). The kernel evaluates L(G) bases in the log domain, row reduces, takes
+nullspaces and forms G * H^T for orthogonality. ``FieldElement`` values
+appear only at the boundaries: the rows that ``evaluation_matrix`` returns
+and the ``LinearCode.generator`` tuples. Duality is always established
+numerically, by orthogonality plus the dimension count, never assumed from a
+formula.
+
+The hull comes from the k x k Gram matrix G * G^T (Massey's criterion): for
+a full-rank generator G, Hull(C) = { xG : x G G^T = 0 }. The route through
+two stacked n x n nullspaces gives the same canonical basis and is kept in
+the tests as the second route.
 """
 
 from __future__ import annotations
@@ -47,6 +53,9 @@ __all__ = [
     "verify_hull_theorem",
 ]
 
+# longest code build_code accepts: Hermitian q <= 9 (n = 720) fits, q = 11
+# (n = 1320) does not
+MAX_CODE_LENGTH = 1 << 10
 DEFAULT_MINDIST_BUDGET = 1 << 24
 # largest budget min_distance accepts, so no call enumerates more than 2^32
 # messages
@@ -69,25 +78,19 @@ _MINDIST_TABLE_CELLS = 1 << 21
 class _Kernel:
     """Vectorised GF(p^k) arithmetic, row reduction and products.
 
-    ``log`` sends 0 to 2(q - 1) and ``exp`` is the power table repeated twice
-    and then padded with zeros, so ``exp[log[a] + log[b]]`` is a * b for every
-    pair, zero included, with no reduction mod q - 1 and no mask.
+    ``log``, ``exp`` and ``neg`` are the field's own tables as arrays, so
+    ``exp[log[a] + log[b]]`` is a * b for every pair, zero included, with no
+    reduction mod q - 1 and no mask.
     """
 
     def __init__(self, spec: FieldSpec):
-        q, p = spec.order, spec.p
-        units = q - 1
-        powers = np.array([spec.pack(x) for x in spec.elements()[1:]], dtype=_DTYPE)
+        p = spec.p
         self.p = p
-        self.units = units
-        self.log = np.empty(q, dtype=np.intp)
-        self.log[powers] = np.arange(units)
-        self.log[0] = 2 * units
-        self.exp = np.concatenate([powers, powers, np.zeros(2 * units + 1, dtype=_DTYPE)])
+        self.units = spec.units
+        self.log = np.array(spec.log, dtype=np.intp)
+        self.exp = np.array(spec.exp, dtype=_DTYPE)
+        self.neg = np.array(spec.neg, dtype=_DTYPE)
         self.weights = [p ** i for i in range(spec.k)]
-        values = np.arange(q, dtype=_DTYPE)
-        self.neg = values if p == 2 else sum(
-            (-(values // w) % p) * w for w in self.weights)
 
     def mul(self, a, b):
         return self.exp[self.log[a] + self.log[b]]
@@ -165,7 +168,7 @@ def _kernel(spec: FieldSpec) -> _Kernel:
 
 
 def _pack_matrix(spec: FieldSpec, rows, n: int) -> np.ndarray:
-    packed = np.array([[spec.pack(x) for x in row] for row in rows], dtype=_DTYPE)
+    packed = np.array([[x.n for x in row] for row in rows], dtype=_DTYPE)
     return packed.reshape(len(packed), n)
 
 
@@ -281,14 +284,20 @@ def _resolve_D(curve: KummerCurve, D) -> Tuple[Divisor, tuple]:
 
 
 def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
-    """C(D, G): evaluations of an L(G) basis at the points of D, row reduced."""
+    """C(D, G): evaluations of an L(G) basis at the points of D, row reduced.
+
+    A D of more than ``MAX_CODE_LENGTH`` places raises ValueError.
+    """
     D, places = _resolve_D(curve, D)
+    n = len(places)
+    if n > MAX_CODE_LENGTH:
+        raise ValueError(f"code length n = {n} is above the cap "
+                         f"MAX_CODE_LENGTH = {MAX_CODE_LENGTH}")
     for p in places:
         if not curve.is_on_curve(p.a, p.b):
             raise ValueError(f"{p} does not lie on {curve.label}")
         if G[p] != 0:
             raise ValueError("supports of G and D must be disjoint")
-    n = len(places)
     if G.degree >= n:
         raise ValueError(f"deg G = {G.degree} must be below n = {n}")
     basis = riemann_roch_basis(curve, G)
@@ -308,12 +317,18 @@ def dual(code: LinearCode) -> LinearCode:
 
 
 def hull(code: LinearCode) -> LinearCode:
-    """C intersect C-dual, computed as the kernel of the stacked orthogonals."""
+    """C intersect C-dual, from the Gram matrix G * G^T.
+
+    The RREF generator G has full rank, so xG lies in C-dual exactly when
+    x G G^T = 0: the hull has the basis N * G, N the RREF basis of that
+    k x k kernel (G G^T is symmetric). N * G is already in RREF: on the pivot
+    columns of G it equals N, and each of its rows starts at the pivot of G
+    that the row's leading 1 in N selects.
+    """
     kern = _kernel(code.field)
     gen = code.packed_generator()
-    # orthogonal complements of C and of C-dual
-    stacked = np.vstack([kern.nullspace(gen), gen])
-    basis = kern.nullspace(stacked)
+    coefficients = kern.nullspace(kern.dot_t(gen, gen))
+    basis = kern.dot_t(coefficients, gen.T)
     return _code_from_packed(code.field, basis, code.column_labels)
 
 

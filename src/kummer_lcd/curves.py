@@ -255,12 +255,12 @@ class KummerCurve:
         if self._points is None:
             points = [Place.infinity()]
             points.extend(self.ramified_places())
-            lhs = {b: self.lhs_at(b) for b in self.field.elements()}
+            # the b with prod (b - alpha_i) = c, for each value c, in field order
+            fibers: dict = {}
+            for b in self.field.elements():
+                fibers.setdefault(self.lhs_at(b), []).append(b)
             for a in self.field.elements()[1:]:
-                target = a ** self.m
-                for b in self.field.elements():
-                    if lhs[b] == target:
-                        points.append(Place.affine(a, b))
+                points.extend(Place.affine(a, b) for b in fibers.get(a ** self.m, ()))
             self._points = tuple(points)
         return self._points
 

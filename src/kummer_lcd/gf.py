@@ -1,14 +1,19 @@
 """Exact arithmetic in small finite fields GF(p^k).
 
-Elements are coefficient vectors over GF(p) in the power basis of a pinned
-monic irreducible modulus, so serialized values stay stable across runs and
-machines. Each field lazily builds generator-power tables (exp/log) that give
-fast inversion and the canonical element order ``0, g^0, g^1, ...``, plus the
-lookup tables between elements and their packed base-p integers.
+An element has one representation: its packed base-p integer
+n = sum_i c_i p^i, where c_0..c_(k-1) are its coefficients in the power basis
+of a pinned monic irreducible modulus, so serialized values stay stable
+across runs and machines. Each field builds all its tables when it is
+constructed: one interned ``FieldElement`` per value, generator-power tables
+(exp/log) for products, inverses, powers and the canonical element order
+``0, g^0, g^1, ...``, negatives, and a Zech-log table for sums when p is odd
+(an XOR when p = 2). Every table has O(q) entries. Coefficient tuples appear
+only in the text forms and while the generator and the tables are found.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Sequence
 
 __all__ = [
@@ -148,8 +153,12 @@ def _default_modulus(p: int, k: int) -> tuple:
 class FieldSpec:
     """The field GF(p^k) with a pinned modulus and multiplicative generator.
 
-    Immutable after construction; the exp/log tables are built lazily and
-    assigned in one shot, so concurrent first use is harmless.
+    Construction builds every table, indexed by packed elements, and nothing
+    changes afterwards. ``log`` sends g^i to i and 0 to 2(q - 1); ``exp`` is
+    the power table repeated twice and then padded with zeros, so
+    ``exp[log[a] + log[b]]`` is a * b for every pair, zero included, with no
+    reduction mod q - 1. ``neg`` holds the negatives. A sum is an XOR for
+    p = 2 and a * (1 + b / a) through the Zech-log table log(1 + g^i) for odd p.
     """
 
     def __init__(self, p: int, k: int = 1, modulus: Optional[Sequence[int]] = None,
@@ -163,6 +172,7 @@ class FieldSpec:
         self.p = p
         self.k = k
         self.order = p ** k
+        self.units = self.order - 1
         if modulus is None:
             modulus = _default_modulus(p, k)
         modulus = tuple(int(c) % p for c in modulus)
@@ -171,6 +181,7 @@ class FieldSpec:
         if not _is_irreducible(modulus, p):
             raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
         self.modulus = modulus
+        self._hash = hash((p, k, modulus))
         # reduction vectors: t^(k+i) mod modulus for i = 0 .. k-2
         red = []
         cur = [(-c) % p for c in modulus[:-1]]
@@ -184,28 +195,22 @@ class FieldSpec:
             red.append(tuple(nxt))
             cur = nxt
         self._red = red
-        self.zero = FieldElement(self, (0,) * k)
-        self.one = FieldElement(self, (1,) + (0,) * (k - 1))
-        self._exp = None
-        self._log = None
-        self._elements = None
         if generator is None:
             gen_coeffs = self._find_generator()
         else:
             gen_coeffs = self._coerce_coeffs(generator)
-            if self._order_of(gen_coeffs) != self.order - 1:
+            if self._order_of(gen_coeffs) != self.units:
                 raise ValueError("generator does not have full multiplicative order")
-        self.generator = FieldElement(self, gen_coeffs)
+        self._build_tables(gen_coeffs)
 
     # -- construction helpers ------------------------------------------------
 
     def _coerce_coeffs(self, value) -> tuple:
+        """Coefficients of an element, an int or a coefficient sequence."""
         if isinstance(value, FieldElement):
             if value.spec != self:
                 raise ValueError("element belongs to a different field")
             return value.coeffs
-        if isinstance(value, str):
-            return parse_element(self, value).coeffs
         if isinstance(value, int):
             return (value % self.p,) + (0,) * (self.k - 1)
         coeffs = [int(c) % self.p for c in value]
@@ -231,7 +236,7 @@ class FieldSpec:
         return tuple(out)
 
     def _tuple_pow(self, a: tuple, e: int) -> tuple:
-        result = self.one.coeffs
+        result = (1,) + (0,) * (self.k - 1)
         base = a
         while e:
             if e & 1:
@@ -243,25 +248,66 @@ class FieldSpec:
     def _order_of(self, coeffs: tuple) -> int:
         if not any(coeffs):
             return 0
-        n = self.order - 1
-        order = n
-        for q in _prime_factors(n):
-            while order % q == 0 and self._tuple_pow(coeffs, order // q) == self.one.coeffs:
+        one = (1,) + (0,) * (self.k - 1)
+        order = self.units
+        for q in _prime_factors(self.units):
+            while order % q == 0 and self._tuple_pow(coeffs, order // q) == one:
                 order //= q
         return order
 
     def _find_generator(self) -> tuple:
         if self.k >= 2:
             t = (0, 1) + (0,) * (self.k - 2)
-            if self._order_of(t) == self.order - 1:
+            if self._order_of(t) == self.units:
                 return t
         for packed in range(1, self.order):
             cand = self._digits(packed)
-            if self._order_of(cand) == self.order - 1:
+            if self._order_of(cand) == self.units:
                 return cand
         raise AssertionError("no generator found; field construction is broken")
 
+    def _build_tables(self, gen: tuple) -> None:
+        p, q, units = self.p, self.order, self.units
+        powers = []
+        cur = (1,) + (0,) * (self.k - 1)
+        for _ in range(units):
+            powers.append(self._pack(cur))
+            cur = self._tuple_mul(cur, gen)
+        log = [2 * units] * q
+        for i, packed in enumerate(powers):
+            log[packed] = i
+        exp = powers + powers + [0] * (2 * units + 1)
+        # -1 = g^((q - 1) / 2) for odd p; -x = x for p = 2
+        half = units // 2 if p > 2 else 0
+        self.log, self.exp = log, exp
+        self.neg = [exp[log[n] + half] for n in range(q)]
+        if p == 2:
+            self._add = operator.xor
+        else:
+            # 1 + x only changes the lowest digit of x
+            self._zech = [log[n - n % p + (n + 1) % p] for n in powers]
+            self._add = self._zech_add
+        self._by_packed = [FieldElement(self, n) for n in range(q)]
+        self._elements = (self._by_packed[0],) + tuple(self._by_packed[n] for n in powers)
+        self.zero, self.one = self._by_packed[0], self._by_packed[1]
+        self.generator = self._by_packed[self._pack(gen)]
+
+    def _zech_add(self, a: int, b: int) -> int:
+        """a + b = a * (1 + b / a) for packed a, b and odd p."""
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self.log
+        la = log[a]
+        # a negative index reads zech[(log b - log a) mod (q - 1)]; a zero
+        # sum has Zech log 2(q - 1), whose exp entry is 0
+        return self.exp[la + self._zech[log[b] - la]]
+
     # -- packed-integer view (base-p digits) ----------------------------------
+
+    def _pack(self, coeffs: tuple) -> int:
+        return sum(c * self.p ** i for i, c in enumerate(coeffs))
 
     def _digits(self, n: int) -> tuple:
         coeffs = []
@@ -270,157 +316,142 @@ class FieldSpec:
             n //= self.p
         return tuple(coeffs)
 
-    def pack(self, x) -> int:
-        """The base-p integer sum_i c_i p^i of an element or coefficient tuple."""
-        if self._exp is None:
-            self._ensure_tables()
-        return self._pack_index[x.coeffs if isinstance(x, FieldElement) else tuple(x)]
+    def pack(self, x: "FieldElement") -> int:
+        """The base-p integer sum_i c_i p^i of an element."""
+        return x.n
 
     def unpack(self, n: int) -> "FieldElement":
-        if self._exp is None:
-            self._ensure_tables()
         return self._by_packed[n]
-
-    def _ensure_tables(self):
-        if self._exp is not None:
-            return
-        by_packed = [FieldElement(self, self._digits(n)) for n in range(self.order)]
-        pack_index = {x.coeffs: n for n, x in enumerate(by_packed)}
-        n = self.order - 1
-        exp = [0] * n
-        log = [-1] * self.order
-        cur = self.one.coeffs
-        gen = self.generator.coeffs
-        for i in range(n):
-            packed = pack_index[cur]
-            exp[i] = packed
-            log[packed] = i
-            cur = self._tuple_mul(cur, gen)
-        elements = (by_packed[0],) + tuple(by_packed[e] for e in exp)
-        # the _exp guard is assigned last so a concurrent first use never
-        # observes a half-built table set
-        self._by_packed, self._pack_index = by_packed, pack_index
-        self._log, self._elements, self._exp = log, elements, exp
 
     def elements(self) -> tuple:
         """All p^k elements: zero first, then g^0, g^1, ..., g^(p^k - 2)."""
-        self._ensure_tables()
         return self._elements
 
     def enum_index(self, x) -> int:
         """Position of x in elements(); pins point and column orderings."""
-        packed = self.pack(x)
-        return 0 if packed == 0 else self._log[packed] + 1
-
-    def int_inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inversion of zero")
-        self._ensure_tables()
-        return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
+        n = x.n
+        return 0 if n == 0 else self.log[n] + 1
 
     # -- public element factory ----------------------------------------------
 
     def element(self, value) -> "FieldElement":
         """Coerce an int (prime-subfield constant), str, or coeff sequence."""
-        return FieldElement(self, self._coerce_coeffs(value))
+        if isinstance(value, str):
+            return parse_element(self, value)
+        if isinstance(value, int):
+            return self._by_packed[value % self.p]
+        return self._by_packed[self._pack(self._coerce_coeffs(value))]
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
                 and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
 
 
 class FieldElement:
-    """An element of a FieldSpec, stored as k reduced coefficients."""
+    """An element of a FieldSpec, stored as its packed base-p integer ``n``.
 
-    __slots__ = ("spec", "coeffs")
+    Each field interns one instance per value; ``coeffs`` is a read-only view
+    of the k power-basis coefficients.
+    """
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple):
+    __slots__ = ("spec", "n")
+
+    def __init__(self, spec: FieldSpec, n: int):
         self.spec = spec
-        self.coeffs = coeffs
+        self.n = n
+
+    @property
+    def coeffs(self) -> tuple:
+        return self.spec._digits(self.n)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.n
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.n != 0
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """The packed value of other, or None when it is not an element or int."""
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise ValueError("operands belong to different fields")
-            return other
+            return other.n
         if isinstance(other, int):
-            return self.spec.element(other)
+            return other % self.spec.p
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        spec = self.spec
+        return spec._by_packed[spec._add(self.n, b)]
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
+        spec = self.spec
+        return spec._by_packed[spec.neg[self.n]]
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        spec = self.spec
+        return spec._by_packed[spec._add(self.n, spec.neg[b])]
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        a = self._operand(other)
+        if a is None:
             return NotImplemented
-        return other - self
+        spec = self.spec
+        return spec._by_packed[spec._add(a, spec.neg[self.n])]
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        return FieldElement(self.spec, self.spec._tuple_mul(self.coeffs, other.coeffs))
+        spec = self.spec
+        log = spec.log
+        return spec._by_packed[spec.exp[log[self.n] + log[b]]]
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        if not self.n:
+            raise ZeroDivisionError("inversion of zero")
         spec = self.spec
-        return spec.unpack(spec.int_inv(spec.pack(self.coeffs)))
+        return spec._by_packed[spec.exp[spec.units - spec.log[self.n]]]
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        return self * other.inverse()
+        return self * self.spec._by_packed[b].inverse()
 
     def __pow__(self, e: int):
         spec = self.spec
-        if self.is_zero():
+        if not self.n:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return spec.one if e == 0 else spec.zero
-        e %= spec.order - 1
-        return FieldElement(spec, spec._tuple_pow(self.coeffs, e))
+        return spec._by_packed[spec.exp[spec.log[self.n] * e % spec.units]]
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.coeffs == other.coeffs
+            return self.n == other.n and (self.spec is other.spec or self.spec == other.spec)
         if isinstance(other, int):
-            return self == self.spec.element(other)
+            return self.n == other % self.spec.p
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        return hash(self.n)
 
     def __str__(self):
         return format_element(self)
@@ -487,7 +518,7 @@ def format_element_pretty(x: FieldElement) -> str:
     """Generator-power form (0, 1, a, a^j); decimal for prime fields."""
     spec = x.spec
     if spec.k == 1:
-        return str(x.coeffs[0])
+        return str(x.n)
     if x.is_zero():
         return "0"
     e = spec.enum_index(x) - 1

@@ -224,3 +224,21 @@ def test_failed_rank_check_exits_1_with_a_message(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "code", "build", "--curve", "hermitian-q2",
                              "--G", "3*Pinf")
     assert code == 1 and "evaluation lost rank" in err and out == ""
+
+
+@pytest.mark.parametrize("construction, extra", [
+    ("hermitian", []), ("curve1", []), ("curve2", ["--r", "3"])])
+def test_lcd_check_without_q_is_a_parse_error(capsys, construction, extra):
+    code, out, err = run_cli(capsys, "code", "lcd-check", "--construction",
+                             construction, *extra)
+    assert code == 2 and out == ""
+    assert f"parse error: {construction} needs --q" in err
+
+
+def test_lcd_check_refuses_a_code_above_the_length_cap(capsys):
+    # Hermitian q = 11: GF(121), n = 1320 > MAX_CODE_LENGTH = 1024
+    code, out, err = run_cli(capsys, "code", "lcd-check", "--construction",
+                             "hermitian", "--q", "11")
+    assert code == 1 and out == ""
+    assert "precondition violated" in err
+    assert "n = 1320" in err and "MAX_CODE_LENGTH = 1024" in err

@@ -58,6 +58,18 @@ def full_enumeration_min_weight(code):
     return best
 
 
+def stacked_nullspace_hull(code):
+    """Second route: the hull as the kernel of C-dual stacked on C.
+
+    This is the route the Gram-matrix hull replaced: two nullspaces over all
+    n columns, where the Gram route solves a k x k system.
+    """
+    kern = _kernel(code.field)
+    gen = code.packed_generator()
+    basis = kern.nullspace(np.vstack([kern.nullspace(gen), gen]))
+    return codes._code_from_packed(code.field, basis, code.column_labels)
+
+
 def _pretty_rows(code):
     return [[format_element_pretty(x) for x in row] for row in code.generator]
 
@@ -111,6 +123,20 @@ def test_build_code_rejections(h2):
         build_code(h2, Divisor.of(Place.ramified(1)), Divisor.zero())
 
 
+def test_build_code_length_cap(h2, monkeypatch):
+    D, G = h2.standard_D(), parse_divisor(h2, "3*Pinf")
+    assert D.degree == 6
+    monkeypatch.setattr(codes, "MAX_CODE_LENGTH", 6)
+    assert build_code(h2, D, G).n == 6
+    monkeypatch.setattr(codes, "MAX_CODE_LENGTH", 5)
+    with pytest.raises(ValueError, match="n = 6 .* MAX_CODE_LENGTH = 5"):
+        build_code(h2, D, G)
+    # refused before any place is checked: an off-curve place gives the same error
+    off_curve = Place.affine(h2.field.one, h2.field.one)
+    with pytest.raises(ValueError, match="MAX_CODE_LENGTH"):
+        build_code(h2, D.support + (off_curve,), G)
+
+
 def test_dual_dimensions_and_involution(h2):
     D = h2.standard_D()
     C = build_code(h2, D, parse_divisor(h2, "3*Pinf+1*P1"))
@@ -152,6 +178,41 @@ def test_hull_two_routes_agree(h2, h3):
             C = build_code(curve, curve.standard_D(),
                            Divisor.of(Place.infinity(), alpha))
             assert hull(C).k == hull_dimension_by_rank(C)
+
+
+def test_gram_hull_matches_stacked_route_on_bundled_curves(family):
+    # every one-point G with deg G < n, from the zero code (deg G = -1) up
+    for curve in family:
+        D = curve.standard_D()
+        for degree in range(-1, D.degree):
+            code = build_code(curve, D, Divisor.of(Place.infinity(), degree))
+            assert hull(code) == stacked_nullspace_hull(code), (curve.label, degree)
+
+
+def test_gram_hull_edge_cases(h3):
+    spec, places = h3.field, h3.affine_places()[:7]
+    one, zero = spec.one, spec.zero
+    empty = build_code(h3, h3.standard_D(), Divisor.of(Place.infinity(), -1))
+    assert empty.k == 0 and hull(empty) == stacked_nullspace_hull(empty)
+    assert hull(empty).k == 0 and hull(empty).n == 24
+    full = LinearCode.from_rows(
+        spec, [[one if i == j else zero for j in range(7)] for i in range(7)], places)
+    assert full.k == 7 and hull(full).k == 0
+    assert hull(full) == stacked_nullspace_hull(full)
+    # 1 + 1 + 1 = 0 in characteristic 3, and the two rows share no support
+    rows = [[one, one, one, zero, zero, zero, zero],
+            [zero, zero, zero, one, one, one, zero]]
+    self_orth = LinearCode.from_rows(spec, rows, places)
+    assert is_self_orthogonal(self_orth)
+    assert hull(self_orth) == self_orth == stacked_nullspace_hull(self_orth)
+
+
+@SETTINGS
+@given(curves_with_divisor())
+def test_gram_hull_matches_stacked_route_on_drawn_curves(case):
+    curve, G = case
+    code = build_code(curve, curve.standard_D(), G)
+    assert hull(code) == stacked_nullspace_hull(code)
 
 
 def test_self_orthogonal_toy_code(h2):

@@ -39,6 +39,16 @@ def test_rational_point_counts(h2, h3, h4, c1, c2, nt):
         assert len(curve.rational_points()) == q ** 3 + 1
 
 
+def test_rational_points_match_a_scan_over_all_pairs(family):
+    # the O(q^2) scan the fiber lookup replaced, as the second route
+    for curve in family:
+        elements = curve.field.elements()
+        scan = [Place.affine(a, b) for a in elements[1:] for b in elements
+                if curve.lhs_at(b) == a ** curve.m]
+        want = (Place.infinity(),) + curve.ramified_places() + tuple(scan)
+        assert curve.rational_points() == want, curve.label
+
+
 def test_affine_points_satisfy_equation(family):
     for curve in family:
         for p in curve.affine_places():

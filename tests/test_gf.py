@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummer_lcd import (GF, FieldSpec, ParseError, format_element,
                         format_element_pretty, parse_element, solve_additive)
@@ -134,3 +136,135 @@ def test_text_form_roundtrip_and_aliases():
 def test_pretty_form_prime_field():
     F = GF(7)
     assert format_element_pretty(F.element(5)) == "5"
+
+
+# ---------------------------------------------------------------------------
+# element arithmetic against a coefficient-tuple second route
+
+class TupleField:
+    """GF(p^k) on coefficient tuples: the second route for element arithmetic.
+
+    A sum is digit-wise mod p and a product is the polynomial product reduced
+    by long division by the modulus; no table of the field is read.
+    """
+
+    def __init__(self, spec):
+        self.p, self.k, self.modulus = spec.p, spec.k, spec.modulus
+        self.one = (1,) + (0,) * (self.k - 1)
+
+    def digits(self, n):
+        return tuple(n // self.p ** i % self.p for i in range(self.k))
+
+    def packed(self, coeffs):
+        return sum(c * self.p ** i for i, c in enumerate(coeffs))
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
+    def mul(self, a, b):
+        p, k = self.p, self.k
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for top in range(2 * k - 2, k - 1, -1):
+            c = prod[top]
+            if c:
+                # subtract c * t^(top - k) * modulus, which is monic
+                for i, m in enumerate(self.modulus):
+                    prod[top - k + i] = (prod[top - k + i] - c * m) % p
+        return tuple(prod[:k])
+
+    def pow(self, a, e):
+        out = self.one
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
+
+    def inverse(self, a):
+        """The unique b with a * b = 1, by search."""
+        q = self.p ** self.k
+        found = [b for b in map(self.digits, range(q)) if self.mul(a, b) == self.one]
+        assert len(found) == 1
+        return found[0]
+
+
+def _check_pair(oracle, x, y):
+    X, Y = x.coeffs, y.coeffs
+    assert (x + y).coeffs == oracle.add(X, Y)
+    assert (x - y).coeffs == oracle.add(X, oracle.neg(Y))
+    assert (x * y).coeffs == oracle.mul(X, Y)
+    if not y.is_zero():
+        assert oracle.mul((x / y).coeffs, Y) == X
+
+
+def _check_single(oracle, x, exponents):
+    X = x.coeffs
+    assert oracle.packed(X) == x.n
+    assert (-x).coeffs == oracle.neg(X)
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        with pytest.raises(ZeroDivisionError):
+            x ** -1
+        return
+    inv = oracle.inverse(X)
+    assert x.inverse().coeffs == inv
+    for e in exponents:
+        assert (x ** e).coeffs == oracle.pow(X if e >= 0 else inv, abs(e)), e
+
+
+def _prime_powers(limit):
+    out = []
+    for q in range(2, limit + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        n = q
+        while n % p == 0:
+            n //= p
+        if n == 1:
+            out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("q", _prime_powers(64))
+def test_arithmetic_matches_coefficient_tuples_exhaustively(q):
+    F = GF(q)
+    oracle = TupleField(F)
+    els = F.elements()
+    assert sorted(x.n for x in els) == list(range(q))
+    # both sides of 0 and of every multiple of q - 1 up to 2(q - 1)
+    exponents = [-q - 1, -q, -q + 2, -2, -1, 0, 1, 2, F.p, q - 2, q - 1, q,
+                 2 * q - 2, 2 * q + 3]
+    for x in els:
+        _check_single(oracle, x, exponents)
+        for y in els:
+            _check_pair(oracle, x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([81, 243, 256]), st.data())
+def test_arithmetic_matches_coefficient_tuples_in_larger_fields(q, data):
+    F = GF(q)
+    oracle = TupleField(F)
+    x, y = (F.unpack(data.draw(st.integers(0, q - 1))) for _ in range(2))
+    _check_pair(oracle, x, y)
+    _check_single(oracle, x, [data.draw(st.integers(-3 * q, 3 * q)) for _ in range(3)])
+
+
+def test_equal_fields_built_apart_give_equal_elements():
+    F, G = FieldSpec(3, 2), FieldSpec(3, 2)
+    assert F is not G and F == G and hash(F) == hash(G)
+    for x, y in zip(F.elements(), G.elements()):
+        assert x is not y and x == y and hash(x) == hash(y)
+        assert F.element(y) is x
+        assert x + y == y + x and (x * y).spec is F
+    assert set(F.elements()) == set(G.elements())
+    assert F.element([1, 2]) in {G.element([1, 2])}
+    # an equal modulus is not enough when the characteristic differs
+    assert GF(4).one != GF(2).one

@@ -1,8 +1,9 @@
 """Second routes for the packed-int matrix kernel in ``codes``.
 
 The scalar row reduction below is the one-entry-at-a-time routine the kernel
-replaced, kept here as the oracle. Its arithmetic goes through FieldElement
-coefficient tuples, so it shares no table with the kernel.
+replaced, kept here as the oracle. Its arithmetic goes through the
+coefficient-tuple field of ``test_gf``, so it shares no table with the kernel
+or with ``FieldElement``, which both read the field's exp/log tables.
 """
 
 import random
@@ -14,27 +15,32 @@ from kummer_lcd import (GF, Divisor, FunctionElement, KummerCurve, LinearCode,
                         Place, build_code, dual, is_self_orthogonal,
                         riemann_roch_basis)
 from kummer_lcd.codes import _kernel, _orthogonal, evaluation_matrix
+from test_gf import TupleField
 
 FIELD_SIZES = [2, 4, 7, 9, 16, 25, 27, 49, 64, 81]
 
 
 class ScalarOps:
-    """Packed-int arithmetic routed through FieldElement."""
+    """Packed-int arithmetic routed through coefficient tuples."""
 
     def __init__(self, spec):
-        self.spec = spec
+        self.field = TupleField(spec)
 
     def add(self, a, b):
-        return self.spec.pack(self.spec.unpack(a) + self.spec.unpack(b))
+        f = self.field
+        return f.packed(f.add(f.digits(a), f.digits(b)))
 
     def mul(self, a, b):
-        return self.spec.pack(self.spec.unpack(a) * self.spec.unpack(b))
+        f = self.field
+        return f.packed(f.mul(f.digits(a), f.digits(b)))
 
     def neg(self, a):
-        return self.spec.pack(-self.spec.unpack(a))
+        f = self.field
+        return f.packed(f.neg(f.digits(a)))
 
     def inv(self, a):
-        return self.spec.pack(self.spec.unpack(a).inverse())
+        f = self.field
+        return f.packed(f.inverse(f.digits(a)))
 
 
 def scalar_rref(ops, rows):
