@@ -280,6 +280,8 @@ def cmd_code_lcd_check(args) -> int:
         divisors = [parse_divisor(curve, args.G)]
     elif args.q is None:
         raise ParseError(f"{args.construction} needs --q")
+    elif args.q < 1 or (args.r is not None and args.r < 1):
+        raise ParseError(f"--q and --r must be positive, got --q {args.q} --r {args.r}")
     elif args.construction == "hermitian":
         curve = builtin_curve(f"hermitian-q{args.q}")
         divisors = construction_divisors("hermitian", curve, args.q)

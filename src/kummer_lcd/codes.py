@@ -2,14 +2,15 @@
 
 All matrix work goes through one kernel, ``_Kernel``: numpy int32 arrays of
 field elements packed as base-p integers (``FieldElement.n``). A product is
-one gather in the field's extended exp/log tables. A sum is XOR when p = 2
-and digit-wise addition mod p otherwise, so every table has O(q) entries for
-GF(q). The kernel evaluates L(G) bases in the log domain, row reduces, takes
-nullspaces and forms G * H^T for orthogonality. ``FieldElement`` values
-appear only at the boundaries: the rows that ``evaluation_matrix`` returns
-and the ``LinearCode.generator`` tuples. Duality is always established
-numerically, by orthogonality plus the dimension count, never assumed from a
-formula.
+one gather in the field's extended exp/log tables. A sum is XOR when p = 2;
+for odd p it is one gather in a q x q sum table while q^2 <= 2^21, and
+digit-wise addition mod p above that. The kernel evaluates L(G) bases in the
+log domain, row reduces, takes nullspaces and forms G * H^T for
+orthogonality. A ``LinearCode`` is its packed RREF array, and
+``evaluation_matrix`` and ``LinearCode.from_rows`` speak packed arrays too;
+``FieldElement`` rows appear only when ``LinearCode.generator`` is read, for
+printing. Duality is always established numerically, by orthogonality plus
+the dimension count, never assumed from a formula.
 
 The hull comes from the k x k Gram matrix G * G^T (Massey's criterion): for
 a full-rank generator G, Hull(C) = { xG : x G G^T = 0 }. The route through
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,9 +68,11 @@ _DTYPE = np.int32
 # cells of the largest intermediate array G * H^T builds at once
 _DOT_CHUNK_CELLS = 1 << 16
 # cells of the largest table min_distance holds at once: the combinations of
-# the tail rows on the non-pivot columns, a head vector added to them, and
-# the odd-p sum table
+# the tail rows on the non-pivot columns and a head vector added to them
 _MINDIST_TABLE_CELLS = 1 << 21
+# largest odd-p sum table the kernel builds, q^2 cells; larger fields add
+# digit by digit
+_ADD_TABLE_CELLS = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -80,17 +83,27 @@ class _Kernel:
 
     ``log``, ``exp`` and ``neg`` are the field's own tables as arrays, so
     ``exp[log[a] + log[b]]`` is a * b for every pair, zero included, with no
-    reduction mod q - 1 and no mask.
+    reduction mod q - 1 and no mask. ``add`` is XOR for p = 2, a gather in
+    the q^2-cell table of sums for odd p while q^2 <= ``_ADD_TABLE_CELLS``,
+    and the digit-wise sum above that.
     """
 
     def __init__(self, spec: FieldSpec):
-        p = spec.p
+        p, q = spec.p, spec.order
         self.p = p
         self.units = spec.units
         self.log = np.array(spec.log, dtype=np.intp)
         self.exp = np.array(spec.exp, dtype=_DTYPE)
         self.neg = np.array(spec.neg, dtype=_DTYPE)
         self.weights = [p ** i for i in range(spec.k)]
+        if p == 2:
+            self.add = np.bitwise_xor
+        elif q * q <= _ADD_TABLE_CELLS:
+            values = np.arange(q, dtype=_DTYPE)
+            sums = self._digit_add(values[:, None], values[None, :]).ravel()
+            self.add = lambda a, b: sums[a * q + b]
+        else:
+            self.add = self._digit_add
 
     def mul(self, a, b):
         return self.exp[self.log[a] + self.log[b]]
@@ -98,9 +111,7 @@ class _Kernel:
     def inv(self, a: int) -> int:
         return int(self.exp[(self.units - self.log[a]) % self.units])
 
-    def add(self, a, b):
-        if self.p == 2:
-            return a ^ b
+    def _digit_add(self, a, b):
         # digit i of a sum is (a // p^i + b // p^i) mod p; for i = 0 no division
         p = self.p
         out = (a + b) % p
@@ -167,15 +178,6 @@ def _kernel(spec: FieldSpec) -> _Kernel:
     return _Kernel(spec)
 
 
-def _pack_matrix(spec: FieldSpec, rows, n: int) -> np.ndarray:
-    packed = np.array([[x.n for x in row] for row in rows], dtype=_DTYPE)
-    return packed.reshape(len(packed), n)
-
-
-def _unpack_matrix(spec: FieldSpec, packed: np.ndarray) -> tuple:
-    return tuple(tuple(map(spec.unpack, row)) for row in packed.tolist())
-
-
 # ---------------------------------------------------------------------------
 # code objects
 
@@ -186,37 +188,61 @@ class CodeProvenance:
     G: Divisor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
-    """A linear code with its generator pinned to reduced row echelon form."""
-    field: FieldSpec
-    n: int
-    k: int
-    generator: tuple  # k x n matrix of FieldElement, RREF
-    column_labels: tuple
-    provenance: Optional[CodeProvenance] = dataclass_field(default=None, compare=False)
-    _packed: Optional[np.ndarray] = dataclass_field(default=None, compare=False, repr=False)
+    """A linear code, stored as its generator in reduced row echelon form.
 
-    def __post_init__(self):
-        if self._packed is None:
-            object.__setattr__(self, "_packed",
-                               _pack_matrix(self.field, self.generator, self.n))
-        self._packed.setflags(write=False)
+    ``matrix`` is the read-only k x n array of packed elements. Codes are
+    equal when their fields, column labels and matrices are; the provenance
+    is not compared.
+    """
+    field: FieldSpec
+    matrix: np.ndarray
+    column_labels: tuple
+    provenance: Optional[CodeProvenance] = None
+
+    @property
+    def k(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[1]
+
+    @functools.cached_property
+    def generator(self) -> tuple:
+        """The generator as k rows of ``FieldElement``, built on first use."""
+        return tuple(tuple(map(self.field.unpack, row)) for row in self.matrix.tolist())
 
     @staticmethod
     def from_rows(spec: FieldSpec, rows, column_labels,
                   provenance: Optional[CodeProvenance] = None) -> "LinearCode":
-        rows = list(rows)
+        """The code spanned by rows, a k x n array-like of packed elements.
+
+        Raises ValueError when a row's length is not the number of column
+        labels or an entry lies outside [0, q).
+        """
         n = len(column_labels)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("row length does not match the column labels")
-        reduced, _ = _kernel(spec).rref(_pack_matrix(spec, rows, n))
+        mat = np.asarray(rows)
+        if not mat.size:
+            mat = mat.reshape(len(mat), n)
+        if mat.ndim != 2 or mat.shape[1] != n:
+            raise ValueError("row length does not match the column labels")
+        if mat.size and (mat.dtype.kind not in "iu" or mat.min() < 0
+                         or mat.max() >= spec.order):
+            raise ValueError(f"entries must be packed elements of {spec!r}, "
+                             f"integers in [0, {spec.order})")
+        reduced, _ = _kernel(spec).rref(mat)
         return _code_from_packed(spec, reduced, column_labels, provenance)
 
-    def packed_generator(self) -> np.ndarray:
-        """The generator as a read-only k x n array of packed elements."""
-        return self._packed
+    def __eq__(self, other):
+        if not isinstance(other, LinearCode):
+            return NotImplemented
+        return (self.field == other.field and self.column_labels == other.column_labels
+                and np.array_equal(self.matrix, other.matrix))
+
+    def __hash__(self):
+        return hash((self.field, self.column_labels, self.matrix.tobytes()))
 
     def __repr__(self):
         return f"LinearCode[{self.n},{self.k}] over {self.field!r}"
@@ -224,28 +250,28 @@ class LinearCode:
 
 def _code_from_packed(spec: FieldSpec, packed: np.ndarray, column_labels,
                       provenance: Optional[CodeProvenance] = None) -> LinearCode:
-    return LinearCode(field=spec, n=packed.shape[1], k=len(packed),
-                      generator=_unpack_matrix(spec, packed),
-                      column_labels=tuple(column_labels), provenance=provenance,
-                      _packed=packed)
+    packed.setflags(write=False)
+    return LinearCode(field=spec, matrix=packed, column_labels=tuple(column_labels),
+                      provenance=provenance)
 
 
-def evaluation_matrix(curve: KummerCurve, functions: Sequence, places: Sequence[Place]) -> list:
-    """Rows of function values at the given affine places, unreduced.
+def evaluation_matrix(curve: KummerCurve, functions: Sequence,
+                      places: Sequence[Place]) -> np.ndarray:
+    """Function values at the given affine places, unreduced.
 
-    Each term c * x^t * y^j / prod_i (y - alpha_i)^(d_i) of a function has
+    One row per function, as an int32 array of packed elements
+    (``spec.unpack`` gives each ``FieldElement``). Each term c * x^t * y^j / prod_i (y - alpha_i)^(d_i) of a function has
     the value exp(log c + t log a + j log b - sum_i d_i log(b - alpha_i)) at
     P(a, b), and 0 when b = 0 < j, so whole rows are filled by gathers from
     per-place log vectors.
     """
-    spec = curve.field
-    kern = _kernel(spec)
+    kern = _kernel(curve.field)
     if any(p.kind != AFFINE for p in places):
         raise ValueError("evaluation is defined at affine places only")
-    a = np.array([spec.pack(p.a) for p in places], dtype=_DTYPE)
-    b = np.array([spec.pack(p.b) for p in places], dtype=_DTYPE)
+    a = np.array([p.a.n for p in places], dtype=_DTYPE)
+    b = np.array([p.b.n for p in places], dtype=_DTYPE)
     log_a, log_b, b_zero = kern.log[a], kern.log[b], b == 0
-    diffs = [kern.add(b, kern.neg[spec.pack(alpha)]) for alpha in curve.alphas]
+    diffs = [kern.add(b, kern.neg[alpha.n]) for alpha in curve.alphas]
     log_diffs = [kern.log[diff] for diff in diffs]
     vanishing = [not diff.all() for diff in diffs]
     out = np.zeros((len(functions), len(places)), dtype=_DTYPE)
@@ -260,11 +286,11 @@ def evaluation_matrix(curve: KummerCurve, functions: Sequence, places: Sequence[
                     base = base - d * log_diff
             for j, c in enumerate(num):
                 if c:
-                    values = kern.exp[(base + j * log_b + kern.log[spec.pack(c)]) % kern.units]
+                    values = kern.exp[(base + j * log_b + kern.log[c.n]) % kern.units]
                     if j:
                         values[b_zero] = 0
                     row[:] = kern.add(row, values)
-    return [list(map(spec.unpack, row)) for row in out.tolist()]
+    return out
 
 
 def _resolve_D(curve: KummerCurve, D) -> Tuple[Divisor, tuple]:
@@ -312,7 +338,7 @@ def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
 
 def dual(code: LinearCode) -> LinearCode:
     """Euclidean dual: the canonical basis of the right kernel."""
-    basis = _kernel(code.field).nullspace(code.packed_generator())
+    basis = _kernel(code.field).nullspace(code.matrix)
     return _code_from_packed(code.field, basis, code.column_labels)
 
 
@@ -326,7 +352,7 @@ def hull(code: LinearCode) -> LinearCode:
     that the row's leading 1 in N selects.
     """
     kern = _kernel(code.field)
-    gen = code.packed_generator()
+    gen = code.matrix
     coefficients = kern.nullspace(kern.dot_t(gen, gen))
     basis = kern.dot_t(coefficients, gen.T)
     return _code_from_packed(code.field, basis, code.column_labels)
@@ -335,7 +361,7 @@ def hull(code: LinearCode) -> LinearCode:
 def hull_dimension_by_rank(code: LinearCode) -> int:
     """Second route: dim C + dim C-dual - rank of the stacked generators."""
     kern = _kernel(code.field)
-    gen = code.packed_generator()
+    gen = code.matrix
     dual_gen = kern.nullspace(gen)
     _, pivots = kern.rref(np.vstack([gen, dual_gen]))
     return code.k + len(dual_gen) - len(pivots)
@@ -349,13 +375,9 @@ def is_self_orthogonal(code: LinearCode) -> bool:
     return _orthogonal(code, code)
 
 
-def _row_space_equal(a: LinearCode, b: LinearCode) -> bool:
-    return a.field == b.field and a.n == b.n and a.generator == b.generator
-
-
 def _orthogonal(a: LinearCode, b: LinearCode) -> bool:
     """Whether G_a . G_b^T vanishes."""
-    return not _kernel(a.field).dot_t(a.packed_generator(), b.packed_generator()).any()
+    return not _kernel(a.field).dot_t(a.matrix, b.matrix).any()
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +412,7 @@ def verify_hull_theorem(curve: KummerCurve, D, G: Divisor, H: Divisor) -> dict:
         "gcd_degree_is_g_minus_1": A.degree == g - 1,
         "gcd_nonspecial": ell_A == A.degree + 1 - g,
         "hull_dimension": hull_code.k,
-        "hull_matches_gcd_code": (hull_code.k == 0 and gcd_code.k == 0)
-                                  or _row_space_equal(hull_code, gcd_code),
+        "hull_matches_gcd_code": hull_code == gcd_code,
         "hull_trivial": hull_code.k == 0,
     }
     return report
@@ -568,24 +589,12 @@ def _min_weight_enum(code: LinearCode) -> int:
     each step holds the words whose leading 1 sits at row s. Each message on
     the head rows 0..s-1 then gives one vector, added to the whole table.
     """
-    spec = code.field
-    q = spec.order
-    kern = _kernel(spec)
-    gen = code.packed_generator()
+    q = code.field.order
+    kern = _kernel(code.field)
+    add = kern.add
+    gen = code.matrix
     k, n = gen.shape
     rest = np.delete(gen, (gen != 0).argmax(axis=1), axis=1)
-
-    if spec.p == 2:
-        add = np.bitwise_xor
-    elif q * q <= _MINDIST_TABLE_CELLS:
-        # one lookup per sum beats the digit-wise kernel sum in this inner loop
-        values = np.arange(q, dtype=_DTYPE)
-        table = kern.add(values[:, None], values[None, :]).ravel()
-
-        def add(u, v):
-            return table[u * q + v]
-    else:
-        add = kern.add
 
     def least(words, weights) -> int:
         # summing down the short axis keeps the count vectorised over words

@@ -99,16 +99,17 @@ def _pdiv_linear(a: Sequence[FieldElement], root: FieldElement, spec):
     return _ptrim(quo), rem
 
 
-def _root_multiplicity(a: Sequence[FieldElement], root: FieldElement, spec) -> int:
-    mult = 0
-    poly = list(a)
-    while poly:
+def _strip_root(poly: Sequence[FieldElement], root: FieldElement, spec,
+                limit: Optional[int] = None) -> Tuple[int, Sequence[FieldElement]]:
+    """Divide poly by (y - root) while it divides, at most limit times:
+    (count, quotient)."""
+    count = 0
+    while poly and (limit is None or count < limit):
         quo, rem = _pdiv_linear(poly, root, spec)
         if not rem.is_zero():
             break
-        mult += 1
-        poly = quo
-    return mult
+        poly, count = quo, count + 1
+    return count, poly
 
 
 def _linear_power(root: FieldElement, e: int, spec) -> list:
@@ -135,15 +136,9 @@ class FunctionElement:
             if not num:
                 continue
             dens = list(dens)
-            spec = curve.field
             for i, alpha in enumerate(curve.alphas):
-                while dens[i] > 0:
-                    quo, rem = _pdiv_linear(num, alpha, spec)
-                    if rem.is_zero():
-                        num = quo
-                        dens[i] -= 1
-                    else:
-                        break
+                stripped, num = _strip_root(num, alpha, curve.field, dens[i])
+                dens[i] -= stripped
             normalized[t] = (tuple(num), tuple(dens))
         self.terms = normalized
 
@@ -276,7 +271,7 @@ class FunctionElement:
             alpha = curve.alphas[place.index - 1]
             best = None
             for t, (num, dens) in self.terms.items():
-                ord_alpha = _root_multiplicity(num, alpha, spec) - dens[place.index - 1]
+                ord_alpha = _strip_root(num, alpha, spec)[0] - dens[place.index - 1]
                 v = t + m * ord_alpha
                 best = v if best is None else min(best, v)
             return best
@@ -303,17 +298,10 @@ def principal_divisor(f: FunctionElement) -> Divisor:
     curve = f.curve
     spec = curve.field
     (t, (num, dens)), = f.terms.items()
-    poly = list(num)
+    poly = num
     net = []
     for alpha, d in zip(curve.alphas, dens):
-        mult = 0
-        while poly:
-            quo, rem = _pdiv_linear(poly, alpha, spec)
-            if rem.is_zero():
-                poly = quo
-                mult += 1
-            else:
-                break
+        mult, poly = _strip_root(poly, alpha, spec)
         net.append(mult - d)
     if len(poly) != 1:
         raise ValueError("numerator is not a product of the (y - alpha_i)")

@@ -316,10 +316,6 @@ class FieldSpec:
             n //= self.p
         return tuple(coeffs)
 
-    def pack(self, x: "FieldElement") -> int:
-        """The base-p integer sum_i c_i p^i of an element."""
-        return x.n
-
     def unpack(self, n: int) -> "FieldElement":
         return self._by_packed[n]
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
-from .codes import (build_code, construction_divisors, dual, evaluation_matrix,
-                    hull, lcd_construct_maxcur, min_distance,
+from .codes import (LinearCode, build_code, construction_divisors, dual,
+                    evaluation_matrix, hull, lcd_construct_maxcur, min_distance,
                     verify_hull_theorem)
 from .curves import (KummerCurve, Place, hermitian_curve,
                      hermitian_quotient_curve, lifted_hermitian_curve,
                      parse_divisor)
 from .functions import FunctionElement, valuation_ok
-from .gf import format_element_pretty, parse_element
+from .gf import ParseError, format_element_pretty, parse_element
 
 __all__ = ["available_checks", "run_checks"]
 
@@ -69,7 +69,8 @@ def check_hermitian_q2() -> List[Tuple[str, bool, str]]:
     for table_name, table in (("matrix-G", HERMITIAN_Q2_G_TABLE),
                               ("matrix-H", HERMITIAN_Q2_H_TABLE)):
         rows = evaluation_matrix(curve, [fns[name] for name, _ in table], places)
-        printed = [[format_element_pretty(v) for v in row] for row in rows]
+        printed = [[format_element_pretty(curve.field.unpack(v)) for v in row]
+                   for row in rows.tolist()]
         expected = [row for _, row in table]
         checks.append((table_name + "-entries", printed == expected,
                        f"computed {printed}"))
@@ -80,14 +81,12 @@ def check_hermitian_q2() -> List[Tuple[str, bool, str]]:
     code_H = build_code(curve, D, H)
     checks.append(("dim-C(D,G)", code_G.k == 4, f"{code_G.k}"))
     checks.append(("dim-C(D,H)", code_H.k == 2, f"{code_H.k}"))
-    checks.append(("duality", dual(code_G).generator == code_H.generator,
-                   "C(D,H) = C(D,G)^perp"))
+    checks.append(("duality", dual(code_G) == code_H, "C(D,H) = C(D,G)^perp"))
     golden_G = build_code(curve, places, G)
     span_G = evaluation_matrix(curve, [fns[n] for n, _ in HERMITIAN_Q2_G_TABLE], places)
-    from .codes import LinearCode
     checks.append(("golden-rows-span-C(D,G)",
-                   LinearCode.from_rows(curve.field, span_G, places).generator
-                   == golden_G.generator, "row spaces agree"))
+                   LinearCode.from_rows(curve.field, span_G, places) == golden_G,
+                   "row spaces agree"))
     hull_dim = hull(code_G).k
     checks.append(("hull-trivial", hull_dim == 0, f"hull dim {hull_dim}"))
     report = verify_hull_theorem(curve, D, G, H)
@@ -134,9 +133,7 @@ def check_example1() -> List[Tuple[str, bool, str]]:
     checks.append(("dim-C(D,H)", code_H.k == 16, f"{code_H.k}"))
     checks.append(("direct-sum-dimension", code_G.k + code_H.k == 30,
                    f"{code_G.k} + {code_H.k}"))
-    checks.append(("duality", dual(code_G).generator == code_H.generator,
-                   "C(D,H) = C(D,G)^perp"))
-    from .codes import LinearCode
+    checks.append(("duality", dual(code_G) == code_H, "C(D,H) = C(D,G)^perp"))
     for name, triples, code in (("G", EXAMPLE1_G_FUNCTIONS, code_G),
                                 ("H", EXAMPLE1_H_FUNCTIONS, code_H)):
         fns = [FunctionElement.monomial(curve, e, alpha_exps=(cy, cy1))
@@ -145,7 +142,7 @@ def check_example1() -> List[Tuple[str, bool, str]]:
         rows = evaluation_matrix(curve, fns, [p for p in D.support])
         span = LinearCode.from_rows(curve.field, rows, D.support)
         checks.append((f"listed-{name}-functions-span", membership
-                       and span.generator == code.generator,
+                       and span == code,
                        f"{len(fns)} functions"))
     hull_dim = hull(code_G).k
     checks.append(("hull-trivial", hull_dim == 0, f"hull dim {hull_dim}"))
@@ -203,14 +200,17 @@ def available_checks() -> Dict[str, Callable]:
 
 
 def run_checks(which: str = "all") -> List[Tuple[str, bool, str]]:
-    """Run one named suite or all of them; returns (name, passed, detail)."""
+    """Run one named suite or all of them; returns (name, passed, detail).
+
+    An unknown suite name raises ParseError.
+    """
     table = available_checks()
     if which == "all":
         names = list(table)
     elif which in table:
         names = [which]
     else:
-        raise ValueError(f"unknown check suite {which!r}; "
+        raise ParseError(f"unknown check suite {which!r}; "
                          f"choose from {', '.join(table)} or all")
     out = []
     for name in names:

@@ -154,6 +154,14 @@ def test_exit_codes(capsys):
     assert code == 1 and "precondition" in err
     code, _, err = run_cli(capsys, "curve", "info", "--curve", "missing.json")
     assert code == 2
+    code, out, err = run_cli(capsys, "verify", "paper-examples", "--which", "bogus")
+    assert code == 2 and out == "" and err.startswith("parse error:")
+    assert "'bogus'" in err and "hermitian-q2, example1" in err and "or all" in err
+    for argv in (["hermitian", "--q", "-3"], ["hermitian", "--q", "0"],
+                 ["curve1", "--q", "-4"], ["curve2", "--q", "2", "--r", "-3"]):
+        code, out, err = run_cli(capsys, "code", "lcd-check", "--construction", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("parse error: --q and --r must be positive"), argv
 
 
 def test_json_output_is_deterministic(capsys):
@@ -242,3 +250,57 @@ def test_lcd_check_refuses_a_code_above_the_length_cap(capsys):
     assert code == 1 and out == ""
     assert "precondition violated" in err
     assert "n = 1320" in err and "MAX_CODE_LENGTH = 1024" in err
+
+
+# Bytes of the matrix outputs, which read LinearCode.generator on demand.
+# The header names the six affine points of hermitian-q2 in coefficient form.
+Q2_HEADER = ('function,"([1,0],[0,1])","([1,0],[1,1])","([0,1],[0,1])",'
+             '"([0,1],[1,1])","([1,1],[0,1])","([1,1],[1,1])"\r\n')
+PINNED_CSV = {
+    ("build", "3*Pinf+1*P1"): Q2_HEADER
+    + 'row0,"[1,0]","[0,0]","[0,0]","[0,0]","[1,0]","[0,1]"\r\n'
+    + 'row1,"[0,0]","[1,0]","[0,0]","[0,0]","[1,1]","[0,0]"\r\n'
+    + 'row2,"[0,0]","[0,0]","[1,0]","[0,0]","[0,0]","[0,1]"\r\n'
+    + 'row3,"[0,0]","[0,0]","[0,0]","[1,0]","[1,1]","[1,0]"\r\n',
+    ("dual", "3*Pinf+1*P1"): Q2_HEADER
+    + 'row0,"[1,0]","[0,0]","[1,0]","[1,1]","[0,0]","[1,1]"\r\n'
+    + 'row1,"[0,0]","[1,0]","[0,1]","[0,0]","[0,1]","[1,0]"\r\n',
+    # an LCD code: the hull has no rows
+    ("hull", "3*Pinf+1*P1"): Q2_HEADER,
+    ("hull", "3*Pinf"): Q2_HEADER
+    + 'row0,"[1,0]","[1,0]","[0,1]","[0,1]","[1,1]","[1,1]"\r\n',
+}
+PINNED_BUILD_PRETTY = """command: code build
+inputs:
+  curve: hermitian-q2
+  G: 3*Pinf+1*P1
+  D: standard
+results:
+  n: 6
+  k: 4
+  d: None
+  hull_dim: 0
+  lcd: True
+  certificate: None
+checks: []
+      (1,a)  (1,a^2)  (a,a)  (a,a^2)  (a^2,a)  (a^2,a^2)
+row0      1        0      0        0        1          a
+row1      0        1      0        0      a^2          0
+row2      0        0      1        0        0          a
+row3      0        0      0        1      a^2          1
+"""
+
+
+@pytest.mark.parametrize("command, G", sorted(PINNED_CSV))
+def test_matrix_csv_bytes_are_pinned(capsys, tmp_path, command, G):
+    out = tmp_path / "m.csv"
+    run_json(capsys, "code", command, "--curve", "hermitian-q2", "--G", G,
+             "--out", str(out))
+    assert out.read_bytes() == PINNED_CSV[command, G].encode()
+
+
+def test_code_build_pretty_output_is_pinned(capsys):
+    code, out, err = run_cli(capsys, "code", "build", "--curve", "hermitian-q2",
+                             "--G", "3*Pinf+1*P1", "--pretty")
+    assert code == 0 and err == ""
+    assert out == PINNED_BUILD_PRETTY

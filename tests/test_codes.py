@@ -28,7 +28,7 @@ def full_enumeration_min_weight(code):
     spec = code.field
     N = spec.order
     kern = _kernel(spec)
-    gen = code.packed_generator()
+    gen = code.matrix
 
     if spec.p == 2:
         add = np.bitwise_xor
@@ -65,7 +65,7 @@ def stacked_nullspace_hull(code):
     n columns, where the Gram route solves a k x k system.
     """
     kern = _kernel(code.field)
-    gen = code.packed_generator()
+    gen = code.matrix
     basis = kern.nullspace(np.vstack([kern.nullspace(gen), gen]))
     return codes._code_from_packed(code.field, basis, code.column_labels)
 
@@ -84,7 +84,8 @@ def test_build_code_golden_matrix(h2):
     places = _golden_places(h2, HERMITIAN_Q2_COLUMNS)
     fns = _hermitian_q2_functions(h2)
     rows = evaluation_matrix(h2, [fns[n] for n, _ in HERMITIAN_Q2_G_TABLE], places)
-    printed = [[format_element_pretty(v) for v in row] for row in rows]
+    printed = [[format_element_pretty(h2.field.unpack(v)) for v in row]
+               for row in rows.tolist()]
     assert printed == [row for _, row in HERMITIAN_Q2_G_TABLE]
     # the same rows span C(D, G)
     G = parse_divisor(h2, "3*Pinf+1*P1")
@@ -102,7 +103,8 @@ def test_build_code_second_table(h2):
     places = _golden_places(h2, HERMITIAN_Q2_COLUMNS)
     fns = _hermitian_q2_functions(h2)
     rows = evaluation_matrix(h2, [fns[n] for n, _ in HERMITIAN_Q2_H_TABLE], places)
-    printed = [[format_element_pretty(v) for v in row] for row in rows]
+    printed = [[format_element_pretty(h2.field.unpack(v)) for v in row]
+               for row in rows.tolist()]
     assert printed == [row for _, row in HERMITIAN_Q2_H_TABLE]
 
 
@@ -137,6 +139,42 @@ def test_build_code_length_cap(h2, monkeypatch):
         build_code(h2, D.support + (off_curve,), G)
 
 
+def test_from_rows_takes_packed_elements_in_range(h2):
+    spec, places = h2.field, h2.affine_places()[:3]
+    code = LinearCode.from_rows(spec, [[0, 1, 3], [0, 2, 2]], places)
+    assert code.matrix.tolist() == [[0, 1, 0], [0, 0, 1]]
+    # the row is scaled by the inverse of its leading entry
+    lead = spec.unpack(3)
+    code = LinearCode.from_rows(spec, np.array([[3, 2, 1]]), places)
+    assert code.matrix.tolist() == [[1, (spec.unpack(2) / lead).n, (spec.one / lead).n]]
+    empty = LinearCode.from_rows(spec, [], places)
+    assert (empty.k, empty.n) == (0, 3)
+    for rows in ([[0, 1, -1]], [[0, 4, 1]], np.array([[0, 1, 2]]) - 3,
+                 [[spec.one, spec.zero, spec.one]], [[0.0, 1.0, 1.0]]):
+        with pytest.raises(ValueError, match="packed elements"):
+            LinearCode.from_rows(spec, rows, places)
+    with pytest.raises(ValueError, match="row length"):
+        LinearCode.from_rows(spec, [[0, 1]], places)
+
+
+def test_code_equality_is_field_labels_and_matrix(h2):
+    D = h2.standard_D()
+    built = build_code(h2, D, parse_divisor(h2, "3*Pinf+1*P1"))
+    bare = LinearCode.from_rows(h2.field, built.matrix, D.support)
+    assert built.provenance is not None and bare.provenance is None
+    assert bare == built and hash(bare) == hash(built)
+    assert not built.matrix.flags.writeable
+    assert built.generator == tuple(tuple(map(h2.field.unpack, row))
+                                    for row in built.matrix.tolist())
+    assert built.generator is built.generator
+    relabelled = LinearCode.from_rows(h2.field, built.matrix, D.support[::-1])
+    assert relabelled != built and relabelled.generator == built.generator
+    # an RREF matrix with entries below 4 stays the same over GF(8)
+    wider = LinearCode.from_rows(GF(8), built.matrix, D.support)
+    assert np.array_equal(wider.matrix, built.matrix) and wider != built
+    assert dual(built) != built and built != "C(D, G)"
+
+
 def test_dual_dimensions_and_involution(h2):
     D = h2.standard_D()
     C = build_code(h2, D, parse_divisor(h2, "3*Pinf+1*P1"))
@@ -151,7 +189,7 @@ def test_dual_of_full_space(h2):
     D = h2.standard_D()
     full = LinearCode.from_rows(
         h2.field,
-        [[h2.field.one if i == j else h2.field.zero for j in range(6)] for i in range(6)],
+        [[h2.field.one.n if i == j else h2.field.zero.n for j in range(6)] for i in range(6)],
         D.support)
     z = dual(full)
     assert z.k == 0
@@ -191,7 +229,7 @@ def test_gram_hull_matches_stacked_route_on_bundled_curves(family):
 
 def test_gram_hull_edge_cases(h3):
     spec, places = h3.field, h3.affine_places()[:7]
-    one, zero = spec.one, spec.zero
+    one, zero = spec.one.n, spec.zero.n
     empty = build_code(h3, h3.standard_D(), Divisor.of(Place.infinity(), -1))
     assert empty.k == 0 and hull(empty) == stacked_nullspace_hull(empty)
     assert hull(empty).k == 0 and hull(empty).n == 24
@@ -217,7 +255,7 @@ def test_gram_hull_matches_stacked_route_on_drawn_curves(case):
 
 def test_self_orthogonal_toy_code(h2):
     spec = h2.field
-    one, zero = spec.one, spec.zero
+    one, zero = spec.one.n, spec.zero.n
     rows = [[one, zero, one, zero], [zero, one, zero, one]]
     labels = h2.affine_places()[:4]
     C = LinearCode.from_rows(spec, rows, labels)
@@ -428,7 +466,7 @@ def _random_codes(q, rng, count=8, max_words=1 << 12):
     while len(out) < count:
         n = rng.randint(1, 14)
         k = rng.randint(1, n)
-        rows = [[rng.choice(elements) if rng.random() < 0.6 else spec.zero
+        rows = [[rng.choice(elements).n if rng.random() < 0.6 else spec.zero.n
                  for _ in range(n)] for _ in range(k)]
         code = LinearCode.from_rows(spec, rows, (label,) * n)
         if 0 < code.k and q ** code.k <= max_words:
@@ -453,8 +491,9 @@ def test_min_distance_matches_full_enumeration_on_random_codes(q):
 
 @pytest.mark.parametrize("q", [2, 4, 7, 9, 16])
 def test_head_loop_matches_full_enumeration(q, monkeypatch, family):
-    # a 64-cell cap stops the table early, so most rows are head rows; GF(9)
-    # also falls back from the 81-cell sum table to the digit-wise sum
+    # a 64-cell cap stops the table early, so most rows are head rows; sums
+    # still come from the kernel, whose own table cap is not patched (the
+    # digit-wise sum is compared with the table in test_kernels.py)
     monkeypatch.setattr(codes, "_MINDIST_TABLE_CELLS", 64)
     cases = _random_codes(q, random.Random(100 + q), max_words=1 << 14)
     cases += [code for curve in family if curve.field.order == q

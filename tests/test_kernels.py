@@ -14,6 +14,7 @@ import pytest
 from kummer_lcd import (GF, Divisor, FunctionElement, KummerCurve, LinearCode,
                         Place, build_code, dual, is_self_orthogonal,
                         riemann_roch_basis)
+from kummer_lcd import codes
 from kummer_lcd.codes import _kernel, _orthogonal, evaluation_matrix
 from test_gf import TupleField
 
@@ -172,16 +173,50 @@ def test_dot_t_matches_scalar_dot(q):
         assert got.tolist() == [[scalar_dot(ops, u, v) for v in b] for u in a]
 
 
+@pytest.mark.parametrize("q", [9, 25, 27, 81, 243, 729])
+def test_digit_wise_sum_matches_the_sum_table(q, monkeypatch):
+    # a kernel built under a zero table cap adds digit by digit, the only
+    # route for odd fields above the cap; the cached kernel gathers from its
+    # q^2-cell table
+    spec = GF(q)
+    table = _kernel(spec)
+    monkeypatch.setattr(codes, "_ADD_TABLE_CELLS", 0)
+    digits = codes._Kernel(spec)
+    assert digits.add == digits._digit_add and table.add != table._digit_add
+    values = np.arange(q, dtype=np.int32)
+    assert np.array_equal(digits.add(values[:, None], values[None, :]),
+                          table.add(values[:, None], values[None, :]))
+    rng = random.Random(3000 + q)
+    for label, rows, n in random_matrices(q, rng):
+        mat = as_array(rows, n)
+        (got, got_pivots), (want, want_pivots) = digits.rref(mat), table.rref(mat)
+        assert got_pivots == want_pivots and np.array_equal(got, want), label
+        assert np.array_equal(digits.nullspace(mat), table.nullspace(mat)), label
+        other = as_array([[rng.randrange(q) for _ in range(n)] for _ in range(3)], n)
+        assert np.array_equal(digits.dot_t(mat, other), table.dot_t(mat, other)), label
+
+
+def test_odd_fields_above_the_table_cap_add_digit_by_digit():
+    # GF(3^7): q^2 = 4 782 969 cells is above the 2^21 cap
+    spec = GF(3 ** 7)
+    kern, ops = _kernel(spec), ScalarOps(spec)
+    assert kern.add == kern._digit_add
+    rng = random.Random(7)
+    a = np.array([rng.randrange(spec.order) for _ in range(64)])
+    b = np.array([rng.randrange(spec.order) for _ in range(64)])
+    assert kern.add(a, b).tolist() == [ops.add(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
+
 def test_orthogonality_checks_match_scalar_dot(h3):
     spec = h3.field
     ops = ScalarOps(spec)
     places = h3.affine_places()[:6]
-    one, zero = spec.one, spec.zero
+    one, zero = spec.one.n, spec.zero.n
     self_orth = LinearCode.from_rows(spec, [[one, zero, one, zero, one, zero]], places)
     # 1 + 1 + 1 = 0 in characteristic 3
     assert is_self_orthogonal(self_orth)
     C = build_code(h3, h3.standard_D(), Divisor.of(Place.infinity(), 9))
-    gen = C.packed_generator().tolist()
+    gen = C.matrix.tolist()
     want = all(scalar_dot(ops, u, v) == 0 for u in gen for v in gen)
     assert is_self_orthogonal(C) == want
     assert _orthogonal(C, dual(C))
@@ -203,7 +238,7 @@ def _assert_rows_match(curve, G):
     functions = riemann_roch_basis(curve, G).functions
     places = [p for p in curve.affine_places() if G[p] == 0]
     got = evaluation_matrix(curve, functions, places)
-    assert got == [[f.evaluate(p) for p in places] for f in functions]
+    assert got.tolist() == [[f.evaluate(p).n for p in places] for f in functions]
     return places
 
 
@@ -225,9 +260,9 @@ def test_evaluation_matrix_at_places_with_b_zero():
     basis = riemann_roch_basis(curve, Divisor.of(Place.infinity(), 6)).functions
     on_b_zero = [p for p in curve.affine_places() if p.b == zero]
     rows = evaluation_matrix(curve, basis, on_b_zero)
-    for f, row in zip(basis, rows):
+    for f, row in zip(basis, rows.tolist()):
         (num, _), = f.terms.values()
-        assert all((x == zero) == (len(num) > 1) for x in row)
+        assert all((x == zero.n) == (len(num) > 1) for x in row)
 
 
 def test_evaluation_matrix_rejects_what_evaluate_rejects(h2):
