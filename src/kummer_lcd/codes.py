@@ -5,17 +5,18 @@ field elements packed as base-p integers (``FieldElement.n``). A product is
 one gather in the field's extended exp/log tables. A sum is XOR when p = 2;
 for odd p it is one gather in a q x q sum table while q^2 <= 2^21, and
 digit-wise addition mod p above that. The kernel evaluates L(G) bases in the
-log domain, row reduces, takes nullspaces and forms G * H^T for
-orthogonality. A ``LinearCode`` is its packed RREF array, and
-``evaluation_matrix`` and ``LinearCode.from_rows`` speak packed arrays too;
-``FieldElement`` rows appear only when ``LinearCode.generator`` is read, for
-printing. Duality is always established numerically, by orthogonality plus
-the dimension count, never assumed from a formula.
+log domain (``build_code`` straight from the exponents), row reduces, takes
+nullspaces and forms G * H^T for orthogonality. A ``LinearCode`` is its
+packed RREF array, and ``evaluation_matrix`` and ``LinearCode.from_rows``
+speak packed arrays too; ``FieldElement`` rows appear only when
+``LinearCode.generator`` is read, for printing. Duality is always established
+numerically, by orthogonality plus the dimension count, never assumed from a
+formula.
 
 The hull comes from the k x k Gram matrix G * G^T (Massey's criterion): for
 a full-rank generator G, Hull(C) = { xG : x G G^T = 0 }. The route through
 two stacked n x n nullspaces gives the same canonical basis and is kept in
-the tests as the second route.
+the tests as the second route. A code computes its hull once and keeps it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 
 from .curves import (AFFINE, Divisor, KummerCurve, Place, format_divisor,
                      gcd_divisor)
-from .functions import ell, index_of_specialty, riemann_roch_basis
+from .functions import (_check_dimension, _split_divisor, _term_bounds, ell,
+                        index_of_specialty)
 from .gf import FieldSpec
 
 __all__ = [
@@ -194,7 +196,7 @@ class LinearCode:
 
     ``matrix`` is the read-only k x n array of packed elements. Codes are
     equal when their fields, column labels and matrices are; the provenance
-    is not compared.
+    is not compared. ``generator`` and the hull are built on first use.
     """
     field: FieldSpec
     matrix: np.ndarray
@@ -213,6 +215,12 @@ class LinearCode:
     def generator(self) -> tuple:
         """The generator as k rows of ``FieldElement``, built on first use."""
         return tuple(tuple(map(self.field.unpack, row)) for row in self.matrix.tolist())
+
+    @functools.cached_property
+    def _hull(self) -> "LinearCode":
+        kern, gen = _kernel(self.field), self.matrix
+        basis = kern.dot_t(kern.nullspace(kern.dot_t(gen, gen)), gen.T)
+        return _code_from_packed(self.field, basis, self.column_labels)
 
     @staticmethod
     def from_rows(spec: FieldSpec, rows, column_labels,
@@ -309,10 +317,34 @@ def _resolve_D(curve: KummerCurve, D) -> Tuple[Divisor, tuple]:
     return D, places
 
 
-def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
-    """C(D, G): evaluations of an L(G) basis at the points of D, row reduced.
+def _basis_values(curve: KummerCurve, ram: Sequence[int], inf: int,
+                  places: Sequence[Place]) -> np.ndarray:
+    """Values of the L(G) basis x^t y^k / prod_i (y - alpha_i)^(n_it), G with
+    coefficients ram at P_1..P_r and inf at Pinf, at on-curve affine places:
+    exp[(t log a - sum_i n_it log(b - alpha_i) + k log b) mod (q - 1)] at
+    P(a, b), and 0 where b = 0 < k, one broadcast per t.
+    """
+    kern = _kernel(curve.field)
+    a = np.array([p.a.n for p in places], dtype=_DTYPE)
+    b = np.array([p.b.n for p in places], dtype=_DTYPE)
+    log_a, log_b = kern.log[a], kern.log[b]
+    log_diffs = np.array([kern.log[kern.add(b, kern.neg[c.n])] for c in curve.alphas])
+    blocks = [np.zeros((0, len(places)), dtype=_DTYPE)]
+    for t, n_it, top in _term_bounds(curve, ram, inf):
+        if top >= 0:
+            base = t * log_a - np.dot(n_it, log_diffs)
+            block = kern.exp[(base + np.arange(top + 1)[:, None] * log_b) % kern.units]
+            block[1:, b == 0] = 0
+            blocks.append(block)
+    return np.vstack(blocks)
 
-    A D of more than ``MAX_CODE_LENGTH`` places raises ValueError.
+
+def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
+    """C(D, G): the values of an L(G) basis at the points of D, row reduced.
+
+    With E and V the ``_basis_values`` at D and at G's simple zeros (affine
+    places with coefficient -1), the rows are N * E, N the nullspace basis of
+    V^T. A D of more than ``MAX_CODE_LENGTH`` places raises ValueError.
     """
     D, places = _resolve_D(curve, D)
     n = len(places)
@@ -326,11 +358,21 @@ def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
             raise ValueError("supports of G and D must be disjoint")
     if G.degree >= n:
         raise ValueError(f"deg G = {G.degree} must be below n = {n}")
-    basis = riemann_roch_basis(curve, G)
-    rows = evaluation_matrix(curve, basis.functions, places)
+    ram, inf, zeros = _split_divisor(curve, G)
+    values = _basis_values(curve, ram, inf, places + tuple(zeros))
+    rows = values[:, :n]
+    if zeros:
+        # the nullspace of V^T, R its RREF, has the basis e_f - sum_p R[p, f] e_p
+        # over the free columns f, so N * E needs only E's few pivot rows
+        kern = _kernel(curve.field)
+        reduced, pivots = kern.rref(values[:, n:].T)
+        free = np.setdiff1d(np.arange(len(rows)), pivots)
+        rows = kern.add(rows[free],
+                        kern.dot_t(kern.neg[reduced[:, free]].T, rows[pivots].T))
+    _check_dimension(curve, G, len(rows))
     code = LinearCode.from_rows(curve.field, rows, places,
                                 provenance=CodeProvenance(curve, D, G))
-    if code.k != basis.dimension:
+    if code.k != len(rows):
         raise RuntimeError(
             "evaluation lost rank; this cannot happen while deg G < n")
     return code
@@ -343,7 +385,7 @@ def dual(code: LinearCode) -> LinearCode:
 
 
 def hull(code: LinearCode) -> LinearCode:
-    """C intersect C-dual, from the Gram matrix G * G^T.
+    """C intersect C-dual, from the Gram matrix G * G^T; computed once per code.
 
     The RREF generator G has full rank, so xG lies in C-dual exactly when
     x G G^T = 0: the hull has the basis N * G, N the RREF basis of that
@@ -351,11 +393,7 @@ def hull(code: LinearCode) -> LinearCode:
     columns of G it equals N, and each of its rows starts at the pivot of G
     that the row's leading 1 in N selects.
     """
-    kern = _kernel(code.field)
-    gen = code.matrix
-    coefficients = kern.nullspace(kern.dot_t(gen, gen))
-    basis = kern.dot_t(coefficients, gen.T)
-    return _code_from_packed(code.field, basis, code.column_labels)
+    return code._hull
 
 
 def hull_dimension_by_rank(code: LinearCode) -> int:

@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+# largest basis riemann_roch_basis builds, codes.MAX_CODE_LENGTH: its cost is
+# cubic in the y-degree (1024*P1 on hermitian-q2 takes ~14 s on a 2-core VM)
+MAX_RR_DIMENSION = 1 << 10
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over a FieldSpec (little-endian FieldElement lists)
 
@@ -365,9 +370,13 @@ def riemann_roch_basis(curve: KummerCurve, G: Divisor) -> RRBasis:
     G may carry arbitrary integers at ramified places and Pinf, and -1 at
     affine places (a required simple zero, imposed as a linear constraint).
     The construction is validated on the spot against the exact dimension
-    count deg G + 1 - genus whenever deg G > 2g - 2.
+    count deg G + 1 - genus whenever deg G > 2g - 2. More than
+    ``MAX_RR_DIMENSION`` functions raise ValueError before any is built.
     """
     ram, inf, simple_zeros = _split_divisor(curve, G)
+    if (size := _ell_fast(curve, ram, inf)) > MAX_RR_DIMENSION:
+        raise ValueError(f"ell = {size} basis functions is above the cap "
+                         f"MAX_RR_DIMENSION = {MAX_RR_DIMENSION}")
     functions: List[FunctionElement] = []
     for t, n_it, top in _term_bounds(curve, ram, inf):
         for k in range(top + 1):
@@ -390,13 +399,17 @@ def riemann_roch_basis(curve: KummerCurve, G: Divisor) -> RRBasis:
             else:
                 reduced.append(f - (values[i] * inv) * functions[pivot])
         functions = reduced
-    dim = len(functions)
+    _check_dimension(curve, G, len(functions))
+    return RRBasis(divisor=G, functions=tuple(functions), dimension=len(functions))
+
+
+def _check_dimension(curve: KummerCurve, G: Divisor, dim: int) -> None:
+    """Riemann's theorem as a self-test: deg G > 2g - 2 forces dim = deg G + 1 - g."""
     g = curve.genus
     if G.degree > 2 * g - 2 and dim != G.degree + 1 - g:
         raise RuntimeError(
             f"L-space dimension self-test failed on {curve.label}: "
             f"deg G = {G.degree}, genus {g}, got {dim}")
-    return RRBasis(divisor=G, functions=tuple(functions), dimension=dim)
 
 
 def _ell_fast(curve: KummerCurve, ram: Sequence[int], inf: int) -> int:

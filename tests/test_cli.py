@@ -154,6 +154,11 @@ def test_exit_codes(capsys):
     assert code == 1 and "precondition" in err
     code, _, err = run_cli(capsys, "curve", "info", "--curve", "missing.json")
     assert code == 2
+    # refused from the closed-form dimension, before any function is built
+    code, out, err = run_cli(capsys, "rr", "basis", "--curve", "hermitian-q2",
+                             "--divisor", "100000000*Pinf")
+    assert code == 1 and out == "" and err.startswith("precondition violated:")
+    assert "ell = 100000000" in err and "MAX_RR_DIMENSION = 1024" in err
     code, out, err = run_cli(capsys, "verify", "paper-examples", "--which", "bogus")
     assert code == 2 and out == "" and err.startswith("parse error:")
     assert "'bogus'" in err and "hermitian-q2, example1" in err and "or all" in err
@@ -220,18 +225,30 @@ def test_failed_self_check_exits_1_with_a_message(capsys, monkeypatch):
 
 
 def test_failed_rank_check_exits_1_with_a_message(capsys, monkeypatch):
-    import dataclasses
     import kummer_lcd.codes
-    original = kummer_lcd.codes.riemann_roch_basis
+    original = kummer_lcd.codes._basis_values
 
-    def overstated_basis(curve, G):
-        basis = original(curve, G)
-        return dataclasses.replace(basis, dimension=basis.dimension + 1)
+    def repeated_row(*args):
+        values = original(*args)
+        values[1] = values[0]
+        return values
 
-    monkeypatch.setattr(kummer_lcd.codes, "riemann_roch_basis", overstated_basis)
+    monkeypatch.setattr(kummer_lcd.codes, "_basis_values", repeated_row)
     code, out, err = run_cli(capsys, "code", "build", "--curve", "hermitian-q2",
                              "--G", "3*Pinf")
     assert code == 1 and "evaluation lost rank" in err and out == ""
+
+
+def test_failed_dimension_self_test_on_the_direct_route_exits_1(capsys, monkeypatch):
+    import kummer_lcd.codes
+    original = kummer_lcd.codes._basis_values
+    monkeypatch.setattr(kummer_lcd.codes, "_basis_values",
+                        lambda *args: original(*args)[:-1])
+    code, out, err = run_cli(capsys, "code", "build", "--curve", "hermitian-q2",
+                             "--G", "3*Pinf")
+    assert code == 1 and out == ""
+    assert err.startswith("self-check failed: L-space dimension self-test failed")
+    assert "deg G = 3, genus 1, got 2" in err
 
 
 @pytest.mark.parametrize("construction, extra", [

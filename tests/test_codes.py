@@ -5,14 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from kummer_lcd import (Divisor, GF, LinearCode, Place, build_code,
                         construction_divisors, dual, dual_partner_divisor,
-                        ell, hull, hull_dimension_by_rank, is_lcd,
-                        is_self_orthogonal, lcd_construct_maxcur,
+                        ell, evaluation_matrix, format_divisor, hull,
+                        hull_dimension_by_rank, is_lcd, is_self_orthogonal, lcd_construct_maxcur,
                         maxcur_family_check, min_distance,
                         nonspecial_degree_g, one_point_hull_probe,
-                        parse_divisor, verify_hull_theorem)
+                        parse_divisor, riemann_roch_basis,
+                        verify_hull_theorem)
 from kummer_lcd import codes
 from kummer_lcd.codes import MAX_MINDIST_BUDGET, _kernel
 from kummer_lcd.gf import format_element_pretty
@@ -106,6 +108,59 @@ def test_build_code_second_table(h2):
     printed = [[format_element_pretty(h2.field.unpack(v)) for v in row]
                for row in rows.tolist()]
     assert printed == [row for _, row in HERMITIAN_Q2_H_TABLE]
+
+
+def assert_matches_function_route(curve, places, G):
+    """build_code against the second route: the FunctionElement basis of
+    riemann_roch_basis, evaluated by evaluation_matrix and row reduced."""
+    code = build_code(curve, places, G)
+    basis = riemann_roch_basis(curve, G)
+    other = LinearCode.from_rows(curve.field,
+                                 evaluation_matrix(curve, basis.functions, places), places)
+    label = (curve.label, format_divisor(G))
+    assert code == other, label
+    assert code.k == other.k == basis.dimension, label
+
+
+def test_direct_basis_matches_function_route_one_point(family):
+    # every one-point G with -1 <= deg G < n, at Pinf and at each ramified place
+    for curve in family:
+        places = curve.affine_places()
+        for P in (Place.infinity(),) + curve.ramified_places():
+            for degree in range(-1, len(places)):
+                assert_matches_function_route(curve, places, Divisor.of(P, degree))
+
+
+def test_direct_basis_matches_function_route_with_simple_zeros(family):
+    rng = random.Random(7)
+    for curve in family:
+        affine = curve.affine_places()
+        for zeros in (1, 2, 3):
+            for _ in range(4):
+                picked = rng.sample(affine, zeros)
+                places = [p for p in affine if p not in picked]
+                ram = [rng.randint(-curve.m, 2 * curve.m) for _ in range(curve.r)]
+                degree = rng.randint(-1, len(places) - 1)
+                coeffs = {p: -1 for p in picked}
+                coeffs.update({Place.ramified(i): c for i, c in enumerate(ram, start=1)})
+                coeffs[Place.infinity()] = degree + zeros - sum(ram)
+                assert_matches_function_route(curve, places, Divisor(coeffs))
+
+
+@st.composite
+def curves_with_divisor_and_zeros(draw):
+    """A drawn case with 0-3 affine places moved from D into G as simple zeros."""
+    curve, G = draw(curves_with_divisor())
+    affine = curve.affine_places()
+    picked = draw(st.lists(st.sampled_from(affine), max_size=3, unique=True))
+    places = [p for p in affine if p not in picked]
+    return curve, places, G - Divisor({p: 1 for p in picked})
+
+
+@SETTINGS
+@given(curves_with_divisor_and_zeros())
+def test_direct_basis_matches_function_route_on_drawn_curves(case):
+    assert_matches_function_route(*case)
 
 
 def test_build_code_repetition(h2):
@@ -225,6 +280,20 @@ def test_gram_hull_matches_stacked_route_on_bundled_curves(family):
         for degree in range(-1, D.degree):
             code = build_code(curve, D, Divisor.of(Place.infinity(), degree))
             assert hull(code) == stacked_nullspace_hull(code), (curve.label, degree)
+
+
+def test_hull_is_computed_once_per_code(h2):
+    D, G = h2.standard_D(), parse_divisor(h2, "3*Pinf")
+    code = build_code(h2, D, G)
+    first = hull(code)
+    assert hull(code) is first and first.k == 1
+    assert first == stacked_nullspace_hull(code)
+    assert not first.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        first.matrix[0, 0] = 0
+    again = build_code(h2, D, G)
+    assert again is not code and again == code
+    assert hull(again) is not first and hull(again) == first
 
 
 def test_gram_hull_edge_cases(h3):

@@ -148,6 +148,22 @@ def test_affine_simple_zero_constraints(h2):
     assert all(f.evaluate(point).is_zero() for f in basis.functions)
 
 
+def test_basis_size_cap(h2, monkeypatch):
+    from kummer_lcd import functions
+    from kummer_lcd.codes import MAX_CODE_LENGTH
+    assert functions.MAX_RR_DIMENSION >= MAX_CODE_LENGTH
+    monkeypatch.setattr(functions, "MAX_RR_DIMENSION", 10)
+    assert riemann_roch_basis(h2, parse_divisor(h2, "10*Pinf")).dimension == 10
+    # the cap reads the size before the simple zeros are imposed
+    zero = h2.affine_places()[0]
+    G = parse_divisor(h2, "10*Pinf") - Divisor.of(zero)
+    with pytest.raises(ValueError, match="ell = 11 .* MAX_RR_DIMENSION = 10"):
+        riemann_roch_basis(h2, G + Divisor.of(Place.infinity()))
+    assert riemann_roch_basis(h2, G).dimension == 9
+    with pytest.raises(ValueError, match="MAX_RR_DIMENSION"):
+        ell(h2, G + Divisor.of(Place.infinity()))
+
+
 def test_unsupported_affine_coefficients_rejected(h2):
     point = h2.affine_places()[0]
     with pytest.raises(ValueError):
