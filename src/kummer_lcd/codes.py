@@ -4,14 +4,16 @@ All matrix work goes through one kernel, ``_Kernel``: numpy int32 arrays of
 field elements packed as base-p integers (``FieldElement.n``). A product is
 one gather in the field's extended exp/log tables. A sum is XOR when p = 2;
 for odd p it is one gather in a q x q sum table while q^2 <= 2^21, and
-digit-wise addition mod p above that. The kernel evaluates L(G) bases in the
-log domain (``build_code`` straight from the exponents), row reduces, takes
-nullspaces and forms G * H^T for orthogonality. A ``LinearCode`` is its
-packed RREF array, and ``evaluation_matrix`` and ``LinearCode.from_rows``
-speak packed arrays too; ``FieldElement`` rows appear only when
-``LinearCode.generator`` is read, for printing. Duality is always established
-numerically, by orthogonality plus the dimension count, never assumed from a
-formula.
+digit-wise addition mod p above that. A long odd-p sum (``total``) adds the
+digits in carry-free bit lanes of an int64 and reduces mod p once per lane
+and segment. Row reduction is one elimination pass per pivot. The kernel
+evaluates L(G) bases in the log domain (``build_code`` straight from the
+exponents), row reduces, takes nullspaces and forms G * H^T for
+orthogonality. A ``LinearCode`` is its packed RREF array, and
+``evaluation_matrix`` and ``LinearCode.from_rows`` speak packed arrays too;
+``FieldElement`` rows appear only when ``LinearCode.generator`` is read, for
+printing. Duality is always established numerically, by orthogonality plus
+the dimension count, never assumed from a formula.
 
 The hull comes from the k x k Gram matrix G * G^T (Massey's criterion): for
 a full-rank generator G, Hull(C) = { xG : x G G^T = 0 }. The route through
@@ -87,7 +89,9 @@ class _Kernel:
     ``exp[log[a] + log[b]]`` is a * b for every pair, zero included, with no
     reduction mod q - 1 and no mask. ``add`` is XOR for p = 2, a gather in
     the q^2-cell table of sums for odd p while q^2 <= ``_ADD_TABLE_CELLS``,
-    and the digit-wise sum above that.
+    and the digit-wise sum above that. For odd p, the int64 ``spread[n]`` has
+    digit i of n at bit ``bits * i``: a sum of up to ``seg`` of them adds each
+    digit in its own lane with no carry, and shift, mask and mod p read it.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -100,8 +104,13 @@ class _Kernel:
         self.weights = [p ** i for i in range(spec.k)]
         if p == 2:
             self.add = np.bitwise_xor
-        elif q * q <= _ADD_TABLE_CELLS:
-            values = np.arange(q, dtype=_DTYPE)
+            return
+        self.bits = min(62, 63 // spec.k)
+        self.seg = ((1 << self.bits) - 1) // (p - 1)
+        values = np.arange(q, dtype=np.int64)
+        self.spread = sum(values // w % p << self.bits * i
+                          for i, w in enumerate(self.weights))
+        if q * q <= _ADD_TABLE_CELLS:
             sums = self._digit_add(values[:, None], values[None, :]).ravel()
             self.add = lambda a, b: sums[a * q + b]
         else:
@@ -110,26 +119,28 @@ class _Kernel:
     def mul(self, a, b):
         return self.exp[self.log[a] + self.log[b]]
 
-    def inv(self, a: int) -> int:
-        return int(self.exp[(self.units - self.log[a]) % self.units])
+    def _digits(self, lanes):
+        """The packed element whose digit i is lane i of lanes, mod p."""
+        mask = (1 << self.bits) - 1
+        return sum((lanes >> self.bits * i & mask) % self.p * w
+                   for i, w in enumerate(self.weights)).astype(_DTYPE)
 
     def _digit_add(self, a, b):
-        # digit i of a sum is (a // p^i + b // p^i) mod p; for i = 0 no division
-        p = self.p
-        out = (a + b) % p
-        for w in self.weights[1:]:
-            out += (a // w + b // w) % p * w
-        return out
+        return self._digits(self.spread[a] + self.spread[b])
 
     def total(self, a, axis: int):
-        """Field sum of a along one axis."""
+        """Field sum of a along one axis; for odd p, lane sums of ``seg`` terms
+        folded together with ``add``."""
         if self.p == 2:
             return np.bitwise_xor.reduce(a, axis=axis)
-        p = self.p
-        return sum((a // w % p).sum(axis=axis) % p * w for w in self.weights)
+        spread = np.moveaxis(self.spread[a], axis, -1)
+        parts = [self._digits(spread[..., i:i + self.seg].sum(axis=-1))
+                 for i in range(0, max(1, spread.shape[-1]), self.seg)]
+        return functools.reduce(self.add, parts)
 
     def rref(self, mat) -> Tuple[np.ndarray, list]:
-        """Reduced row echelon form of a copy of mat: (rank x n rows, pivots)."""
+        """Reduced row echelon form of a copy of mat: (rank x n rows, pivots),
+        one pass over m[:, col:] per pivot (the pivot row's own factor is 0)."""
         m = np.array(mat, dtype=_DTYPE)
         rows, n = m.shape
         pivots = []
@@ -137,41 +148,41 @@ class _Kernel:
         for col in range(n):
             if rank == rows:
                 break
-            found = np.flatnonzero(m[rank:, col])
+            found = m[rank:, col].nonzero()[0]
             if not found.size:
                 continue
             pivot = rank + int(found[0])
             if pivot != rank:
                 m[[rank, pivot]] = m[[pivot, rank]]
-            lead = int(m[rank, col])
-            if lead != 1:
-                m[rank, col:] = self.mul(m[rank, col:], self.inv(lead))
-            others = np.flatnonzero(m[:, col])
-            others = others[others != rank]
-            if others.size:
-                factors = self.neg[m[others, col]]
-                m[others, col:] = self.add(
-                    m[others, col:], self.mul(factors[:, None], m[rank, col:]))
+            row_log = self.log[m[rank, col:]]
+            m[rank, col:] = row = self.exp[row_log + (self.units - row_log[0])]
+            factors = self.neg[m[:, col]]
+            factors[rank] = 0
+            m[:, col:] = self.add(m[:, col:], self.mul(factors[:, None], row))
             pivots.append(col)
             rank += 1
         return m[:rank], pivots
 
-    def nullspace(self, mat) -> np.ndarray:
-        """Canonical (row reduced) basis of { v : mat . v = 0 }."""
-        reduced, pivots = self.rref(mat)
+    def null_basis(self, reduced: np.ndarray, pivots) -> np.ndarray:
+        """Unreduced basis e_f - sum_p R[p, f] e_p (f free) of { v : R . v = 0 }, R an RREF."""
         n = reduced.shape[1]
         free = np.setdiff1d(np.arange(n), pivots)
         basis = np.zeros((free.size, n), dtype=_DTYPE)
         basis[np.arange(free.size), free] = 1
         basis[:, pivots] = self.neg[reduced[:, free]].T
-        return self.rref(basis)[0]
+        return basis
+
+    def nullspace(self, mat) -> np.ndarray:
+        """Canonical (row reduced) basis of { v : mat . v = 0 }."""
+        return self.rref(self.null_basis(*self.rref(mat)))[0]
 
     def dot_t(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The matrix a . b^T."""
+        """The matrix a . b^T, from the logs of a and b gathered once."""
         out = np.zeros((len(a), len(b)), dtype=_DTYPE)
+        log_a, log_b = self.log[a], self.log[b]
         step = max(1, _DOT_CHUNK_CELLS // max(1, b.size))
         for i in range(0, len(a), step):
-            out[i:i + step] = self.total(self.mul(a[i:i + step, None, :], b[None]), axis=2)
+            out[i:i + step] = self.total(self.exp[log_a[i:i + step, None, :] + log_b], axis=2)
         return out
 
 
@@ -276,8 +287,7 @@ def evaluation_matrix(curve: KummerCurve, functions: Sequence,
     kern = _kernel(curve.field)
     if any(p.kind != AFFINE for p in places):
         raise ValueError("evaluation is defined at affine places only")
-    a = np.array([p.a.n for p in places], dtype=_DTYPE)
-    b = np.array([p.b.n for p in places], dtype=_DTYPE)
+    a, b = _coords(places)
     log_a, log_b, b_zero = kern.log[a], kern.log[b], b == 0
     diffs = [kern.add(b, kern.neg[alpha.n]) for alpha in curve.alphas]
     log_diffs = [kern.log[diff] for diff in diffs]
@@ -299,6 +309,19 @@ def evaluation_matrix(curve: KummerCurve, functions: Sequence,
                         values[b_zero] = 0
                     row[:] = kern.add(row, values)
     return out
+
+
+def _coords(places: Sequence[Place]) -> np.ndarray:
+    """The packed coordinates a and b of affine places, as the rows of one array."""
+    return np.array([(p.a.n, p.b.n) for p in places], dtype=_DTYPE).reshape(-1, 2).T
+
+
+def _off_curve(curve: KummerCurve, places: Sequence[Place]) -> np.ndarray:
+    """Indices of the affine places P(a, b) with a = 0 or prod_i (b - alpha_i) != a^m."""
+    kern = _kernel(curve.field)
+    a, b = _coords(places)
+    lhs = functools.reduce(kern.mul, [kern.add(b, kern.neg[c.n]) for c in curve.alphas])
+    return np.flatnonzero((a == 0) | (lhs != kern.exp[kern.log[a] * curve.m % kern.units]))
 
 
 def _resolve_D(curve: KummerCurve, D) -> Tuple[Divisor, tuple]:
@@ -325,8 +348,7 @@ def _basis_values(curve: KummerCurve, ram: Sequence[int], inf: int,
     P(a, b), and 0 where b = 0 < k, one broadcast per t.
     """
     kern = _kernel(curve.field)
-    a = np.array([p.a.n for p in places], dtype=_DTYPE)
-    b = np.array([p.b.n for p in places], dtype=_DTYPE)
+    a, b = _coords(places)
     log_a, log_b = kern.log[a], kern.log[b]
     log_diffs = np.array([kern.log[kern.add(b, kern.neg[c.n])] for c in curve.alphas])
     blocks = [np.zeros((0, len(places)), dtype=_DTYPE)]
@@ -351,11 +373,13 @@ def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
     if n > MAX_CODE_LENGTH:
         raise ValueError(f"code length n = {n} is above the cap "
                          f"MAX_CODE_LENGTH = {MAX_CODE_LENGTH}")
-    for p in places:
-        if not curve.is_on_curve(p.a, p.b):
-            raise ValueError(f"{p} does not lie on {curve.label}")
-        if G[p] != 0:
-            raise ValueError("supports of G and D must be disjoint")
+    # the first failing place decides the message, as a check place by place would
+    off = _off_curve(curve, places)
+    shared = min((places.index(p) for p in G.support if D[p]), default=n)
+    if off.size and off[0] <= shared:
+        raise ValueError(f"{places[off[0]]} does not lie on {curve.label}")
+    if shared < n:
+        raise ValueError("supports of G and D must be disjoint")
     if G.degree >= n:
         raise ValueError(f"deg G = {G.degree} must be below n = {n}")
     ram, inf, zeros = _split_divisor(curve, G)
@@ -379,8 +403,9 @@ def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
 
 
 def dual(code: LinearCode) -> LinearCode:
-    """Euclidean dual: the canonical basis of the right kernel."""
-    basis = _kernel(code.field).nullspace(code.matrix)
+    """Euclidean dual: the canonical basis of the right kernel of the stored RREF."""
+    kern, gen = _kernel(code.field), code.matrix
+    basis = kern.rref(kern.null_basis(gen, (gen != 0).argmax(axis=1)))[0]
     return _code_from_packed(code.field, basis, code.column_labels)
 
 
@@ -398,9 +423,8 @@ def hull(code: LinearCode) -> LinearCode:
 
 def hull_dimension_by_rank(code: LinearCode) -> int:
     """Second route: dim C + dim C-dual - rank of the stacked generators."""
-    kern = _kernel(code.field)
-    gen = code.matrix
-    dual_gen = kern.nullspace(gen)
+    kern, gen = _kernel(code.field), code.matrix
+    dual_gen = kern.null_basis(gen, (gen != 0).argmax(axis=1))
     _, pivots = kern.rref(np.vstack([gen, dual_gen]))
     return code.k + len(dual_gen) - len(pivots)
 

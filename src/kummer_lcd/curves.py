@@ -46,7 +46,7 @@ _KIND_RANK = {RAMIFIED: 0, AFFINE: 1, INFINITY: 2}
 class Place:
     """A rational place: Ramified(i), Infinity, or Affine(a, b) with a != 0."""
 
-    __slots__ = ("kind", "index", "a", "b")
+    __slots__ = ("kind", "index", "a", "b", "_hash")
 
     def __init__(self, kind: str, index: int = 0, a: Optional[FieldElement] = None,
                  b: Optional[FieldElement] = None):
@@ -54,6 +54,8 @@ class Place:
         self.index = index
         self.a = a
         self.b = b
+        # hashes the packed ints, so equal places (equal keys) hash alike
+        self._hash = hash((kind, a.n, b.n) if kind == AFFINE else (kind, index))
 
     @staticmethod
     def ramified(index: int) -> "Place":
@@ -98,7 +100,7 @@ class Place:
         return isinstance(other, Place) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return self.label()

@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 
-# largest basis riemann_roch_basis builds, codes.MAX_CODE_LENGTH: its cost is
-# cubic in the y-degree (1024*P1 on hermitian-q2 takes ~14 s on a 2-core VM)
+# largest basis riemann_roch_basis builds, codes.MAX_CODE_LENGTH; it bounds the
+# polynomial arithmetic, quadratic in the y-degree, of building each basis element
 MAX_RR_DIMENSION = 1 << 10
 
 
@@ -108,6 +108,10 @@ def _strip_root(poly: Sequence[FieldElement], root: FieldElement, spec,
                 limit: Optional[int] = None) -> Tuple[int, Sequence[FieldElement]]:
     """Divide poly by (y - root) while it divides, at most limit times:
     (count, quotient)."""
+    # a trimmed monomial c * y^k is divisible k times by y, by no other y - root
+    if poly and poly[-1] and not any(poly[:-1]):
+        count = min(0 if root else len(poly) - 1, len(poly) if limit is None else limit)
+        return count, (list(poly[count:]) if count else poly)
     count = 0
     while poly and (limit is None or count < limit):
         quo, rem = _pdiv_linear(poly, root, spec)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -267,6 +268,15 @@ def test_lcd_check_refuses_a_code_above_the_length_cap(capsys):
     assert code == 1 and out == ""
     assert "precondition violated" in err
     assert "n = 1320" in err and "MAX_CODE_LENGTH = 1024" in err
+
+
+def test_hermitian_q7_lcd_check_bytes_are_pinned(capsys):
+    # GF(49), n = 336: two certificates through the kernel's odd-p sums
+    code, out, err = run_cli(capsys, "code", "lcd-check", "--construction",
+                             "hermitian", "--q", "7")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6428f8d4d72bc2f461bc82ff67a9a0c947b1d36bc0c6a5697538e345f4918e57")
 
 
 # Bytes of the matrix outputs, which read LinearCode.generator on demand.

@@ -17,6 +17,7 @@ from kummer_lcd import (Divisor, GF, LinearCode, Place, build_code,
                         verify_hull_theorem)
 from kummer_lcd import codes
 from kummer_lcd.codes import MAX_MINDIST_BUDGET, _kernel
+from kummer_lcd.curves import AFFINE, hermitian_curve
 from kummer_lcd.gf import format_element_pretty
 from test_properties import SETTINGS, curves_with_divisor
 
@@ -178,6 +179,49 @@ def test_build_code_rejections(h2):
         build_code(h2, D, Divisor.of(D.support[0], -1) + parse_divisor(h2, "3*Pinf"))
     with pytest.raises(ValueError):
         build_code(h2, Divisor.of(Place.ramified(1)), Divisor.zero())
+
+
+def test_build_code_names_an_off_curve_place(h2):
+    places, G = h2.standard_D().support, parse_divisor(h2, "3*Pinf")
+    off_curve = Place.affine(h2.field.one, h2.field.one)
+    with pytest.raises(ValueError) as err:
+        build_code(h2, places[:2] + (off_curve,) + places[2:], G)
+    assert str(err.value) == "P([1,0],[1,0]) does not lie on hermitian-q2"
+
+
+def test_build_code_refuses_an_affine_place_with_a_zero(h2):
+    # Place.affine refuses a = 0; the constructor does not check it
+    places = h2.standard_D().support
+    zero_a = Place(AFFINE, a=h2.field.zero, b=places[0].b)
+    with pytest.raises(ValueError) as err:
+        build_code(h2, places[:3] + (zero_a,), parse_divisor(h2, "2*Pinf"))
+    assert str(err.value) == "P([0,0],[0,1]) does not lie on hermitian-q2"
+
+
+def test_build_code_refuses_g_overlapping_d(h2):
+    places, G = h2.standard_D().support, parse_divisor(h2, "3*Pinf")
+    off_curve = Place.affine(h2.field.one, h2.field.one)
+    overlap = "supports of G and D must be disjoint"
+    with pytest.raises(ValueError, match=overlap):
+        build_code(h2, h2.standard_D(), G - Divisor.of(places[2]))
+    # the first failing place of D decides the message
+    with pytest.raises(ValueError, match=overlap):
+        build_code(h2, (places[0], off_curve) + places[1:], G - Divisor.of(places[0]))
+    with pytest.raises(ValueError, match="does not lie on"):
+        build_code(h2, (places[0], off_curve) + places[1:], G - Divisor.of(places[2]))
+    with pytest.raises(ValueError, match="does not lie on"):
+        build_code(h2, (places[0], off_curve) + places[1:], G + Divisor.of(off_curve))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_off_curve_indices_match_is_on_curve(q):
+    # every (a, b) of the field, a = 0 included, against the FieldElement check
+    curve = hermitian_curve(q)
+    elements = curve.field.elements()
+    places = [Place(AFFINE, a=a, b=b) for a in elements for b in elements]
+    want = [i for i, p in enumerate(places) if not curve.is_on_curve(p.a, p.b)]
+    assert codes._off_curve(curve, places).tolist() == want
+    assert len(places) - len(want) == len(curve.affine_places())
 
 
 def test_build_code_length_cap(h2, monkeypatch):

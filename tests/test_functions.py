@@ -7,6 +7,8 @@ from kummer_lcd import (Divisor, FunctionElement, Place, ell, format_function,
                         parse_function, principal_divisor, riemann_roch_basis,
                         valuation_ok)
 from kummer_lcd.codes import evaluation_matrix
+from kummer_lcd.functions import _pdiv_linear, _pmul, _strip_root
+from kummer_lcd.gf import GF
 from kummer_lcd.codes import LinearCode
 
 
@@ -162,6 +164,52 @@ def test_basis_size_cap(h2, monkeypatch):
     assert riemann_roch_basis(h2, G).dimension == 9
     with pytest.raises(ValueError, match="MAX_RR_DIMENSION"):
         ell(h2, G + Divisor.of(Place.infinity()))
+
+
+def strip_by_division(poly, root, spec, limit):
+    """Second route for _strip_root: one division by (y - root) at a time."""
+    count = 0
+    while poly and (limit is None or count < limit):
+        quo, rem = _pdiv_linear(poly, root, spec)
+        if not rem.is_zero():
+            break
+        poly, count = quo, count + 1
+    return count, list(poly)
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_strip_root_matches_division(q):
+    spec = GF(q)
+    elements = spec.elements()
+    rng = random.Random(q)
+    polys = [[elements[rng.randrange(q)] for _ in range(rng.randrange(1, 7))]
+             for _ in range(40)]
+    # products with (y - root)^e, so some divisions go through
+    for _ in range(20):
+        root = elements[rng.randrange(q)]
+        factor = [-root, spec.one]
+        poly = [elements[rng.randrange(1, q)]]
+        for _ in range(rng.randrange(4)):
+            poly = _pmul(poly, factor, spec)
+        polys.append(poly)
+    # monomials c * y^k, k = 0..5
+    polys += [[spec.zero] * k + [elements[rng.randrange(1, q)]] for k in range(6)]
+    for poly in polys:
+        for root in (spec.zero, spec.one, elements[-1]):
+            for limit in (None, 0, 1, 2, 3, 10):
+                count, quo = _strip_root(poly, root, spec, limit)
+                assert (count, list(quo)) == strip_by_division(poly, root, spec, limit)
+
+
+def test_strip_root_on_a_monomial_needs_no_division(h2, monkeypatch):
+    from kummer_lcd import functions
+    spec = h2.field
+    poly = [spec.zero] * 5 + [spec.one]
+    monkeypatch.setattr(functions, "_pdiv_linear", None)
+    assert _strip_root(poly, spec.zero, spec) == (5, [spec.one])
+    assert _strip_root(poly, spec.zero, spec, 3) == (3, poly[3:])
+    assert _strip_root(poly, spec.zero, spec, 0) == (0, poly)
+    assert _strip_root(poly, spec.one, spec, 2) == (0, poly)
 
 
 def test_unsupported_affine_coefficients_rejected(h2):

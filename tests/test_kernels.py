@@ -135,7 +135,8 @@ def test_kernel_arithmetic_matches_field_elements(q):
             assert added[i, j] == ops.add(x, y)
             assert multiplied[i, j] == ops.mul(x, y)
     assert kern.neg.tolist() == [ops.neg(x) for x in range(q)]
-    assert all(kern.inv(x) == ops.inv(x) for x in range(1, q))
+    # the kernel has no inverse of its own: rref scales by exp[units - log]
+    assert all(kern.exp[kern.units - kern.log[x]] == ops.inv(x) for x in range(1, q))
 
 
 @pytest.mark.parametrize("q", FIELD_SIZES)
@@ -276,3 +277,77 @@ def test_evaluation_matrix_rejects_what_evaluate_rejects(h2):
         f.evaluate(off_curve)
     with pytest.raises(ZeroDivisionError):
         evaluation_matrix(h2, [f], [off_curve])
+
+
+# lane sums short enough to fold within a test: GF(3^10) adds 31 terms per
+# segment, GF(3^7) and GF(5^6) 255, GF(3^5) 2047
+FOLDING = {3 ** 10: 31, 3 ** 7: 255, 5 ** 6: 255, 3 ** 5: 2047}
+
+
+@pytest.mark.parametrize("q", sorted(FOLDING) + [3, 9, 25, 49, 81])
+def test_lane_sums_match_scalar_oracle(q):
+    spec = GF(q)
+    kern, ops = _kernel(spec), ScalarOps(spec)
+    seg = kern.seg
+    if q in FOLDING:
+        assert seg == FOLDING[q]
+        lengths = (seg - 1, seg, seg + 1, 2 * seg + 1)
+    else:
+        assert seg > 700
+        lengths = (spec.p - 1, spec.p, 2 * spec.p + 1, 700)
+    rng = random.Random(4000 + q)
+    for length in (0, 1) + lengths:
+        # q - 1 has every digit p - 1: its lanes reach seg * (p - 1), the most
+        # a lane holds before a segment is folded
+        rows = [[q - 1] * length, [rng.randrange(q) for _ in range(length)]]
+        want = []
+        for row in rows:
+            acc = 0
+            for x in row:
+                acc = ops.add(acc, x)
+            want.append(acc)
+        mat = as_array(rows, length)
+        assert kern.total(mat, axis=1).tolist() == want, length
+        assert kern.total(mat.T, axis=0).tolist() == want, length
+        # dot_t against a row of ones sums the same values
+        ones = as_array([[1] * length], length)
+        assert kern.dot_t(mat, ones)[:, 0].tolist() == want, length
+        assert kern.dot_t(mat[:1], mat[:1]).tolist() == [[scalar_dot(ops, rows[0], rows[0])]]
+
+
+def rref_inputs(q, rng):
+    """(label, rows, n) of random_matrices plus k = 0, k = n and pivots away
+    from the front (leading and interior zero columns)."""
+    cases = random_matrices(q, rng)
+    late = [[0, 0, 0] + [rng.randrange(q) for _ in range(3)] + [0]
+            + [rng.randrange(q) for _ in range(2)] for _ in range(3)]
+    identity = [[int(i == j) for j in range(5)] for i in range(5)]
+    return cases + [("no-rows", [], 4), ("identity", identity, 5),
+                    ("late-pivots", late, 9)]
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
+def test_null_basis_of_an_rref_matches_nullspace(q):
+    kern = _kernel(GF(q))
+    rng = random.Random(5000 + q)
+    for label, rows, n in rref_inputs(q, rng):
+        mat = as_array(rows, n)
+        reduced, pivots = kern.rref(mat)
+        read_off = (reduced != 0).argmax(axis=1)
+        assert read_off.tolist() == pivots, label
+        want = kern.nullspace(mat)
+        assert np.array_equal(kern.rref(kern.null_basis(reduced, read_off))[0], want), label
+        assert not kern.dot_t(kern.null_basis(reduced, pivots), mat).any(), label
+
+
+@pytest.mark.parametrize("q", [2, 9, 16, 25])
+def test_dual_reads_pivots_off_the_stored_rref(q):
+    spec = GF(q)
+    kern = _kernel(spec)
+    rng = random.Random(6000 + q)
+    for label, rows, n in rref_inputs(q, rng):
+        code = LinearCode.from_rows(spec, as_array(rows, n), [f"c{i}" for i in range(n)])
+        want = kern.nullspace(code.matrix)
+        assert np.array_equal(dual(code).matrix, want), label
+        assert dual(code).k == n - code.k, label
+        assert codes.hull_dimension_by_rank(code) == codes.hull(code).k, label
