@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
+import re
 import sys
 from . import reference_checks
 from .codes import (build_code, construction_divisors, dual, hull,
@@ -163,6 +165,8 @@ def cmd_semigroup(args) -> int:
     curve = _resolve_curve(args.curve)
     results: dict = {}
     if args.what == "gaps":
+        if args.tuple is not None:
+            raise ParseError("--tuple applies to semigroup gamma only")
         results["gaps"] = sorted(gap_set_single(curve))
     else:
         try:
@@ -356,6 +360,7 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on the first main() call, then reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kummer-lcd",
@@ -442,8 +447,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 2, -1, -1):  # "--G -1*Pinf" reads as "--G=-1*Pinf"
+        if argv[i] in ("--G", "--divisor", "--minus") and re.match(r"-[\dP]", argv[i + 1]):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

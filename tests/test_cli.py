@@ -4,7 +4,9 @@ import json
 import pytest
 
 from kummer_lcd import parse_divisor, parse_function, builtin_curve
+from kummer_lcd import cli
 from kummer_lcd.cli import main
+from kummer_lcd.codes import DEFAULT_MINDIST_BUDGET
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +188,90 @@ def test_semigroup_tuple_with_junk_is_a_parse_error(capsys):
     code, _, err = run_cli(capsys, "semigroup", "gamma", "--curve", "hermitian-q3",
                            "--tuple", "1,x")
     assert code == 2 and "parse error" in err
+
+
+@pytest.mark.parametrize("tuple_arg", ["a,b", "1,9", "1,2"])
+def test_semigroup_gaps_refuses_a_tuple(capsys, tuple_arg):
+    code, out, err = run_cli(capsys, "semigroup", "gaps", "--curve", "hermitian-q2",
+                             "--tuple", tuple_arg)
+    assert code == 2 and out == ""
+    assert err == "parse error: --tuple applies to semigroup gamma only\n"
+
+
+def test_semigroup_gaps_output_is_pinned(capsys):
+    code, out, err = run_cli(capsys, "semigroup", "gaps", "--curve", "hermitian-q3")
+    assert code == 0 and err == ""
+    assert out == json.dumps({
+        "command": "semigroup gaps",
+        "inputs": {"curve": "hermitian-q3", "tuple": None},
+        "results": {"gaps": [1, 2, 5]},
+        "checks": []}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("option, value, argv", [
+    ("--G", "-1*Pinf", ["code", "build", "--curve", "hermitian-q2"]),
+    ("--G", "-Pinf", ["code", "build", "--curve", "hermitian-q2", "--pretty"]),
+    ("--G", "-2*P1+4*Pinf", ["code", "hull", "--curve", "hermitian-q2"]),
+    ("--divisor", "-5*P1+30*P2", ["rr", "basis", "--curve", "hermitian-q2"]),
+    ("--minus", "-1*P1", ["nonspecial", "--curve", "hermitian-q3", "--degree", "g-1"]),
+])
+def test_divisor_value_may_start_with_minus(capsys, option, value, argv):
+    spaced = argv + [option, value]
+    code, out, err = run_cli(capsys, *argv, f"{option}={value}")
+    assert (main(spaced),) + tuple(capsys.readouterr()) == (code, out, err)
+    assert spaced == argv + [option, value]  # the caller's list is left as it was
+    if option == "--minus":  # no place starts with "-": the place parser says so
+        assert code == 2 and err.startswith("parse error:")
+    else:
+        assert code == 0, err
+
+
+def _call(capsys, argv):
+    """Exit code, stdout and stderr of one main() call, SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return (code,) + tuple(capsys.readouterr())
+
+
+def test_calls_in_one_process_share_only_the_parser(capsys, tmp_path):
+    csv_path = tmp_path / "dual.csv"
+    mindist = ["code", "mindist", "--curve", "hermitian-q2", "--G", "3*Pinf+1*P1"]
+    build = ["code", "build", "--curve", "hermitian-q2", "--G", "3*Pinf+1*P1"]
+    sequence = [
+        mindist + ["--budget", "1"], mindist,  # the default budget applies again
+        build + ["--pretty"], build,  # JSON again after --pretty
+        ["code", "dual", "--curve", "hermitian-q2", "--G", "4*Pinf", "--out", str(csv_path)],
+        ["code", "hull", "--curve", "hermitian-q2"],  # no --G: SystemExit(2)
+        ["curve", "info", "--curve", "hermitian-q2"],
+        ["code", "lcd-check", "--help"],  # SystemExit(0)
+        ["semigroup", "gamma", "--curve", "hermitian-q3", "--tuple", "1,2"],
+        ["code", "lcd-check", "--construction", "hermitian"],  # no --q: exit 2
+        ["code", "lcd-check", "--construction", "hermitian", "--q", "2"],
+    ]
+
+    def run(fresh_parser):
+        results = []
+        for argv in sequence:
+            if fresh_parser:
+                cli._build_parser.cache_clear()
+            result = _call(capsys, argv)
+            if "--out" in argv:
+                result += (csv_path.read_bytes(),)
+                csv_path.unlink()
+            results.append(result)
+        return results
+
+    fresh = run(fresh_parser=True)
+    cli._build_parser.cache_clear()
+    shared = run(fresh_parser=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [r[0] for r in shared] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0]
+    assert json.loads(shared[0][1])["inputs"]["budget"] == 1
+    assert json.loads(shared[1][1])["inputs"]["budget"] == DEFAULT_MINDIST_BUDGET
+    assert shared[4][3].startswith(b"function,")
 
 
 @pytest.mark.parametrize("budget", ["-5", "0"])
