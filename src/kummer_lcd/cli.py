@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import os
 import re
@@ -360,8 +359,16 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-@functools.cache  # built on the first main() call, then reused by every later one
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """Every command is named, so help and choice errors list them all, but
+    only the command and subcommand that argv runs get options (None: all)."""
+    chosen = None if argv is None else [a for a in argv if not a.startswith("-")][:2]
+
+    def add(subparsers, name, **kwargs):  # None for a command argv does not run
+        if chosen is None or name in chosen:
+            return subparsers.add_parser(name, **kwargs)
+        subparsers.add_parser(name, add_help=False, **kwargs)
+
     parser = argparse.ArgumentParser(
         prog="kummer-lcd",
         description="Evaluation codes, hulls, and LCD constructions on "
@@ -372,76 +379,76 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pretty", action="store_true",
                        help="human-readable tables instead of JSON")
 
-    curve = sub.add_parser("curve", help="curve data")
-    curve_sub = curve.add_subparsers(dest="what", required=True)
-    info = curve_sub.add_parser("info")
-    info.add_argument("--curve", required=True)
-    add_common(info)
-    info.set_defaults(func=cmd_curve_info)
-    points = curve_sub.add_parser("points")
-    points.add_argument("--curve", required=True)
-    add_common(points)
-    points.set_defaults(func=cmd_curve_points)
+    if curve := add(sub, "curve", help="curve data"):
+        curve_sub = curve.add_subparsers(dest="what", required=True)
+        if info := add(curve_sub, "info"):
+            info.add_argument("--curve", required=True)
+            add_common(info)
+            info.set_defaults(func=cmd_curve_info)
+        if points := add(curve_sub, "points"):
+            points.add_argument("--curve", required=True)
+            add_common(points)
+            points.set_defaults(func=cmd_curve_points)
 
-    rr = sub.add_parser("rr", help="Riemann-Roch spaces")
-    rr_sub = rr.add_subparsers(dest="what", required=True)
-    basis = rr_sub.add_parser("basis")
-    basis.add_argument("--curve", required=True)
-    basis.add_argument("--divisor", required=True)
-    add_common(basis)
-    basis.set_defaults(func=cmd_rr_basis)
+    if rr := add(sub, "rr", help="Riemann-Roch spaces"):
+        rr_sub = rr.add_subparsers(dest="what", required=True)
+        if basis := add(rr_sub, "basis"):
+            basis.add_argument("--curve", required=True)
+            basis.add_argument("--divisor", required=True)
+            add_common(basis)
+            basis.set_defaults(func=cmd_rr_basis)
 
-    semi = sub.add_parser("semigroup", help="gap sets and minimal generators")
-    semi.add_argument("what", choices=["gaps", "gamma"])
-    semi.add_argument("--curve", required=True)
-    semi.add_argument("--tuple", default=None,
-                      help="comma-separated ramified indices, e.g. 1,2,3")
-    add_common(semi)
-    semi.set_defaults(func=cmd_semigroup)
+    if semi := add(sub, "semigroup", help="gap sets and minimal generators"):
+        semi.add_argument("what", choices=["gaps", "gamma"])
+        semi.add_argument("--curve", required=True)
+        semi.add_argument("--tuple", default=None,
+                          help="comma-separated ramified indices, e.g. 1,2,3")
+        add_common(semi)
+        semi.set_defaults(func=cmd_semigroup)
 
-    nonspecial = sub.add_parser("nonspecial", help="explicit non-special divisors")
-    nonspecial.add_argument("--curve", required=True)
-    nonspecial.add_argument("--degree", choices=["g", "g-1"], required=True)
-    nonspecial.add_argument("--minus", default=None,
-                            help="place to subtract for degree g-1 (default Pinf)")
-    add_common(nonspecial)
-    nonspecial.set_defaults(func=cmd_nonspecial)
+    if nonspecial := add(sub, "nonspecial", help="explicit non-special divisors"):
+        nonspecial.add_argument("--curve", required=True)
+        nonspecial.add_argument("--degree", choices=["g", "g-1"], required=True)
+        nonspecial.add_argument("--minus", default=None,
+                                help="place to subtract for degree g-1 (default Pinf)")
+        add_common(nonspecial)
+        nonspecial.set_defaults(func=cmd_nonspecial)
 
-    code = sub.add_parser("code", help="evaluation codes")
-    code_sub = code.add_subparsers(dest="what", required=True)
-    for name, func in (("build", cmd_code_build), ("dual", cmd_code_dual),
-                       ("hull", cmd_code_hull)):
-        p = code_sub.add_parser(name)
-        p.add_argument("--curve", required=True)
-        p.add_argument("--G", required=True)
-        p.add_argument("--D", default="standard")
-        p.add_argument("--out", default=None, help="write the matrix as CSV")
-        add_common(p)
-        p.set_defaults(func=func)
-    lcd = code_sub.add_parser("lcd-check")
-    lcd.add_argument("--construction", required=True,
-                     choices=["maxcur", "curve1", "curve2", "hermitian"])
-    lcd.add_argument("--q", type=int, default=None)
-    lcd.add_argument("--r", type=int, default=None)
-    lcd.add_argument("--curve", default=None)
-    lcd.add_argument("--G", default=None)
-    lcd.add_argument("--allow-remark-family", action="store_true")
-    add_common(lcd)
-    lcd.set_defaults(func=cmd_code_lcd_check)
-    mindist = code_sub.add_parser("mindist")
-    mindist.add_argument("--curve", required=True)
-    mindist.add_argument("--G", required=True)
-    mindist.add_argument("--D", default="standard")
-    mindist.add_argument("--budget", type=int, default=DEFAULT_MINDIST_BUDGET)
-    add_common(mindist)
-    mindist.set_defaults(func=cmd_code_mindist)
+    if code := add(sub, "code", help="evaluation codes"):
+        code_sub = code.add_subparsers(dest="what", required=True)
+        for name, func in (("build", cmd_code_build), ("dual", cmd_code_dual),
+                           ("hull", cmd_code_hull)):
+            if p := add(code_sub, name):
+                p.add_argument("--curve", required=True)
+                p.add_argument("--G", required=True)
+                p.add_argument("--D", default="standard")
+                p.add_argument("--out", default=None, help="write the matrix as CSV")
+                add_common(p)
+                p.set_defaults(func=func)
+        if lcd := add(code_sub, "lcd-check"):
+            lcd.add_argument("--construction", required=True,
+                             choices=["maxcur", "curve1", "curve2", "hermitian"])
+            lcd.add_argument("--q", type=int, default=None)
+            lcd.add_argument("--r", type=int, default=None)
+            lcd.add_argument("--curve", default=None)
+            lcd.add_argument("--G", default=None)
+            lcd.add_argument("--allow-remark-family", action="store_true")
+            add_common(lcd)
+            lcd.set_defaults(func=cmd_code_lcd_check)
+        if mindist := add(code_sub, "mindist"):
+            mindist.add_argument("--curve", required=True)
+            mindist.add_argument("--G", required=True)
+            mindist.add_argument("--D", default="standard")
+            mindist.add_argument("--budget", type=int, default=DEFAULT_MINDIST_BUDGET)
+            add_common(mindist)
+            mindist.set_defaults(func=cmd_code_mindist)
 
-    verify = sub.add_parser("verify", help="bundled end-to-end checks")
-    verify_sub = verify.add_subparsers(dest="what", required=True)
-    pe = verify_sub.add_parser("paper-examples")
-    pe.add_argument("--which", default="all")
-    add_common(pe)
-    pe.set_defaults(func=cmd_verify)
+    if verify := add(sub, "verify", help="bundled end-to-end checks"):
+        verify_sub = verify.add_subparsers(dest="what", required=True)
+        if pe := add(verify_sub, "paper-examples"):
+            pe.add_argument("--which", default="all")
+            add_common(pe)
+            pe.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -451,7 +458,7 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 2, -1, -1):  # "--G -1*Pinf" reads as "--G=-1*Pinf"
         if argv[i] in ("--G", "--divisor", "--minus") and re.match(r"-[\dP]", argv[i + 1]):
             argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

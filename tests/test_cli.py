@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -235,7 +236,10 @@ def _call(capsys, argv):
     return (code,) + tuple(capsys.readouterr())
 
 
-def test_calls_in_one_process_share_only_the_parser(capsys, tmp_path):
+def test_each_call_parses_as_the_parser_of_every_command(capsys, tmp_path, monkeypatch):
+    """main() builds options only for the command its argv runs; every call
+    in one process, help and argparse errors included, prints what the
+    parser of every command prints, and no call leaves state to the next."""
     csv_path = tmp_path / "dual.csv"
     mindist = ["code", "mindist", "--curve", "hermitian-q2", "--G", "3*Pinf+1*P1"]
     build = ["code", "build", "--curve", "hermitian-q2", "--G", "3*Pinf+1*P1"]
@@ -249,13 +253,18 @@ def test_calls_in_one_process_share_only_the_parser(capsys, tmp_path):
         ["semigroup", "gamma", "--curve", "hermitian-q3", "--tuple", "1,2"],
         ["code", "lcd-check", "--construction", "hermitian"],  # no --q: exit 2
         ["code", "lcd-check", "--construction", "hermitian", "--q", "2"],
+        ["--help"], ["code", "--help"], ["semigroup", "--help"], ["verify", "-h"],
+        [], ["code"], ["bogus"], ["code", "bogus"], ["semigroup", "bogus"],
+        ["--pretty", "curve", "info"], ["code", "--pretty", "build"],
+        ["--", "curve", "info", "--curve", "hermitian-q2"],
+        ["rr", "basis", "--curve", "hermitian-q2", "--divisor", "-1*P1+3*Pinf"],
+        ["nonspecial", "--curve", "hermitian-q3", "--degree", "g-1", "--minus", "P1"],
+        ["verify", "paper-examples", "--which", "bogus"],
     ]
 
-    def run(fresh_parser):
+    def run():
         results = []
         for argv in sequence:
-            if fresh_parser:
-                cli._build_parser.cache_clear()
             result = _call(capsys, argv)
             if "--out" in argv:
                 result += (csv_path.read_bytes(),)
@@ -263,15 +272,34 @@ def test_calls_in_one_process_share_only_the_parser(capsys, tmp_path):
             results.append(result)
         return results
 
-    fresh = run(fresh_parser=True)
-    cli._build_parser.cache_clear()
-    shared = run(fresh_parser=False)
-    assert cli._build_parser.cache_info().misses == 1
-    assert shared == fresh
-    assert [r[0] for r in shared] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0]
-    assert json.loads(shared[0][1])["inputs"]["budget"] == 1
-    assert json.loads(shared[1][1])["inputs"]["budget"] == DEFAULT_MINDIST_BUDGET
-    assert shared[4][3].startswith(b"function,")
+    runs = run()
+    build_every_command = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: build_every_command())
+    assert runs == run()
+    assert [r[0] for r in runs[:11]] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0]
+    assert all(code == 0 and out.startswith("usage: ") for code, out, _ in runs[11:15])
+    assert json.loads(runs[0][1])["inputs"]["budget"] == 1
+    assert json.loads(runs[1][1])["inputs"]["budget"] == DEFAULT_MINDIST_BUDGET
+    assert runs[4][3].startswith(b"function,")
+
+
+def test_a_traced_call_after_a_plain_one_records_the_commands(capsys, monkeypatch):
+    """Each call binds its command when it runs: wrappers installed between
+    two calls see the second one."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from tracing import NAME, Tracer, layer_metrics
+
+    argv = ["code", "lcd-check", "--construction", "hermitian", "--q", "3"]
+    assert main(list(argv)) == 0
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert main(list(argv)) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert [s[NAME] for s in tracer.spans].count("cli.cmd_code_lcd_check") == 1
+    assert layer_metrics(tracer)["codes.hull_calls_per_cert"] == ("ratio", 3.0)
 
 
 @pytest.mark.parametrize("budget", ["-5", "0"])
