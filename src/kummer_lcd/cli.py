@@ -169,7 +169,8 @@ def cmd_semigroup(args) -> int:
         results["gaps"] = sorted(gap_set_single(curve))
     else:
         try:
-            indices = [int(t) for t in args.tuple.split(",")] if args.tuple else [1, 2]
+            indices = ([int(t) for t in args.tuple.split(",")]
+                       if args.tuple is not None else [1, 2])
         except ValueError as exc:
             raise ParseError(f"--tuple {args.tuple!r}: {exc}") from exc
         if len(set(indices)) != len(indices):
@@ -285,17 +286,13 @@ def cmd_code_lcd_check(args) -> int:
         raise ParseError(f"{args.construction} needs --q")
     elif args.q < 1 or (args.r is not None and args.r < 1):
         raise ParseError(f"--q and --r must be positive, got --q {args.q} --r {args.r}")
-    elif args.construction == "hermitian":
-        curve = builtin_curve(f"hermitian-q{args.q}")
-        divisors = construction_divisors("hermitian", curve, args.q)
-    elif args.construction == "curve1":
-        curve = builtin_curve(f"curve1-q{args.q}")
-        divisors = construction_divisors("curve1", curve, args.q)
+    elif args.construction == "curve2" and args.r is None:
+        raise ParseError("curve2 needs --r")
     else:
-        if args.r is None:
-            raise ParseError("curve2 needs --r")
-        curve = builtin_curve(f"curve2-q{args.q}-r{args.r}")
-        divisors = construction_divisors("curve2", curve, args.q, args.r)
+        curve = builtin_curve({"hermitian": f"hermitian-q{args.q}",
+                               "curve1": f"curve1-q{args.q}",
+                               "curve2": f"curve2-q{args.q}-r{args.r}"}[args.construction])
+        divisors = construction_divisors(args.construction, curve)
     runs = []
     all_lcd = True
     for G in divisors:
@@ -366,11 +363,11 @@ def _build_parser(argv=None) -> argparse.ArgumentParser:
 
     def add(subparsers, name, **kwargs):  # None for a command argv does not run
         if chosen is None or name in chosen:
-            return subparsers.add_parser(name, **kwargs)
-        subparsers.add_parser(name, add_help=False, **kwargs)
+            return subparsers.add_parser(name, allow_abbrev=False, **kwargs)
+        subparsers.add_parser(name, add_help=False, allow_abbrev=False, **kwargs)
 
     parser = argparse.ArgumentParser(
-        prog="kummer-lcd",
+        prog="kummer-lcd", allow_abbrev=False,
         description="Evaluation codes, hulls, and LCD constructions on "
                     "Kummer-type curves.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -36,6 +36,7 @@ from .curves import (AFFINE, Divisor, KummerCurve, Place, format_divisor,
 from .functions import (_check_dimension, _split_divisor, _term_bounds, ell,
                         index_of_specialty)
 from .gf import FieldSpec
+from .semigroup import nonspecial_degree_g
 
 __all__ = [
     "CodeProvenance",
@@ -513,9 +514,16 @@ def maxcur_family_check(curve: KummerCurve, allow_remark_family: bool = False):
     return None
 
 
+def _partner_total(curve: KummerCurve) -> Divisor:
+    """K = (2g + r - 2) Pinf + sum_i (N - 2) P_i, N the field size."""
+    N = curve.field.order
+    return Divisor([(Place.infinity(), 2 * curve.genus + curve.r - 2)]
+                   + [(Place.ramified(i), N - 2) for i in range(1, curve.r + 1)])
+
+
 def dual_partner_divisor(curve: KummerCurve, G: Divisor,
                          allow_remark_family: bool = False) -> Divisor:
-    """H with G + H = (2g + r - 2) Pinf + sum_i (N - 2) P_i, N the field size.
+    """H = K - G, K = (2g + r - 2) Pinf + sum_i (N - 2) P_i, N the field size.
 
     Valid on the maximal family (and, behind the flag, the Lewittes remark
     family); C(D, H) is then the Euclidean dual of C(D, G) for the standard D.
@@ -527,11 +535,7 @@ def dual_partner_divisor(curve: KummerCurve, G: Divisor,
     for place in G.support:
         if place.kind == AFFINE:
             raise ValueError("G must be supported on ramified places and Pinf")
-    N = curve.field.order
-    total = Divisor.of(Place.infinity(), 2 * curve.genus + curve.r - 2)
-    for i in range(1, curve.r + 1):
-        total = total + Divisor.of(Place.ramified(i), N - 2)
-    return total - G
+    return _partner_total(curve) - G
 
 
 @dataclass(frozen=True)
@@ -583,28 +587,21 @@ def lcd_construct_maxcur(curve: KummerCurve, G: Divisor,
     return code, LcdCertificate(G=G, H=H, gcdGH=A, checks=checks, family=family)
 
 
-def construction_divisors(kind: str, curve: KummerCurve, q: int,
-                          r: Optional[int] = None) -> list:
-    """The divisors G used by the bundled LCD constructions.
+def construction_divisors(kind: str, curve: KummerCurve) -> list:
+    """The divisors G of the bundled LCD constructions: A + (K[P] + 1) P.
 
-    hermitian: sum_{i<q} i P_i + (q^2 - 1) P, P the last ramified place or
-    Pinf (both variants returned). curve1: 2j multiplicities with the big
-    coefficient on the last ramified place. curve2: poles at Pinf plus
-    q^(r-1) j multiplicities.
+    A is the non-special divisor of degree g from ``nonspecial_degree_g``, K
+    the partner total of ``dual_partner_divisor`` and P a place A misses, so
+    gcd(G, K - G) = A - P has degree g - 1. P is the last ramified place or
+    Pinf for hermitian (both variants returned), the last ramified place for
+    curve1 and Pinf for curve2.
     """
-    if kind == "hermitian":
-        base = Divisor({Place.ramified(i): i for i in range(1, q)})
-        return [base + Divisor.of(Place.ramified(q), q * q - 1),
-                base + Divisor.of(Place.infinity(), q * q - 1)]
-    if kind == "curve1":
-        G = Divisor({Place.ramified(j): 2 * j for j in range(1, (q - 2) // 2 + 1)})
-        return [G + Divisor.of(Place.ramified(q // 2), q * q - 1)]
-    if kind == "curve2":
-        if r is None:
-            raise ValueError("curve2 needs the tower parameter r")
-        G = Divisor({Place.ramified(j): q ** (r - 1) * j for j in range(1, q)})
-        return [G + Divisor.of(Place.infinity(), (q ** r + 1) * (q - 1))]
-    raise ValueError(f"unknown construction {kind!r}")
+    last, inf = Place.ramified(curve.r), Place.infinity()
+    drop = {"hermitian": (last, inf), "curve1": (last,), "curve2": (inf,)}
+    if kind not in drop:
+        raise ValueError(f"unknown construction {kind!r}")
+    A, K = nonspecial_degree_g(curve), _partner_total(curve)
+    return [A + Divisor.of(P, K[P] + 1) for P in drop[kind]]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .curves import AFFINE, INFINITY, RAMIFIED, Divisor, KummerCurve, Place
-from .gf import FieldElement, ParseError, format_element, parse_element
+from .gf import FieldElement, ParseError, _ptrim, format_element, parse_element
 
 __all__ = [
     "FunctionElement",
@@ -47,12 +47,6 @@ MAX_RR_DIMENSION = 1 << 10
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over a FieldSpec (little-endian FieldElement lists)
-
-def _ptrim(c: list) -> list:
-    while c and c[-1].is_zero():
-        c.pop()
-    return c
-
 
 def _padd(a: Sequence[FieldElement], b: Sequence[FieldElement], spec) -> list:
     n = max(len(a), len(b))

@@ -161,8 +161,7 @@ class FieldSpec:
     p = 2 and a * (1 + b / a) through the Zech-log table log(1 + g^i) for odd p.
     """
 
-    def __init__(self, p: int, k: int = 1, modulus: Optional[Sequence[int]] = None,
-                 generator=None):
+    def __init__(self, p: int, k: int = 1, modulus: Optional[Sequence[int]] = None):
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if k < 1:
@@ -195,13 +194,7 @@ class FieldSpec:
             red.append(tuple(nxt))
             cur = nxt
         self._red = red
-        if generator is None:
-            gen_coeffs = self._find_generator()
-        else:
-            gen_coeffs = self._coerce_coeffs(generator)
-            if self._order_of(gen_coeffs) != self.units:
-                raise ValueError("generator does not have full multiplicative order")
-        self._build_tables(gen_coeffs)
+        self._build_tables(self._find_generator())
 
     # -- construction helpers ------------------------------------------------
 

@@ -156,7 +156,7 @@ def check_example1() -> List[Tuple[str, bool, str]]:
 def _construction_checks(kind: str, curve: KummerCurve, q: int, r=None,
                          expect_dim: int = 0, expect_n=None):
     checks = []
-    for variant, G in enumerate(construction_divisors(kind, curve, q, r)):
+    for variant, G in enumerate(construction_divisors(kind, curve)):
         code, cert = lcd_construct_maxcur(curve, G)
         tag = f"{kind}-q{q}" + (f"-r{r}" if r else "") + (f"-v{variant}" if variant else "")
         ok_dim = code is not None and code.k == expect_dim

@@ -63,14 +63,14 @@ def test_criterion_03_example1_dimensions(c1):
 
 def test_criterion_04_proposition_constructions(h2, h3, h4, c1, c2):
     ok = True
-    (G,) = construction_divisors("curve1", c1, 4)
+    (G,) = construction_divisors("curve1", c1)
     code, cert = lcd_construct_maxcur(c1, G)
     ok &= code.k == 16 and cert.lcd
-    (G,) = construction_divisors("curve2", c2, 2, 3)
+    (G,) = construction_divisors("curve2", c2)
     code, cert = lcd_construct_maxcur(c2, G)
     ok &= (code.n, code.k) == (126, 10) and cert.lcd
     for curve, q in ((h2, 2), (h3, 3), (h4, 4)):
-        for G in construction_divisors("hermitian", curve, q):
+        for G in construction_divisors("hermitian", curve):
             code, cert = lcd_construct_maxcur(curve, G)
             ok &= code.k == q * q and cert.lcd
     _report(4, "LCD constructions reach the stated dimensions", ok)

@@ -191,6 +191,13 @@ def test_semigroup_tuple_with_junk_is_a_parse_error(capsys):
     assert code == 2 and "parse error" in err
 
 
+def test_semigroup_empty_tuple_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "semigroup", "gamma", "--curve", "hermitian-q3",
+                             "--tuple=")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: --tuple '': ")
+
+
 @pytest.mark.parametrize("tuple_arg", ["a,b", "1,9", "1,2"])
 def test_semigroup_gaps_refuses_a_tuple(capsys, tuple_arg):
     code, out, err = run_cli(capsys, "semigroup", "gaps", "--curve", "hermitian-q2",
@@ -234,6 +241,21 @@ def _call(capsys, argv):
     except SystemExit as exc:
         code = exc.code
     return (code,) + tuple(capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["rr", "basis", "--curve", "hermitian-q2", "--div", "5*P1"], "required: --divisor"),
+    (["rr", "basis", "--curve", "hermitian-q2", "--div", "-5*P1"], "required: --divisor"),
+    (["code", "build", "--cur", "hermitian-q2", "--G", "4*Pinf"], "required: --curve"),
+    (["semigroup", "gamma", "--curve", "hermitian-q3", "--tup", "1,2"],
+     "unrecognized arguments: --tup 1,2"),
+    (["--he"], "required: command"),
+])
+def test_option_prefixes_are_not_options(capsys, argv, missing):
+    """An option is named in full, whether or not its value starts with "-"."""
+    code, out, err = _call(capsys, argv)
+    assert code == 2 and out == ""
+    assert missing in err
 
 
 def test_each_call_parses_as_the_parser_of_every_command(capsys, tmp_path, monkeypatch):
@@ -391,6 +413,15 @@ def test_hermitian_q7_lcd_check_bytes_are_pinned(capsys):
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "6428f8d4d72bc2f461bc82ff67a9a0c947b1d36bc0c6a5697538e345f4918e57")
+
+
+def test_curve1_q8_lcd_check_bytes_are_pinned(capsys):
+    # GF(64), n = 252: one certificate on the genus-12 curve, G on P_4
+    code, out, err = run_cli(capsys, "code", "lcd-check", "--construction",
+                             "curve1", "--q", "8")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7f97a361f43f23b17d3e61a932e784fe6c46a4ce76bd3b8d04b94d09c2a29e67")
 
 
 # Bytes of the matrix outputs, which read LinearCode.generator on demand.

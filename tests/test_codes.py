@@ -17,7 +17,7 @@ from kummer_lcd import (Divisor, GF, LinearCode, Place, build_code,
                         verify_hull_theorem)
 from kummer_lcd import codes
 from kummer_lcd.codes import MAX_MINDIST_BUDGET, _kernel
-from kummer_lcd.curves import AFFINE, hermitian_curve
+from kummer_lcd.curves import AFFINE, builtin_curve, gcd_divisor, hermitian_curve
 from kummer_lcd.gf import format_element_pretty
 from test_properties import SETTINGS, curves_with_divisor
 
@@ -430,7 +430,7 @@ def test_dual_partner_family_check(nt, h2):
 
 
 def test_lcd_construct_curve1(c1):
-    (G,) = construction_divisors("curve1", c1, 4)
+    (G,) = construction_divisors("curve1", c1)
     assert G == parse_divisor(c1, "2*P1+15*P2")
     code, cert = lcd_construct_maxcur(c1, G)
     assert code.k == 16 and cert.lcd and cert.family == "maximal"
@@ -438,7 +438,7 @@ def test_lcd_construct_curve1(c1):
 
 
 def test_lcd_construct_curve2(c2):
-    (G,) = construction_divisors("curve2", c2, 2, 3)
+    (G,) = construction_divisors("curve2", c2)
     assert G == parse_divisor(c2, "4*P1+9*Pinf")
     code, cert = lcd_construct_maxcur(c2, G)
     assert (code.n, code.k) == (126, 10)
@@ -450,10 +450,47 @@ def test_lcd_construct_curve2(c2):
 def test_lcd_construct_hermitian_corollary(q, request):
     curve = {2: "h2", 3: "h3", 4: "h4"}[q]
     curve = request.getfixturevalue(curve)
-    for G in construction_divisors("hermitian", curve, q):
+    for G in construction_divisors("hermitian", curve):
         code, cert = lcd_construct_maxcur(curve, G)
         assert code.k == q * q
         assert cert.lcd
+
+
+def table_divisors(kind, q, r=None):
+    """Second route: the per-construction formulas the rule replaced.
+
+    hermitian: sum_{i<q} i P_i + (q^2 - 1) P, P = P_q or Pinf. curve1: 2j
+    multiplicities and q^2 - 1 on P_{q/2}. curve2: q^(r-1) j multiplicities
+    and (q^r + 1)(q - 1) at Pinf.
+    """
+    if kind == "hermitian":
+        base = Divisor({Place.ramified(i): i for i in range(1, q)})
+        return [base + Divisor.of(Place.ramified(q), q * q - 1),
+                base + Divisor.of(Place.infinity(), q * q - 1)]
+    if kind == "curve1":
+        G = Divisor({Place.ramified(j): 2 * j for j in range(1, (q - 2) // 2 + 1)})
+        return [G + Divisor.of(Place.ramified(q // 2), q * q - 1)]
+    G = Divisor({Place.ramified(j): q ** (r - 1) * j for j in range(1, q)})
+    return [G + Divisor.of(Place.infinity(), (q ** r + 1) * (q - 1))]
+
+
+@pytest.mark.parametrize("kind,name,q,r", [
+    *(("hermitian", f"hermitian-q{q}", q, None) for q in (2, 3, 4, 5, 7, 8, 9)),
+    ("curve1", "curve1-q4", 4, None), ("curve1", "curve1-q8", 8, None),
+    *(("curve2", f"curve2-q{q}-r3", q, 3) for q in (2, 3, 4))])
+def test_construction_rule_reproduces_the_formulas(kind, name, q, r):
+    curve = builtin_curve(name)
+    divisors = construction_divisors(kind, curve)
+    assert divisors == table_divisors(kind, q, r)
+    A = nonspecial_degree_g(curve)
+    for G in divisors:
+        (P,) = [P for P in G.support if G[P] != A[P]]
+        assert gcd_divisor(G, dual_partner_divisor(curve, G)) == A - Divisor.of(P)
+
+
+def test_construction_divisors_refuses_an_unknown_kind(h2):
+    with pytest.raises(ValueError, match="unknown construction 'curve3'"):
+        construction_divisors("curve3", h2)
 
 
 def test_lcd_construct_remark_family():
