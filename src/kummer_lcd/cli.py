@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Reports go to stdout as JSON (add --pretty for tables). Exit codes: 0 on
-success, 1 when a mathematical precondition or an internal self-check fails
-(the message names it), 2 on parse or usage errors. KUMMER_LCD_SPEC_DIR sets
+Each command's handler returns a Report; ``main`` alone prints it to stdout
+as JSON (add --pretty for tables) and picks the exit code: 0 on success, 1
+when a check in the report fails, when a mathematical precondition or an
+internal self-check fails (the message names it) or, silently, when stdout
+closes early, 2 on parse or usage errors. KUMMER_LCD_SPEC_DIR sets
 a default directory for curve-spec lookups; builtin names like hermitian-q3
 work everywhere a spec path does.
 """
@@ -15,8 +17,9 @@ import json
 import os
 import re
 import sys
+from typing import NamedTuple, Optional, Sequence
 from . import reference_checks
-from .codes import (build_code, construction_divisors, dual, hull,
+from .codes import (LinearCode, build_code, construction_divisors, dual, hull,
                     lcd_construct_maxcur, min_distance, DEFAULT_MINDIST_BUDGET,
                     MAX_MINDIST_BUDGET)
 from .curves import (KummerCurve, builtin_curve, format_divisor,
@@ -45,6 +48,14 @@ def _resolve_curve(arg: str) -> KummerCurve:
             f"curve {arg!r}: no such file and not a builtin curve name")
 
 
+class Report(NamedTuple):
+    """What one command found; ``main`` names the command and prints it."""
+    inputs: dict
+    results: dict
+    checks: Sequence[dict] = ()  # a failed check makes the exit code 1
+    matrix: Optional[LinearCode] = None  # its generator follows a --pretty report
+
+
 def _emit(report: dict, pretty: bool) -> None:
     if pretty:
         _emit_pretty(report)
@@ -66,33 +77,30 @@ def _emit_pretty(report: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {value}")
 
 
-def _matrix_csv(path: str, code_or_rows, column_places, row_labels,
-                pretty_cells: bool = False) -> None:
-    fmt = format_element_pretty if pretty_cells else format_element
+def _matrix_csv(path: str, code: LinearCode) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["function"] + [
-            f"({format_element(p.a)},{format_element(p.b)})" for p in column_places])
-        for label, row in zip(row_labels, code_or_rows):
-            writer.writerow([label] + [fmt(x) for x in row])
+            f"({format_element(p.a)},{format_element(p.b)})" for p in code.column_labels])
+        for i, row in enumerate(code.generator):
+            writer.writerow([f"row{i}"] + [format_element(x) for x in row])
 
 
-def _print_matrix_pretty(rows, column_places, row_labels) -> None:
-    header = [""] + [f"({format_element_pretty(p.a)},{format_element_pretty(p.b)})"
-                     for p in column_places]
-    table = [header]
-    for label, row in zip(row_labels, rows):
-        table.append([label] + [format_element_pretty(x) for x in row])
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+def _print_matrix_pretty(code: LinearCode) -> None:
+    table = [[""] + [f"({format_element_pretty(p.a)},{format_element_pretty(p.b)})"
+                     for p in code.column_labels]]
+    for i, row in enumerate(code.generator):
+        table.append([f"row{i}"] + [format_element_pretty(x) for x in row])
+    widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
     for r in table:
         print("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
 
 
-def _code_report(code, cert=None, d=None) -> dict:
+def _code_report(code, cert=None) -> dict:
     report = {
         "n": code.n if code else None,
         "k": code.k if code else None,
-        "d": d,
+        "d": None,
         "hull_dim": hull(code).k if code else None,
         "lcd": (hull(code).k == 0) if code else False,
         "certificate": None,
@@ -110,57 +118,37 @@ def _code_report(code, cert=None, d=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its Report and prints nothing
 
-def cmd_curve_info(args) -> int:
+def cmd_curve_info(args) -> Report:
     curve = _resolve_curve(args.curve)
-    report = {
-        "command": "curve info",
-        "inputs": {"curve": args.curve},
-        "results": {
-            "label": curve.label,
-            "r": curve.r,
-            "m": curve.m,
-            "genus": curve.genus,
-            "num_rational_points": len(curve.rational_points()),
-            "deg_standard_D": curve.standard_D().degree,
-        },
-        "checks": [],
-    }
-    _emit(report, args.pretty)
-    return 0
+    return Report({"curve": args.curve}, {
+        "label": curve.label,
+        "r": curve.r,
+        "m": curve.m,
+        "genus": curve.genus,
+        "num_rational_points": len(curve.rational_points()),
+        "deg_standard_D": curve.standard_D().degree,
+    })
 
 
-def cmd_curve_points(args) -> int:
+def cmd_curve_points(args) -> Report:
     curve = _resolve_curve(args.curve)
-    report = {
-        "command": "curve points",
-        "inputs": {"curve": args.curve},
-        "results": {"points": [p.label() for p in curve.rational_points()]},
-        "checks": [],
-    }
-    _emit(report, args.pretty)
-    return 0
+    return Report({"curve": args.curve},
+                  {"points": [p.label() for p in curve.rational_points()]})
 
 
-def cmd_rr_basis(args) -> int:
+def cmd_rr_basis(args) -> Report:
     curve = _resolve_curve(args.curve)
     G = parse_divisor(curve, args.divisor)
     basis = riemann_roch_basis(curve, G)
-    report = {
-        "command": "rr basis",
-        "inputs": {"curve": args.curve, "divisor": format_divisor(G)},
-        "results": {
-            "dimension": basis.dimension,
-            "basis": [format_function(f) for f in basis.functions],
-        },
-        "checks": [],
-    }
-    _emit(report, args.pretty)
-    return 0
+    return Report({"curve": args.curve, "divisor": format_divisor(G)}, {
+        "dimension": basis.dimension,
+        "basis": [format_function(f) for f in basis.functions],
+    })
 
 
-def cmd_semigroup(args) -> int:
+def cmd_semigroup(args) -> Report:
     curve = _resolve_curve(args.curve)
     results: dict = {}
     if args.what == "gaps":
@@ -179,104 +167,53 @@ def cmd_semigroup(args) -> int:
             curve.ramified_place(i)
         results["tuple"] = indices
         results["gamma"] = sorted(gamma_plus_multi(curve, len(indices)))
-    report = {
-        "command": f"semigroup {args.what}",
-        "inputs": {"curve": args.curve, "tuple": args.tuple},
-        "results": results,
-        "checks": [],
-    }
-    _emit(report, args.pretty)
-    return 0
+    return Report({"curve": args.curve, "tuple": args.tuple}, results)
 
 
-def cmd_nonspecial(args) -> int:
+def cmd_nonspecial(args) -> Report:
     curve = _resolve_curve(args.curve)
     if args.degree == "g":
         divisor = nonspecial_degree_g(curve)
     else:
         P = parse_place(curve, args.minus or "Pinf")
         divisor = nonspecial_degree_g_minus_1(curve, P)
-    report = {
-        "command": "nonspecial",
-        "inputs": {"curve": args.curve, "degree": args.degree, "minus": args.minus},
-        "results": {
-            "divisor": format_divisor(divisor),
-            "degree": divisor.degree,
-            "ell": ell(curve, divisor),
-        },
-        "checks": [],
-    }
-    _emit(report, args.pretty)
-    return 0
+    return Report({"curve": args.curve, "degree": args.degree, "minus": args.minus}, {
+        "divisor": format_divisor(divisor),
+        "degree": divisor.degree,
+        "ell": ell(curve, divisor),
+    })
 
 
-def _build_from_args(args):
+def _build_from_args(args) -> LinearCode:
     curve = _resolve_curve(args.curve)
     if args.D != "standard":
         raise ParseError("only --D standard is supported")
-    G = parse_divisor(curve, args.G)
-    code = build_code(curve, curve.standard_D(), G)
-    return curve, code
+    return build_code(curve, curve.standard_D(), parse_divisor(curve, args.G))
 
 
-def cmd_code_build(args) -> int:
-    curve, code = _build_from_args(args)
-    report = {
-        "command": "code build",
-        "inputs": {"curve": args.curve, "G": args.G, "D": args.D},
-        "results": _code_report(code),
-        "checks": [],
-    }
-    labels = [f"row{i}" for i in range(code.k)]
+def cmd_code(args) -> Report:
+    """code build, dual and hull: C(D, G), its dual or its hull."""
+    code = _build_from_args(args)
+    if args.what == "hull":
+        shown = hull(code)
+        results = {"n": code.n, "k": code.k, "hull_dim": shown.k, "lcd": shown.k == 0}
+    else:
+        shown = code if args.what == "build" else dual(code)
+        results = _code_report(shown)
     if args.out:
-        _matrix_csv(args.out, code.generator, code.column_labels, labels)
-        report["results"]["matrix_csv"] = args.out
-    _emit(report, args.pretty)
-    if args.pretty:
-        _print_matrix_pretty(code.generator, code.column_labels, labels)
-    return 0
+        _matrix_csv(args.out, shown)
+        results["matrix_csv"] = args.out
+    return Report({"curve": args.curve, "G": args.G, "D": args.D}, results,
+                  matrix=shown if args.what == "build" else None)
 
 
-def cmd_code_dual(args) -> int:
-    curve, code = _build_from_args(args)
-    dual_code = dual(code)
-    report = {
-        "command": "code dual",
-        "inputs": {"curve": args.curve, "G": args.G, "D": args.D},
-        "results": _code_report(dual_code),
-        "checks": [],
-    }
-    if args.out:
-        _matrix_csv(args.out, dual_code.generator, dual_code.column_labels,
-                    [f"row{i}" for i in range(dual_code.k)])
-        report["results"]["matrix_csv"] = args.out
-    _emit(report, args.pretty)
-    return 0
-
-
-def cmd_code_hull(args) -> int:
-    curve, code = _build_from_args(args)
-    hull_code = hull(code)
-    report = {
-        "command": "code hull",
-        "inputs": {"curve": args.curve, "G": args.G, "D": args.D},
-        "results": {
-            "n": code.n,
-            "k": code.k,
-            "hull_dim": hull_code.k,
-            "lcd": hull_code.k == 0,
-        },
-        "checks": [],
-    }
-    if args.out:
-        _matrix_csv(args.out, hull_code.generator, hull_code.column_labels,
-                    [f"row{i}" for i in range(hull_code.k)])
-        report["results"]["matrix_csv"] = args.out
-    _emit(report, args.pretty)
-    return 0
-
-
-def cmd_code_lcd_check(args) -> int:
+def cmd_code_lcd_check(args) -> Report:
+    inapplicable = {"maxcur": ("q", "r"), "curve2": ("curve", "G")}.get(
+        args.construction, ("r", "curve", "G"))
+    for option in inapplicable:
+        if getattr(args, option) is not None:
+            raise ParseError(f"--{option} does not apply to --construction "
+                             f"{args.construction}")
     if args.construction == "maxcur":
         if not args.curve or not args.G:
             raise ParseError("maxcur needs --curve and --G")
@@ -293,65 +230,40 @@ def cmd_code_lcd_check(args) -> int:
                                "curve1": f"curve1-q{args.q}",
                                "curve2": f"curve2-q{args.q}-r{args.r}"}[args.construction])
         divisors = construction_divisors(args.construction, curve)
-    runs = []
-    all_lcd = True
-    for G in divisors:
-        code, cert = lcd_construct_maxcur(curve, G,
-                                          allow_remark_family=args.allow_remark_family)
-        runs.append(_code_report(code, cert))
-        all_lcd = all_lcd and cert.lcd
-    report = {
-        "command": "code lcd-check",
-        "inputs": {"construction": args.construction, "q": args.q, "r": args.r,
-                   "curve": args.curve, "G": args.G,
-                   "allow_remark_family": args.allow_remark_family},
-        "results": {"curve": curve.label, "runs": runs},
-        "checks": [{"name": f"lcd-{i}", "pass": run["certificate"]["lcd"],
-                    "detail": run["certificate"]["G"]}
-                   for i, run in enumerate(runs)],
-    }
-    _emit(report, args.pretty)
-    return 0 if all_lcd else 1
+    runs = [_code_report(*lcd_construct_maxcur(
+        curve, G, allow_remark_family=args.allow_remark_family)) for G in divisors]
+    return Report(
+        {"construction": args.construction, "q": args.q, "r": args.r,
+         "curve": args.curve, "G": args.G,
+         "allow_remark_family": args.allow_remark_family},
+        {"curve": curve.label, "runs": runs},
+        [{"name": f"lcd-{i}", "pass": run["certificate"]["lcd"],
+          "detail": run["certificate"]["G"]} for i, run in enumerate(runs)])
 
 
-def cmd_code_mindist(args) -> int:
+def cmd_code_mindist(args) -> Report:
     if args.budget < 1:
         raise ParseError(f"--budget must be at least 1, got {args.budget}")
     if args.budget > MAX_MINDIST_BUDGET:
         raise ParseError(f"--budget must be at most MAX_MINDIST_BUDGET = 2^32 = "
                          f"{MAX_MINDIST_BUDGET}, got {args.budget}")
-    curve, code = _build_from_args(args)
+    code = _build_from_args(args)
     result = min_distance(code, budget=args.budget)
-    report = {
-        "command": "code mindist",
-        "inputs": {"curve": args.curve, "G": args.G, "budget": args.budget},
-        "results": {
-            "n": code.n,
-            "k": code.k,
-            "d": result.d,
-            "exact": result.exact,
-            "designed_bound": result.designed_bound,
-        },
-        "checks": [],
-    }
-    _emit(report, args.pretty)
-    return 0
+    return Report({"curve": args.curve, "G": args.G, "budget": args.budget}, {
+        "n": code.n,
+        "k": code.k,
+        "d": result.d,
+        "exact": result.exact,
+        "designed_bound": result.designed_bound,
+    })
 
 
-def cmd_verify(args) -> int:
-    results = reference_checks.run_checks(args.which)
+def cmd_verify(args) -> Report:
     checks = [{"name": name, "pass": ok, "detail": detail}
-              for name, ok, detail in results]
-    ok_all = all(ok for _, ok, _ in results)
-    report = {
-        "command": "verify paper-examples",
-        "inputs": {"which": args.which},
-        "results": {"passed": sum(1 for _, ok, _ in results if ok),
-                    "failed": sum(1 for _, ok, _ in results if not ok)},
-        "checks": checks,
-    }
-    _emit(report, args.pretty)
-    return 0 if ok_all else 1
+              for name, ok, detail in reference_checks.run_checks(args.which)]
+    passed = sum(1 for check in checks if check["pass"])
+    return Report({"which": args.which},
+                  {"passed": passed, "failed": len(checks) - passed}, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +325,14 @@ def _build_parser(argv=None) -> argparse.ArgumentParser:
 
     if code := add(sub, "code", help="evaluation codes"):
         code_sub = code.add_subparsers(dest="what", required=True)
-        for name, func in (("build", cmd_code_build), ("dual", cmd_code_dual),
-                           ("hull", cmd_code_hull)):
+        for name in ("build", "dual", "hull"):
             if p := add(code_sub, name):
                 p.add_argument("--curve", required=True)
                 p.add_argument("--G", required=True)
                 p.add_argument("--D", default="standard")
                 p.add_argument("--out", default=None, help="write the matrix as CSV")
                 add_common(p)
-                p.set_defaults(func=func)
+                p.set_defaults(func=cmd_code)
         if lcd := add(code_sub, "lcd-check"):
             lcd.add_argument("--construction", required=True,
                              choices=["maxcur", "curve1", "curve2", "hermitian"])
@@ -456,8 +367,17 @@ def main(argv=None) -> int:
         if argv[i] in ("--G", "--divisor", "--minus") and re.match(r"-[\dP]", argv[i + 1]):
             argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = _build_parser(argv).parse_args(argv)
+    command = " ".join(filter(None, (args.command, getattr(args, "what", None))))
     try:
-        return args.func(args)
+        report = args.func(args)
+        _emit({"command": command, "inputs": report.inputs, "results": report.results,
+               "checks": list(report.checks)}, args.pretty)
+        if args.pretty and report.matrix is not None:
+            _print_matrix_pretty(report.matrix)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -467,6 +387,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"self-check failed: {exc}", file=sys.stderr)
         return 1
+    return 0 if all(check["pass"] for check in report.checks) else 1
 
 
 if __name__ == "__main__":

@@ -559,7 +559,8 @@ def lcd_construct_maxcur(curve: KummerCurve, G: Divisor,
     Every hypothesis (family membership, degree windows, gcd of degree g - 1
     and non-special) and every conclusion (numeric duality, trivial hull) is
     recomputed; a failing hypothesis comes back as a False flag rather than
-    an exception, with no LCD claim.
+    an exception, with no LCD claim. C(D, G) and C(D, H) are built only when
+    deg G, and then deg H, lie in [0, n); otherwise duality is not verified.
     """
     family = maxcur_family_check(curve, allow_remark_family)
     checks = {"family_supported": family is not None}
@@ -574,16 +575,11 @@ def lcd_construct_maxcur(curve: KummerCurve, G: Divisor,
     checks["degree_window"] = (2 * g - 2 < G.degree < n) and (2 * g - 2 < H.degree < n)
     checks["gcd_degree_is_g_minus_1"] = A.degree == g - 1
     checks["gcd_nonspecial"] = index_of_specialty(curve, A) == 0
-    code = None
-    if 0 <= G.degree < n:
-        code = build_code(curve, D, G)
-        code_H = build_code(curve, D, H)
-        checks["duality_verified"] = (_orthogonal(code, code_H)
-                                      and code.k + code_H.k == n)
-        checks["hull_trivial"] = hull(code).k == 0
-    else:
-        checks["duality_verified"] = False
-        checks["hull_trivial"] = False
+    code = build_code(curve, D, G) if 0 <= G.degree < n else None
+    code_H = build_code(curve, D, H) if code is not None and 0 <= H.degree < n else None
+    checks["duality_verified"] = (code_H is not None and _orthogonal(code, code_H)
+                                  and code.k + code_H.k == n)
+    checks["hull_trivial"] = code is not None and hull(code).k == 0
     return code, LcdCertificate(G=G, H=H, gcdGH=A, checks=checks, family=family)
 
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,8 @@ from kummer_lcd import parse_divisor, parse_function, builtin_curve
 from kummer_lcd import cli
 from kummer_lcd.cli import main
 from kummer_lcd.codes import DEFAULT_MINDIST_BUDGET
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -476,3 +481,133 @@ def test_code_build_pretty_output_is_pinned(capsys):
                              "--G", "3*Pinf+1*P1", "--pretty")
     assert code == 0 and err == ""
     assert out == PINNED_BUILD_PRETTY
+
+
+# Exit code and sha256 of stdout, stderr and the --out CSV (m.csv) of each
+# command, joined by NUL bytes. Any change here is a change to the CLI's
+# output and belongs in CHANGES.md.
+PINNED_DIGESTS = {
+    "curve info --curve hermitian-q3":
+        (0, "6fbc808424ca2504c2be1a755c5dd02452fcc4ed1b2724e706ad3b327f7971d7"),
+    "curve info --curve hermitian-q3 --pretty":
+        (0, "aab444247fd7d847948b4ff54c8e942c99f46bf8dc8b104b5512f1d48b213831"),
+    "curve points --curve hermitian-q2":
+        (0, "514fe29794690ddbfb10e8b32d2dc71ea8d9be9625cad2e5e0506083ff2a192f"),
+    "rr basis --curve hermitian-q2 --divisor 3*Pinf+1*P1":
+        (0, "f06531bc9703cab2c6f84a41e13549717f8f7ab537cc37347cae577aa3e3d548"),
+    "rr basis --curve hermitian-q2 --divisor 4*Pinf-1*P([1,0],[0,1])":
+        (0, "ca31ffaa1b9fa6e692a87b6a490a4dfc606cb59c8c4ebcfb421e2a2de02fea28"),
+    "semigroup gaps --curve norm-trace-q2-r3":
+        (0, "52b03c14acffd76eb71c1e1cbba7ed163d5acdab3bc82121c1f4432e68c72ac2"),
+    "semigroup gamma --curve hermitian-q3 --tuple 1,2,3":
+        (0, "e99e16bce4a627c97aba04fc3a01c0a3468a0d202de5f1a4d5638e673325dbbd"),
+    "nonspecial --curve hermitian-q3 --degree g":
+        (0, "0b6251fca7c5f8d6caaa74973fc7ecc2b9d0ee667ca1fe0573ff3036704b1479"),
+    "nonspecial --curve hermitian-q3 --degree g-1 --minus P3":
+        (0, "e794a64f703d4623b8ab6e58b11e56d67b4c0c1ef2312f279e29135b0082ad2f"),
+    "code build --curve hermitian-q3 --G 10*Pinf --pretty --out m.csv":
+        (0, "7ed4cc23e446aceb5161672ad6c9c275c17a7f5879d008ddc43a1c834c15d4de"),
+    "code dual --curve hermitian-q3 --G 10*Pinf --pretty --out m.csv":
+        (0, "d7f15701849e06f9e230b42e0e314dee8434969f8f7a7234351ab65747f0f394"),
+    "code hull --curve hermitian-q3 --G 9*Pinf --pretty --out m.csv":
+        (0, "8ac5a8dc4f8f52b042a896f4ff2496d7648e55bee5b0bf80a585824cf950f3ed"),
+    "code build --curve hermitian-q3 --G 10*Pinf --out m.csv":
+        (0, "f38ba492501c23353fb722ab8578efc01a7c0b8613f54379c6773c05868c965c"),
+    "code dual --curve curve1-q4 --G 15*Pinf":
+        (0, "d5d2c285d513aa98f1eee4b8c230d56595aeb17873c777f505f71320f94a534e"),
+    "code hull --curve hermitian-q3 --G 1*P1+2*P2+8*P3":
+        (0, "e39aff13c0009c480f06ffacb43dc0bae7670fbc5671cf836c767524ccf068c8"),
+    "code mindist --curve hermitian-q3 --G 1*P1+2*P2+8*P3":
+        (0, "148761b35eef74d199f90a2858175a0c06444b183400acbdc4bd47a660ba62e0"),
+    "code mindist --curve hermitian-q2 --G 3*Pinf+1*P1 --pretty":
+        (0, "3eeb8fe3dceb88b45d3bd51bb8ae267ece0cbc0358281c42d4809fef2bf151cc"),
+    "code lcd-check --construction hermitian --q 3":
+        (0, "0922401018d8f6afc204b458f96dec8aa02aa29a2e98af5a7044835813198e78"),
+    "code lcd-check --construction hermitian --q 2 --pretty":
+        (0, "a959669deee463861aef43b615c9af418a7e9ecfbca6d438344288dd511181fa"),
+    "code lcd-check --construction curve1 --q 4":
+        (0, "ac027d2d10f560a7eafbfd2279b09059958041421b7a4d1e8488394003ed3122"),
+    "code lcd-check --construction curve2 --q 2 --r 3":
+        (0, "0feb813716a49e22a4e5ad2ad8a7de2732307b0c9fe7e80e39d8def815eaab74"),
+    "code lcd-check --construction maxcur --curve hermitian-q2 --G 3*Pinf+1*P1":
+        (0, "579ed056ad290d1f165a13140c8932a63b6ac453d5f2074be6da839f15d9dc44"),
+    "code lcd-check --construction maxcur --curve hermitian-q2 --G 5*P1+1*P2":
+        (1, "3654cb04e03b29db4ce6f20cb16dab61c8c1b4da0fb2e86b77f7ffddf7918930"),
+    "verify paper-examples --which all":
+        (0, "8a0e9a3369ca768a1c315ff028493bd485071d6ed7f055ae0d9fd6557c3f24c9"),
+    "verify paper-examples --which hermitian-q2 --pretty":
+        (0, "9eb91dc9c22811c906e9adb93935480def4cdb743ead05e54d3ae458d958d0a2"),
+    "rr basis --curve hermitian-q2 --divisor junk":
+        (2, "f3f3ad6e57363189274e4328d72513535ced58a08c196f0fbad719e9defd6851"),
+    "code build --curve hermitian-q2 --G 7*Pinf":
+        (1, "df2be7e791483f5bd538489ab513a24fd2cb8bff0b74269a628abed045241517"),
+    "code hull --curve hermitian-q2":
+        (2, "8fd68e6822658246ead58ad701682c13170640d1d10de706cc60682f2d8fa281"),
+    "code mindist --curve hermitian-q2 --G 3*Pinf --budget 0":
+        (2, "bf081fd6a07b1602579452efdc299eed2d15df79a25f6098bc889fad76a42efa"),
+    "code lcd-check --construction curve2 --q 2":
+        (2, "573776f0942650a409b0c800536ae0f606454b3177e3d9c3b26a8d88ff27d55d"),
+    "curve info --curve missing.json":
+        (2, "122b135794dba19f68cbec264e4ab536e96523321d8dccf5c0a39f129920c603"),
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_DIGESTS))
+def test_command_bytes_are_pinned(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _call(capsys, command.split())
+    csv_bytes = (tmp_path / "m.csv").read_bytes() if "--out" in command else b""
+    digest = hashlib.sha256(f"{code}\0{out}\0{err}\0".encode() + csv_bytes).hexdigest()
+    assert (code, digest) == PINNED_DIGESTS[command]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["hermitian", "--q", "2", "--r", "5"], "--r"),
+    (["curve1", "--q", "4", "--r", "1"], "--r"),
+    (["curve1", "--q", "4", "--G", "3*Pinf"], "--G"),
+    (["hermitian", "--q", "2", "--curve", "hermitian-q2"], "--curve"),
+    (["curve2", "--q", "2", "--r", "3", "--curve", "hermitian-q2"], "--curve"),
+    (["curve2", "--q", "2", "--r", "3", "--G", "3*Pinf"], "--G"),
+    (["maxcur", "--curve", "hermitian-q2", "--G", "3*Pinf+1*P1", "--q", "7"], "--q"),
+    (["maxcur", "--curve", "hermitian-q2", "--G", "3*Pinf+1*P1", "--r", "1"], "--r"),
+])
+def test_lcd_check_refuses_an_option_its_construction_ignores(capsys, argv, option):
+    code, out, err = run_cli(capsys, "code", "lcd-check", "--construction", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {option} does not apply to --construction {argv[0]}\n"
+
+
+def test_maxcur_partner_above_the_length_prints_a_false_certificate(capsys):
+    # deg G = 3 <= 2g - 2 on hermitian-q3 gives deg H = 25 >= n = 24
+    code, out, err = run_cli(capsys, "code", "lcd-check", "--construction", "maxcur",
+                             "--curve", "hermitian-q3", "--G", "3*Pinf")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    run = report["results"]["runs"][0]
+    assert (run["n"], run["k"], run["hull_dim"], run["lcd"]) == (24, 2, 2, False)
+    assert run["certificate"]["H"] == "7*P1+7*P2+7*P3+4*Pinf"
+    assert run["certificate"]["checks"]["duality_verified"] is False
+    assert report["checks"] == [{"name": "lcd-0", "pass": False, "detail": "3*Pinf"}]
+
+
+@pytest.mark.parametrize("curve, head", [("hermitian-q16", b'{\n  "com'), ("hermitian-q2", b"")])
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(curve, head):
+    """hermitian-q16 prints 196 kB of point labels, more than a pipe holds, so
+    a write meets the end closed after a few bytes; the 318 bytes of
+    hermitian-q2 meet an end closed before the run at main's own flush. The
+    child's stdout is block buffered, as it is by default on a pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    reader = os.fdopen(read_end, "rb")
+    if not head:
+        reader.close()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kummer_lcd.cli", "curve", "points", "--curve", curve],
+        stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    if head:
+        assert reader.read(len(head)) == head
+        reader.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")

@@ -519,6 +519,18 @@ def test_lcd_construct_failing_hypothesis_flags(h2):
     assert not cert.checks["degree_window"]
 
 
+@pytest.mark.parametrize("G_text, k", [("3*Pinf", 2), ("0*Pinf", 1), ("-1*Pinf", None)])
+def test_lcd_construct_partner_above_the_length_is_a_false_flag(h3, G_text, k):
+    # deg G <= 2g - 2 = 4 puts deg H = 2g - 2 + n - deg G at n = 24 or above:
+    # C(D, H) is not built, and C(D, G) only when 0 <= deg G
+    G = parse_divisor(h3, G_text)
+    code, cert = lcd_construct_maxcur(h3, G)
+    assert cert.H.degree >= 24 and not cert.lcd
+    assert (code.k if code else None) == k
+    assert not any(cert.checks[name] for name in
+                   ("degree_window", "duality_verified", "hull_trivial"))
+
+
 def test_dimension_law_over_recipe(family):
     for curve in family:
         A = nonspecial_degree_g(curve)
