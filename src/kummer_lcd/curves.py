@@ -15,8 +15,8 @@ import math
 import re
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
-from .gf import (FieldElement, FieldSpec, GF, ParseError, format_element,
-                 parse_element, solve_additive)
+from .gf import (FieldElement, FieldSpec, GF, ParseError, _parse_int, _split_top,
+                 format_element, parse_element, solve_additive)
 
 __all__ = [
     "Divisor",
@@ -377,22 +377,45 @@ def builtin_curve(name: str) -> KummerCurve:
 # ---------------------------------------------------------------------------
 # curve-spec files
 
+def _ints(value) -> bool:
+    return isinstance(value, list) and all(type(c) is int for c in value)
+
+
+# what each curve-spec key must hold; a missing modulus or label takes its default
+_SPEC_VALUES = {
+    "p": ("an integer", lambda v: type(v) is int),
+    "k": ("an integer", lambda v: type(v) is int),
+    "m": ("an integer", lambda v: type(v) is int),
+    "alphas": ("a list of integers, element texts or integer lists",
+               lambda v: isinstance(v, list) and all(type(a) in (int, str) or _ints(a)
+                                                     for a in v)),
+    "modulus": ("a list of integers", lambda v: v is None or _ints(v)),
+    "label": ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def curve_from_spec(spec: Mapping) -> KummerCurve:
     """Build a curve from the JSON curve-spec schema.
 
     Schema: {"p": int, "k": int, "modulus": [c0..ck] (optional), "m": int,
-             "alphas": [[c0..], ...], "label": str (optional)}.
+             "alphas": [alpha, ...], "label": str (optional)}, where an alpha
+    is an int, element text such as "a^2", or a coefficient list [c0..].
+    A missing key or a value of the wrong type is a ParseError naming the key.
     """
+    if not isinstance(spec, Mapping):
+        raise ParseError("malformed curve spec: not a JSON object")
+    spec = {"modulus": None, "label": "", **spec}
+    for key, (kind, valid) in _SPEC_VALUES.items():
+        if key not in spec:
+            raise ParseError(f"malformed curve spec: missing key {key!r}")
+        if not valid(spec[key]):
+            raise ParseError(f"malformed curve spec: {key!r} must be {kind}")
+    field = FieldSpec(spec["p"], spec["k"], spec["modulus"])
     try:
-        p = int(spec["p"])
-        k = int(spec["k"])
-        m = int(spec["m"])
-        alphas = spec["alphas"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed curve spec: {exc}") from exc
-    modulus = spec.get("modulus")
-    field = FieldSpec(p, k, modulus)
-    return KummerCurve(field, alphas, m, label=str(spec.get("label", "")))
+        alphas = [field.element(a) for a in spec["alphas"]]
+    except ValueError as exc:
+        raise ParseError(f"malformed curve spec: 'alphas': {exc}") from exc
+    return KummerCurve(field, alphas, spec["m"], label=spec["label"])
 
 
 def load_curve_spec(path: str) -> KummerCurve:
@@ -421,53 +444,26 @@ def format_divisor(d: Divisor) -> str:
     return "".join(parts)
 
 
-def _split_signed_terms(s: str):
-    terms = []
-    depth = 0
-    current = ""
-    sign = 1
-    for ch in s:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch in "+-" and current.strip():
-            terms.append((sign, current.strip()))
-            sign = 1 if ch == "+" else -1
-            current = ""
-        elif depth == 0 and ch in "+-" and not current.strip():
-            sign *= 1 if ch == "+" else -1
-        else:
-            current += ch
-    if current.strip():
-        terms.append((sign, current.strip()))
-    return terms
-
-
 def parse_place(curve: KummerCurve, text: str) -> Place:
     s = text.strip()
     if s in ("Pinf", "P_inf", "Pinfinity"):
         return Place.infinity()
     match = re.match(r"^P(\d+)$", s)
     if match:
-        return curve.ramified_place(int(match.group(1)))
+        index = int(match.group(1))
+        if not 1 <= index <= curve.r:
+            raise ParseError(f"ramified index {index} out of range 1..{curve.r}")
+        return Place.ramified(index)
     match = re.match(r"^P\((.+)\)$", s)
-    if match:
-        body = match.group(1)
-        depth = 0
-        for i, ch in enumerate(body):
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                a = parse_element(curve.field, body[:i])
-                b = parse_element(curve.field, body[i + 1:])
-                if not curve.is_on_curve(a, b):
-                    raise ValueError(f"point {text} does not lie on {curve.label}")
-                return Place.affine(a, b)
+    if not match:
+        raise ParseError(f"bad place {text!r}")
+    coords = _split_top(match.group(1), ",")
+    if len(coords) != 3:
         raise ParseError(f"bad affine place {text!r}")
-    raise ParseError(f"bad place {text!r}")
+    a, b = (parse_element(curve.field, c) for c in coords[::2])
+    if not curve.is_on_curve(a, b):
+        raise ValueError(f"point {text} does not lie on {curve.label}")
+    return Place.affine(a, b)
 
 
 def parse_divisor(curve: KummerCurve, text: str) -> Divisor:
@@ -475,16 +471,14 @@ def parse_divisor(curve: KummerCurve, text: str) -> Divisor:
     s = text.strip()
     if s == "0":
         return Divisor.zero()
-    total = Divisor.zero()
-    for sign, term in _split_signed_terms(s):
-        if "*" in term:
-            coeff_text, _, place_text = term.partition("*")
-            try:
-                coeff = int(coeff_text.strip())
-            except ValueError as exc:
-                raise ParseError(f"bad divisor coefficient in {term!r}") from exc
-        else:
-            coeff, place_text = 1, term
-        place = parse_place(curve, place_text)
-        total = total + Divisor.of(place, sign * coeff)
+    total, sign, pieces = Divisor.zero(), 1, _split_top(s, "[+-]")
+    for cut, term in zip(["+"] + pieces[1::2], pieces[::2]):
+        # a run of signs multiplies out, as in +-1*P1; a trailing sign is dropped
+        sign *= -1 if cut == "-" else 1
+        term = term.strip()
+        if term:
+            coeff_text, place_text = term.split("*", 1) if "*" in term else ("1", term)
+            coeff = _parse_int(coeff_text.strip(), f"bad divisor coefficient in {term!r}")
+            total = total + Divisor.of(parse_place(curve, place_text), sign * coeff)
+            sign = 1
     return total

@@ -20,11 +20,13 @@ imposed by one linear constraint each.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .curves import AFFINE, INFINITY, RAMIFIED, Divisor, KummerCurve, Place
-from .gf import FieldElement, ParseError, _ptrim, format_element, parse_element
+from .gf import (FieldElement, ParseError, _parse_int, _ptrim, _split_top, format_element,
+                 parse_element)
 
 __all__ = [
     "FunctionElement",
@@ -469,38 +471,9 @@ def format_function(f: FunctionElement) -> str:
     return " + ".join(parts)
 
 
-def _match_paren(s: str, start: int) -> int:
-    """Index just past the parenthesized group opening at s[start] == '('."""
-    depth = 0
-    for i in range(start, len(s)):
-        if s[i] == "(":
-            depth += 1
-        elif s[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    raise ParseError(f"unbalanced parentheses in {s!r}")
-
-
-def _split_top_plus(s: str):
-    parts = []
-    depth = 0
-    cur = ""
-    i = 0
-    while i < len(s):
-        if s[i] in "([":
-            depth += 1
-        elif s[i] in ")]":
-            depth -= 1
-        if depth == 0 and s[i:i + 3] == " + ":
-            parts.append(cur)
-            cur = ""
-            i += 3
-            continue
-        cur += s[i]
-        i += 1
-    parts.append(cur)
-    return parts
+# a term x^t*(numerator)/(denominator) and a denominator factor (y-alpha)^d
+_TERM = re.compile(r"x\^(\d+)(?:\*\(([^()]*)\))?(?:/\(((?:[^()]|\([^()]*\))*)\))?", re.S)
+_FACTOR = re.compile(r"\(y-([^()]*)\)\^(.*)", re.S)
 
 
 def parse_function(curve: KummerCurve, text: str) -> FunctionElement:
@@ -510,52 +483,31 @@ def parse_function(curve: KummerCurve, text: str) -> FunctionElement:
         return FunctionElement.zero(curve)
     spec = curve.field
     total = FunctionElement.zero(curve)
-    for part in _split_top_plus(s):
-        part = part.strip()
-        if not part.startswith("x^"):
-            raise ParseError(f"bad function term {part!r}")
-        i = 2
-        while i < len(part) and part[i].isdigit():
-            i += 1
-        t = int(part[2:i])
-        rest = part[i:]
+    for part in _split_top(s, r" \+ ")[::2]:
+        term = _TERM.fullmatch(part.strip())
+        if not term:
+            raise ParseError(f"bad function term {part.strip()!r}")
+        t_text, num_text, den_text = term.groups()
         num = [spec.one]
-        dens = (0,) * curve.r
-        if rest.startswith("*("):
-            end = _match_paren(rest, 1)
-            poly_text = rest[2:end - 1]
-            rest = rest[end:]
+        if num_text is not None:
             coeffs: Dict[int, FieldElement] = {}
-            for mono in _split_top_plus(poly_text):
+            for mono in _split_top(num_text, r" \+ ")[::2]:
                 mono = mono.strip()
                 coeff_text, _, power_text = mono.rpartition("*y^")
                 if not coeff_text:
                     raise ParseError(f"bad polynomial term {mono!r}")
-                coeffs[int(power_text)] = parse_element(spec, coeff_text)
-            top = max(coeffs)
-            num = [coeffs.get(k, spec.zero) for k in range(top + 1)]
-        if rest.startswith("/("):
-            end = _match_paren(rest, 1)
-            den_text = rest[2:end - 1]
-            rest = rest[end:]
-            exps = [0] * curve.r
-            for factor in den_text.split("*"):
-                factor = factor.strip()
-                match_end = _match_paren(factor, 0)
-                inner = factor[1:match_end - 1]
-                if not inner.startswith("y-"):
-                    raise ParseError(f"bad denominator factor {factor!r}")
-                alpha = parse_element(spec, inner[2:])
-                if factor[match_end:match_end + 1] != "^":
-                    raise ParseError(f"bad denominator factor {factor!r}")
-                exp = int(factor[match_end + 1:])
-                try:
-                    idx = curve.alphas.index(alpha)
-                except ValueError as exc:
-                    raise ParseError(f"{alpha} is not a root of the curve") from exc
-                exps[idx] += exp
-            dens = tuple(exps)
-        if rest.strip():
-            raise ParseError(f"trailing junk in function term {part!r}")
-        total = total + FunctionElement(curve, {t: (tuple(num), dens)})
+                power = _parse_int(power_text, f"bad polynomial term {mono!r}")
+                coeffs[power] = parse_element(spec, coeff_text)
+            num = [coeffs.get(k, spec.zero) for k in range(max(coeffs) + 1)]
+        exps = [0] * curve.r
+        for factor in _split_top(den_text, r"\*")[::2] if den_text is not None else ():
+            bad = f"bad denominator factor {factor.strip()!r}"
+            match = _FACTOR.fullmatch(factor.strip())
+            if not match:
+                raise ParseError(bad)
+            alpha = parse_element(spec, match.group(1))
+            if alpha not in curve.alphas:
+                raise ParseError(f"{alpha} is not a root of the curve")
+            exps[curve.alphas.index(alpha)] += _parse_int(match.group(2), bad)
+        total = total + FunctionElement(curve, {int(t_text): (tuple(num), tuple(exps))})
     return total

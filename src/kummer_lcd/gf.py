@@ -14,6 +14,7 @@ only in the text forms and while the generator and the tables are found.
 from __future__ import annotations
 
 import operator
+import re
 from typing import Optional, Sequence
 
 __all__ = [
@@ -33,6 +34,29 @@ MAX_FIELD_SIZE = 1 << 16
 
 class ParseError(ValueError):
     """A text form (element, divisor, function, ...) failed to parse."""
+
+
+def _split_top(text: str, sep: str) -> list:
+    """re.split(f"({sep})", text), cutting only at the matches of the regex
+    sep that lie outside () and []: [piece, cut, piece, ..., cut, piece]."""
+    pieces, depth, start = [], 0, 0
+    for match in re.finditer(r"[(\[]|[)\]]|" + sep, text):
+        cut = match.group()
+        if cut in "([":
+            depth += 1
+        elif cut in ")]":
+            depth -= 1
+        elif not depth:
+            pieces += [text[start:match.start()], cut]
+            start = match.end()
+    return pieces + [text[start:]]
+
+
+def _parse_int(text: str, message: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(message) from exc
 
 
 def _is_prime(n: int) -> bool:
@@ -520,14 +544,10 @@ def format_element_pretty(x: FieldElement) -> str:
 
 def parse_element(spec: FieldSpec, text: str) -> FieldElement:
     """Parse the bracket form or the aliases 0, 1, a, a^j."""
-    s = text.strip()
+    s, bad = text.strip(), f"bad field element {text!r}"
     if s.startswith("[") and s.endswith("]"):
         body = s[1:-1].strip()
-        parts = [t.strip() for t in body.split(",")] if body else []
-        try:
-            coeffs = [int(t) for t in parts]
-        except ValueError as exc:
-            raise ParseError(f"bad field element {text!r}") from exc
+        coeffs = [_parse_int(t.strip(), bad) for t in body.split(",")] if body else []
         if len(coeffs) != spec.k:
             raise ParseError(
                 f"field element {text!r} needs exactly {spec.k} coefficients")
@@ -535,13 +555,5 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
     if s == "a":
         return spec.generator
     if s.startswith("a^"):
-        try:
-            e = int(s[2:])
-        except ValueError as exc:
-            raise ParseError(f"bad field element {text!r}") from exc
-        return spec.generator ** e
-    try:
-        value = int(s)
-    except ValueError as exc:
-        raise ParseError(f"bad field element {text!r}") from exc
-    return spec.element(value)
+        return spec.generator ** _parse_int(s[2:], bad)
+    return spec.element(_parse_int(s, bad))

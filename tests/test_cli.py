@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kummer_lcd import parse_divisor, parse_function, builtin_curve
+from kummer_lcd import builtin_curve, load_curve_spec, parse_divisor, parse_function
 from kummer_lcd import cli
 from kummer_lcd.cli import main
 from kummer_lcd.codes import DEFAULT_MINDIST_BUDGET
@@ -176,6 +176,55 @@ def test_exit_codes(capsys):
         code, out, err = run_cli(capsys, "code", "lcd-check", "--construction", *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("parse error: --q and --r must be positive"), argv
+    # a ramified index outside 1..r is malformed text, not a failed precondition
+    for argv, r in ((["semigroup", "gamma", "--curve", "hermitian-q3", "--tuple", "1,9"], 3),
+                    (["nonspecial", "--curve", "hermitian-q3", "--degree", "g-1",
+                      "--minus", "P9"], 3),
+                    (["code", "build", "--curve", "hermitian-q2", "--G", "3*P9"], 2)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"parse error: ramified index 9 out of range 1..{r}\n", argv
+    code, out, err = run_cli(capsys, "nonspecial", "--curve", "hermitian-q3",
+                             "--degree", "g-1", "--minus", "P0")
+    assert (code, out, err) == (2, "", "parse error: ramified index 0 out of range 1..3\n")
+
+
+GOOD_SPEC = {"p": 2, "k": 2, "modulus": [1, 1, 1], "m": 3,
+             "alphas": [[0, 0], [1, 0]], "label": "hermitian-q2"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alphas", 5), ("alphas", [None, [1, 0]]), ("alphas", [[0, 0], [1, "x"]]),
+    ("alphas", [[0.5, 0], [1, 0]]), ("alphas", ["b", "a"]), ("alphas", [[0, 0, 0], [1, 0]]),
+    ("modulus", "ab"), ("modulus", [1, 1, 1.9]), ("p", "2"), ("p", True), ("k", 2.0),
+    ("m", None), ("label", 5),
+])
+def test_malformed_curve_spec_is_a_parse_error(capsys, tmp_path, key, value):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**GOOD_SPEC, key: value}))
+    code, out, err = run_cli(capsys, "curve", "info", "--curve", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: malformed curve spec: {key!r}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"modulus": [1, 0, 1]}, "modulus [1, 0, 1] is reducible over GF(2)"),
+    ({"alphas": [[1, 0], [1, 0]]}, "duplicate roots in the defining product"),
+    ({"p": 4}, "characteristic 4 is not prime"),
+])
+def test_curve_spec_that_fails_mathematically_exits_1(capsys, tmp_path, change, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**GOOD_SPEC, **change}))
+    code, out, err = run_cli(capsys, "curve", "info", "--curve", str(path))
+    assert (code, out, err) == (1, "", f"precondition violated: {message}\n")
+
+
+@pytest.mark.parametrize("name", ["curve1-q4", "curve2-q2-r3", "hermitian-q2",
+                                  "hermitian-q3", "hermitian-q4", "norm-trace-q2-r3"])
+def test_bundled_spec_files_load(name):
+    spec_file = Path(__file__).resolve().parent.parent / "specs" / f"{name}.json"
+    assert load_curve_spec(str(spec_file)) == builtin_curve(name)
 
 
 def test_json_output_is_deterministic(capsys):
