@@ -1,15 +1,10 @@
 """Evaluation codes C(D, G), duals, hulls, LCD certificates, minimum distance.
 
-All matrix work goes through one kernel, ``_Kernel``: numpy int32 arrays of
-field elements packed as base-p integers (``FieldElement.n``). A product is
-one gather in the field's extended exp/log tables. A sum is XOR when p = 2;
-for odd p it is one gather in a q x q sum table while q^2 <= 2^21, and
-digit-wise addition mod p above that. A long odd-p sum (``total``) adds the
-digits in carry-free bit lanes of an int64 and reduces mod p once per lane
-and segment. Row reduction is one elimination pass per pivot. The kernel
-evaluates L(G) bases in the log domain (``build_code`` straight from the
-exponents), row reduces, takes nullspaces and forms G * H^T for
-orthogonality. A ``LinearCode`` is its packed RREF array, and
+All matrix work goes through the kernel of ``gf`` (``_kernel``), on numpy
+arrays of packed elements. ``build_code`` takes the values of an L(G) basis
+from ``functions``, which evaluates it in the log domain straight from the
+exponents, and ``evaluation_matrix`` evaluates any functions through the same
+evaluator. A ``LinearCode`` is its packed RREF array, and
 ``evaluation_matrix`` and ``LinearCode.from_rows`` speak packed arrays too;
 ``FieldElement`` rows appear only when ``LinearCode.generator`` is read, for
 printing. Duality is always established numerically, by orthogonality plus
@@ -33,9 +28,8 @@ import numpy as np
 
 from .curves import (AFFINE, Divisor, KummerCurve, Place, format_divisor,
                      gcd_divisor)
-from .functions import (_check_dimension, _split_divisor, _term_bounds, ell,
-                        index_of_specialty)
-from .gf import FieldSpec
+from .functions import _basis_rows, _coords, _monomial_logs, ell, index_of_specialty
+from .gf import _DTYPE, FieldSpec, _kernel
 from .semigroup import nonspecial_degree_g
 
 __all__ = [
@@ -67,129 +61,9 @@ DEFAULT_MINDIST_BUDGET = 1 << 24
 # messages
 MAX_MINDIST_BUDGET = 1 << 32
 
-# dtype of packed elements (below q <= 2^16); logs are np.intp, which
-# indexes without a conversion and holds the exponent sums of evaluation
-_DTYPE = np.int32
-# cells of the largest intermediate array G * H^T builds at once
-_DOT_CHUNK_CELLS = 1 << 16
 # cells of the largest table min_distance holds at once: the combinations of
 # the tail rows on the non-pivot columns and a head vector added to them
 _MINDIST_TABLE_CELLS = 1 << 21
-# largest odd-p sum table the kernel builds, q^2 cells; larger fields add
-# digit by digit
-_ADD_TABLE_CELLS = 1 << 21
-
-
-# ---------------------------------------------------------------------------
-# the matrix kernel: exact arithmetic on numpy arrays of packed elements
-
-class _Kernel:
-    """Vectorised GF(p^k) arithmetic, row reduction and products.
-
-    ``log``, ``exp`` and ``neg`` are the field's own tables as arrays, so
-    ``exp[log[a] + log[b]]`` is a * b for every pair, zero included, with no
-    reduction mod q - 1 and no mask. ``add`` is XOR for p = 2, a gather in
-    the q^2-cell table of sums for odd p while q^2 <= ``_ADD_TABLE_CELLS``,
-    and the digit-wise sum above that. For odd p, the int64 ``spread[n]`` has
-    digit i of n at bit ``bits * i``: a sum of up to ``seg`` of them adds each
-    digit in its own lane with no carry, and shift, mask and mod p read it.
-    """
-
-    def __init__(self, spec: FieldSpec):
-        p, q = spec.p, spec.order
-        self.p = p
-        self.units = spec.units
-        self.log = np.array(spec.log, dtype=np.intp)
-        self.exp = np.array(spec.exp, dtype=_DTYPE)
-        self.neg = np.array(spec.neg, dtype=_DTYPE)
-        self.weights = [p ** i for i in range(spec.k)]
-        if p == 2:
-            self.add = np.bitwise_xor
-            return
-        self.bits = min(62, 63 // spec.k)
-        self.seg = ((1 << self.bits) - 1) // (p - 1)
-        values = np.arange(q, dtype=np.int64)
-        self.spread = sum(values // w % p << self.bits * i
-                          for i, w in enumerate(self.weights))
-        if q * q <= _ADD_TABLE_CELLS:
-            sums = self._digit_add(values[:, None], values[None, :]).ravel()
-            self.add = lambda a, b: sums[a * q + b]
-        else:
-            self.add = self._digit_add
-
-    def mul(self, a, b):
-        return self.exp[self.log[a] + self.log[b]]
-
-    def _digits(self, lanes):
-        """The packed element whose digit i is lane i of lanes, mod p."""
-        mask = (1 << self.bits) - 1
-        return sum((lanes >> self.bits * i & mask) % self.p * w
-                   for i, w in enumerate(self.weights)).astype(_DTYPE)
-
-    def _digit_add(self, a, b):
-        return self._digits(self.spread[a] + self.spread[b])
-
-    def total(self, a, axis: int):
-        """Field sum of a along one axis; for odd p, lane sums of ``seg`` terms
-        folded together with ``add``."""
-        if self.p == 2:
-            return np.bitwise_xor.reduce(a, axis=axis)
-        spread = np.moveaxis(self.spread[a], axis, -1)
-        parts = [self._digits(spread[..., i:i + self.seg].sum(axis=-1))
-                 for i in range(0, max(1, spread.shape[-1]), self.seg)]
-        return functools.reduce(self.add, parts)
-
-    def rref(self, mat) -> Tuple[np.ndarray, list]:
-        """Reduced row echelon form of a copy of mat: (rank x n rows, pivots),
-        one pass over m[:, col:] per pivot (the pivot row's own factor is 0)."""
-        m = np.array(mat, dtype=_DTYPE)
-        rows, n = m.shape
-        pivots = []
-        rank = 0
-        for col in range(n):
-            if rank == rows:
-                break
-            found = m[rank:, col].nonzero()[0]
-            if not found.size:
-                continue
-            pivot = rank + int(found[0])
-            if pivot != rank:
-                m[[rank, pivot]] = m[[pivot, rank]]
-            row_log = self.log[m[rank, col:]]
-            m[rank, col:] = row = self.exp[row_log + (self.units - row_log[0])]
-            factors = self.neg[m[:, col]]
-            factors[rank] = 0
-            m[:, col:] = self.add(m[:, col:], self.mul(factors[:, None], row))
-            pivots.append(col)
-            rank += 1
-        return m[:rank], pivots
-
-    def null_basis(self, reduced: np.ndarray, pivots) -> np.ndarray:
-        """Unreduced basis e_f - sum_p R[p, f] e_p (f free) of { v : R . v = 0 }, R an RREF."""
-        n = reduced.shape[1]
-        free = np.setdiff1d(np.arange(n), pivots)
-        basis = np.zeros((free.size, n), dtype=_DTYPE)
-        basis[np.arange(free.size), free] = 1
-        basis[:, pivots] = self.neg[reduced[:, free]].T
-        return basis
-
-    def nullspace(self, mat) -> np.ndarray:
-        """Canonical (row reduced) basis of { v : mat . v = 0 }."""
-        return self.rref(self.null_basis(*self.rref(mat)))[0]
-
-    def dot_t(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The matrix a . b^T, from the logs of a and b gathered once."""
-        out = np.zeros((len(a), len(b)), dtype=_DTYPE)
-        log_a, log_b = self.log[a], self.log[b]
-        step = max(1, _DOT_CHUNK_CELLS // max(1, b.size))
-        for i in range(0, len(a), step):
-            out[i:i + step] = self.total(self.exp[log_a[i:i + step, None, :] + log_b], axis=2)
-        return out
-
-
-@functools.lru_cache(maxsize=None)
-def _kernel(spec: FieldSpec) -> _Kernel:
-    return _Kernel(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -280,41 +154,24 @@ def evaluation_matrix(curve: KummerCurve, functions: Sequence,
     """Function values at the given affine places, unreduced.
 
     One row per function, as an int32 array of packed elements
-    (``spec.unpack`` gives each ``FieldElement``). Each term c * x^t * y^j / prod_i (y - alpha_i)^(d_i) of a function has
-    the value exp(log c + t log a + j log b - sum_i d_i log(b - alpha_i)) at
-    P(a, b), and 0 when b = 0 < j, so whole rows are filled by gathers from
-    per-place log vectors.
+    (``spec.unpack`` gives each ``FieldElement``). Each term
+    x^t * N(y) / prod_i (y - alpha_i)^(d_i) of a function contributes
+    sum_j c_j exp(L_j), with L_j the ``functions`` log of x^t y^j / prod_i
+    (y - alpha_i)^(d_i) at the place and c_j the coefficients of N. Raises
+    ValueError at a place that is not affine and ZeroDivisionError where a
+    denominator vanishes.
     """
+    terms = [list(f.terms.values()) for f in functions]
+    logs = _monomial_logs(curve, [(t, dens, len(num)) for f in functions
+                                  for t, (num, dens) in f.terms.items()], places)
     kern = _kernel(curve.field)
-    if any(p.kind != AFFINE for p in places):
-        raise ValueError("evaluation is defined at affine places only")
-    a, b = _coords(places)
-    log_a, log_b, b_zero = kern.log[a], kern.log[b], b == 0
-    diffs = [kern.add(b, kern.neg[alpha.n]) for alpha in curve.alphas]
-    log_diffs = [kern.log[diff] for diff in diffs]
-    vanishing = [not diff.all() for diff in diffs]
+    coeffs = kern.log[[c.n for f_terms in terms for num, _ in f_terms for c in num]]
+    values = kern.exp[logs + coeffs[:, None]]
+    ends = list(itertools.accumulate(sum(len(num) for num, _ in f_terms) for f_terms in terms))
     out = np.zeros((len(functions), len(places)), dtype=_DTYPE)
-    for row, f in zip(out, functions):
-        for t, (num, dens) in f.terms.items():
-            base = t * log_a
-            for d, log_diff, vanishes in zip(dens, log_diffs, vanishing):
-                if d:
-                    if vanishes:
-                        raise ZeroDivisionError(
-                            "denominator vanishes; the place is not on the curve")
-                    base = base - d * log_diff
-            for j, c in enumerate(num):
-                if c:
-                    values = kern.exp[(base + j * log_b + kern.log[c.n]) % kern.units]
-                    if j:
-                        values[b_zero] = 0
-                    row[:] = kern.add(row, values)
+    for row, start, end in zip(out, [0] + ends, ends):
+        row[:] = kern.total(values[start:end], axis=0)
     return out
-
-
-def _coords(places: Sequence[Place]) -> np.ndarray:
-    """The packed coordinates a and b of affine places, as the rows of one array."""
-    return np.array([(p.a.n, p.b.n) for p in places], dtype=_DTYPE).reshape(-1, 2).T
 
 
 def _off_curve(curve: KummerCurve, places: Sequence[Place]) -> np.ndarray:
@@ -341,33 +198,13 @@ def _resolve_D(curve: KummerCurve, D) -> Tuple[Divisor, tuple]:
     return D, places
 
 
-def _basis_values(curve: KummerCurve, ram: Sequence[int], inf: int,
-                  places: Sequence[Place]) -> np.ndarray:
-    """Values of the L(G) basis x^t y^k / prod_i (y - alpha_i)^(n_it), G with
-    coefficients ram at P_1..P_r and inf at Pinf, at on-curve affine places:
-    exp[(t log a - sum_i n_it log(b - alpha_i) + k log b) mod (q - 1)] at
-    P(a, b), and 0 where b = 0 < k, one broadcast per t.
-    """
-    kern = _kernel(curve.field)
-    a, b = _coords(places)
-    log_a, log_b = kern.log[a], kern.log[b]
-    log_diffs = np.array([kern.log[kern.add(b, kern.neg[c.n])] for c in curve.alphas])
-    blocks = [np.zeros((0, len(places)), dtype=_DTYPE)]
-    for t, n_it, top in _term_bounds(curve, ram, inf):
-        if top >= 0:
-            base = t * log_a - np.dot(n_it, log_diffs)
-            block = kern.exp[(base + np.arange(top + 1)[:, None] * log_b) % kern.units]
-            block[1:, b == 0] = 0
-            blocks.append(block)
-    return np.vstack(blocks)
-
-
 def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
     """C(D, G): the values of an L(G) basis at the points of D, row reduced.
 
-    With E and V the ``_basis_values`` at D and at G's simple zeros (affine
-    places with coefficient -1), the rows are N * E, N the nullspace basis of
-    V^T. A D of more than ``MAX_CODE_LENGTH`` places raises ValueError.
+    The rows are the values at D of the L(G) basis that ``functions``
+    reads off the row reduction of the monomial values at G's simple zeros
+    (affine places with coefficient -1). A D of more than ``MAX_CODE_LENGTH``
+    places raises ValueError.
     """
     D, places = _resolve_D(curve, D)
     n = len(places)
@@ -383,18 +220,7 @@ def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
         raise ValueError("supports of G and D must be disjoint")
     if G.degree >= n:
         raise ValueError(f"deg G = {G.degree} must be below n = {n}")
-    ram, inf, zeros = _split_divisor(curve, G)
-    values = _basis_values(curve, ram, inf, places + tuple(zeros))
-    rows = values[:, :n]
-    if zeros:
-        # the nullspace of V^T, R its RREF, has the basis e_f - sum_p R[p, f] e_p
-        # over the free columns f, so N * E needs only E's few pivot rows
-        kern = _kernel(curve.field)
-        reduced, pivots = kern.rref(values[:, n:].T)
-        free = np.setdiff1d(np.arange(len(rows)), pivots)
-        rows = kern.add(rows[free],
-                        kern.dot_t(kern.neg[reduced[:, free]].T, rows[pivots].T))
-    _check_dimension(curve, G, len(rows))
+    rows = _basis_rows(curve, G, places)[-1]
     code = LinearCode.from_rows(curve.field, rows, places,
                                 provenance=CodeProvenance(curve, D, G))
     if code.k != len(rows):

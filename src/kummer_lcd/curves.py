@@ -15,8 +15,8 @@ import math
 import re
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
-from .gf import (FieldElement, FieldSpec, GF, ParseError, _parse_int, _split_top,
-                 format_element, parse_element, solve_additive)
+from .gf import (MAX_FIELD_SIZE, FieldElement, FieldSpec, GF, ParseError, _parse_int,
+                 _split_top, format_element, parse_element, solve_additive)
 
 __all__ = [
     "Divisor",
@@ -311,9 +311,17 @@ def _additive_kernel_curve(field: FieldSpec, poly_coeffs: Sequence, m: int,
     return KummerCurve(field, alphas, m, label=label)
 
 
+def _family_field(q: int, e: int) -> FieldSpec:
+    """GF(q^e), refused before q^e is formed when e alone puts it past
+    MAX_FIELD_SIZE (q >= 2 gives q^e >= 2^e)."""
+    if q > 1 and e >= MAX_FIELD_SIZE.bit_length():
+        raise ValueError(f"field size {q}^{e} exceeds the supported desk scale")
+    return GF(q ** e)
+
+
 def hermitian_curve(q: int) -> KummerCurve:
     """y^q + y = x^(q+1) over GF(q^2)."""
-    field = GF(q * q)
+    field = _family_field(q, 2)
     poly = [0] * (q + 1)
     poly[1] = 1
     poly[q] = 1
@@ -324,12 +332,12 @@ def hermitian_quotient_curve(q: int) -> KummerCurve:
     """y^(q/2) + y^(q/4) + ... + y = x^(q+1) over GF(q^2), for 4 | q."""
     if q % 4 != 0 or q & (q - 1):
         raise ValueError("this family needs q a power of 2 with 4 | q")
+    field = _family_field(q, 2)
     poly = [0] * (q // 2 + 1)
     e = 1
     while e <= q // 2:
         poly[e] = 1
         e *= 2
-    field = GF(q * q)
     return _additive_kernel_curve(field, poly, q + 1, q // 2, f"curve1-q{q}")
 
 
@@ -337,7 +345,7 @@ def lifted_hermitian_curve(q: int, r: int) -> KummerCurve:
     """y^q + y = x^(q^r + 1) over GF(q^(2r)), r odd."""
     if r % 2 == 0:
         raise ValueError("this family needs r odd")
-    field = GF(q ** (2 * r))
+    field = _family_field(q, 2 * r)
     poly = [0] * (q + 1)
     poly[1] = 1
     poly[q] = 1
@@ -346,7 +354,7 @@ def lifted_hermitian_curve(q: int, r: int) -> KummerCurve:
 
 def norm_trace_curve(q: int, r: int) -> KummerCurve:
     """y^(q^(r-1)) + ... + y^q + y = x^((q^r - 1)/(q - 1)) over GF(q^r)."""
-    field = GF(q ** r)
+    field = _family_field(q, r)
     poly = [0] * (q ** (r - 1) + 1)
     for i in range(r):
         poly[q ** i] = 1

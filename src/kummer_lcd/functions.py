@@ -14,19 +14,24 @@ congruent to -r*t mod m. Since gcd(r, m) = 1 these are pairwise distinct for
 t = 0..m-1, so a sum lies in L(G) exactly when every term does. That turns
 L(G) for G supported on ramified places and Pinf into a direct sum of spaces
 of bounded-degree polynomials in y over fixed denominators, computed below by
-floor formulas. Simple zeros at affine points (coefficient -1 in G) are then
-imposed by one linear constraint each.
+floor formulas. This module is the one place that knows that basis shape:
+``_monomial_logs`` evaluates its monomials at affine places, and one row
+reduction of their values at G's simple zeros (affine coefficient -1) gives
+both ``riemann_roch_basis`` and the rows of ``codes.build_code``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import zip_longest
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .curves import AFFINE, INFINITY, RAMIFIED, Divisor, KummerCurve, Place
-from .gf import (FieldElement, ParseError, _parse_int, _ptrim, _split_top, format_element,
-                 parse_element)
+from .gf import (_DTYPE, FieldElement, ParseError, _kernel, _parse_int, _ptrim, _split_top,
+                 format_element, parse_element)
 
 __all__ = [
     "FunctionElement",
@@ -50,16 +55,6 @@ MAX_RR_DIMENSION = 1 << 10
 # ---------------------------------------------------------------------------
 # polynomial helpers over a FieldSpec (little-endian FieldElement lists)
 
-def _padd(a: Sequence[FieldElement], b: Sequence[FieldElement], spec) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else spec.zero
-        y = b[i] if i < len(b) else spec.zero
-        out.append(x + y)
-    return _ptrim(out)
-
-
 def _pmul(a: Sequence[FieldElement], b: Sequence[FieldElement], spec) -> list:
     if not a or not b:
         return []
@@ -69,12 +64,6 @@ def _pmul(a: Sequence[FieldElement], b: Sequence[FieldElement], spec) -> list:
             for j, y in enumerate(b):
                 out[i + j] = out[i + j] + x * y
     return _ptrim(out)
-
-
-def _pscale(a: Sequence[FieldElement], c: FieldElement) -> list:
-    if c.is_zero():
-        return []
-    return _ptrim([x * c for x in a])
 
 
 def _peval(a: Sequence[FieldElement], y: FieldElement, spec) -> FieldElement:
@@ -131,8 +120,10 @@ class FunctionElement:
     __slots__ = ("curve", "terms")
 
     def __init__(self, curve: KummerCurve, terms: Dict[int, Tuple[tuple, tuple]]):
-        # terms: t -> (num coeffs tuple, denominator exponents tuple)
+        # terms: t -> (num coeffs tuple, denominator exponents tuple); a
+        # negative exponent moves its factor into the numerator
         self.curve = curve
+        spec = curve.field
         normalized: Dict[int, Tuple[tuple, tuple]] = {}
         for t, (num, dens) in terms.items():
             if not 0 <= t < curve.m:
@@ -142,7 +133,9 @@ class FunctionElement:
                 continue
             dens = list(dens)
             for i, alpha in enumerate(curve.alphas):
-                stripped, num = _strip_root(num, alpha, curve.field, dens[i])
+                if dens[i] < 0:
+                    num, dens[i] = _pmul(num, _linear_power(alpha, -dens[i], spec), spec), 0
+                stripped, num = _strip_root(num, alpha, spec, dens[i])
                 dens[i] -= stripped
             normalized[t] = (tuple(num), tuple(dens))
         self.terms = normalized
@@ -171,19 +164,10 @@ class FunctionElement:
             raise ValueError("alpha_exps must list one exponent per root")
         t = x_exp % curve.m
         shift = (x_exp - t) // curve.m
-        exps = [e + shift for e in exps]
         num = [spec.one]
         if y_poly is not None:
-            num = _ptrim([spec.element(c) if not isinstance(c, FieldElement) else c
-                          for c in y_poly])
-        dens = []
-        for alpha, e in zip(curve.alphas, exps):
-            if e > 0:
-                num = _pmul(num, _linear_power(alpha, e, spec), spec)
-                dens.append(0)
-            else:
-                dens.append(-e)
-        return FunctionElement(curve, {t: (tuple(num), tuple(dens))})
+            num = [spec.element(c) if not isinstance(c, FieldElement) else c for c in y_poly]
+        return FunctionElement(curve, {t: (tuple(num), tuple(-e - shift for e in exps))})
 
     # -- predicates and linear structure ---------------------------------------
 
@@ -207,11 +191,8 @@ class FunctionElement:
                     lift1 = _pmul(lift1, _linear_power(alpha, d - d1, spec), spec)
                 if d > d2:
                     lift2 = _pmul(lift2, _linear_power(alpha, d - d2, spec), spec)
-            num = _padd(lift1, lift2, spec)
-            if num:
-                terms[t] = (tuple(num), dens)
-            else:
-                del terms[t]
+            num = zip_longest(lift1, lift2, fillvalue=spec.zero)
+            terms[t] = (tuple(x + y for x, y in num), dens)
         return FunctionElement(self.curve, terms)
 
     def __neg__(self) -> "FunctionElement":
@@ -224,7 +205,7 @@ class FunctionElement:
         scalar = self.curve.field.element(scalar) if not isinstance(scalar, FieldElement) else scalar
         if scalar.is_zero():
             return FunctionElement.zero(self.curve)
-        terms = {t: (tuple(_pscale(num, scalar)), dens)
+        terms = {t: (tuple(x * scalar for x in num), dens)
                  for t, (num, dens) in self.terms.items()}
         return FunctionElement(self.curve, terms)
 
@@ -356,12 +337,64 @@ def _split_divisor(curve: KummerCurve, G: Divisor):
 
 
 def _term_bounds(curve: KummerCurve, ram: Sequence[int], inf: int):
-    """Per-t denominator exponents and top y-degree of the t-component."""
+    """(t, n_t, size) for each nonempty t-component of L(G), G with coefficients
+    ram at P_1..P_r and inf at Pinf: its basis is x^t y^k / prod_i (y - alpha_i)^(n_it),
+    k < size."""
     m, r = curve.m, curve.r
     for t in range(m):
-        n_it = [ (g + t) // m for g in ram ]
-        e_t = (inf - r * t) // m
-        yield t, n_it, sum(n_it) + e_t
+        n_t = [(g + t) // m for g in ram]
+        size = sum(n_t) + (inf - r * t) // m + 1
+        if size > 0:
+            yield t, n_t, size
+
+
+def _coords(places: Sequence[Place]) -> np.ndarray:
+    """The packed coordinates a and b of affine places, as the rows of one array."""
+    return np.array([(p.a.n, p.b.n) for p in places], dtype=_DTYPE).reshape(-1, 2).T
+
+
+def _monomial_logs(curve: KummerCurve, components, places: Sequence[Place]) -> np.ndarray:
+    """Logs of x^t y^k / prod_i (y - alpha_i)^(d_i) at affine places P(a, b),
+    one row per (t, d, size) in components and k < size: (t log a + k log b
+    - sum_i d_i log(b - alpha_i)) mod (q - 1), and 2(q - 1), the log of 0,
+    where b = 0 < k. A d_i < 0 needs b != alpha_i, as on the curve; a d_i > 0
+    there raises ZeroDivisionError, and a place that is not affine ValueError.
+    """
+    if any(p.kind != AFFINE for p in places):
+        raise ValueError("evaluation is defined at affine places only")
+    if not components or not places:
+        return np.zeros((sum(size for *_, size in components), len(places)), dtype=np.intp)
+    kern, units = _kernel(curve.field), curve.field.units
+    a, b = _coords(places)
+    diffs = kern.add(b, kern.neg[[alpha.n for alpha in curve.alphas]][:, None])
+    t, d, size = (np.array(column, dtype=np.intp) for column in zip(*components))
+    if not diffs.all() and (d[:, ~diffs.all(axis=1)] > 0).any():
+        raise ZeroDivisionError("denominator vanishes; the place is not on the curve")
+    k = np.arange(size.sum()) - (size.cumsum() - size).repeat(size)
+    logs = ((t[:, None] * kern.log[a] - d @ kern.log[diffs]).repeat(size, axis=0)
+            + k[:, None] * kern.log[b]) % units
+    if not b.all():
+        logs[np.ix_(k > 0, b == 0)] = 2 * units
+    return logs
+
+
+def _basis_rows(curve: KummerCurve, G: Divisor, places: Sequence[Place] = ()):
+    """(components, R, pivots, free, rows): with m_0, m_1, ... the monomials of
+    the ``_term_bounds`` components of G off its simple zeros and (R, pivots)
+    the RREF of their values there, L(G) has the basis m_f - sum_p R[p, f] m_p
+    over the free columns f, whose values at places are the rows. The
+    dimension self-test runs on the number of free columns."""
+    ram, inf, zeros = _split_divisor(curve, G)
+    components = list(_term_bounds(curve, ram, inf))
+    kern, n = _kernel(curve.field), len(places)
+    values = kern.exp[_monomial_logs(curve, components, tuple(places) + tuple(zeros))]
+    reduced, pivots = kern.rref(values[:, n:].T)
+    free = [f for f in range(len(values)) if f not in pivots]
+    _check_dimension(curve, G, len(free))
+    rows = values[free, :n]
+    if pivots and n:
+        rows = kern.add(rows, kern.dot_t(kern.neg[reduced[:, free]].T, values[pivots, :n].T))
+    return components, reduced, pivots, free, rows
 
 
 def riemann_roch_basis(curve: KummerCurve, G: Divisor) -> RRBasis:
@@ -373,33 +406,20 @@ def riemann_roch_basis(curve: KummerCurve, G: Divisor) -> RRBasis:
     count deg G + 1 - genus whenever deg G > 2g - 2. More than
     ``MAX_RR_DIMENSION`` functions raise ValueError before any is built.
     """
-    ram, inf, simple_zeros = _split_divisor(curve, G)
-    if (size := _ell_fast(curve, ram, inf)) > MAX_RR_DIMENSION:
-        raise ValueError(f"ell = {size} basis functions is above the cap "
+    if (count := _ell_fast(curve, *_split_divisor(curve, G)[:2])) > MAX_RR_DIMENSION:
+        raise ValueError(f"ell = {count} basis functions is above the cap "
                          f"MAX_RR_DIMENSION = {MAX_RR_DIMENSION}")
-    functions: List[FunctionElement] = []
-    for t, n_it, top in _term_bounds(curve, ram, inf):
-        for k in range(top + 1):
-            exps = [-n for n in n_it]
-            functions.append(FunctionElement.monomial(
-                curve, t, alpha_exps=exps,
-                y_poly=[0] * k + [1]))
-    for point in simple_zeros:
-        values = [f.evaluate(point) for f in functions]
-        pivot = next((i for i, v in enumerate(values) if not v.is_zero()), None)
-        if pivot is None:
-            continue
-        inv = values[pivot].inverse()
-        reduced = []
-        for i, f in enumerate(functions):
-            if i == pivot:
-                continue
-            if values[i].is_zero():
-                reduced.append(f)
-            else:
-                reduced.append(f - (values[i] * inv) * functions[pivot])
-        functions = reduced
-    _check_dimension(curve, G, len(functions))
+    components, reduced, pivots, free, _ = _basis_rows(curve, G)
+    spec = curve.field
+    monomials = [(t, n_t, size, k) for t, n_t, size in components for k in range(size)]
+    functions = []
+    for f in free:
+        terms: Dict[int, tuple] = {}
+        for i, c in [(f, spec.one)] + [(p, -spec.unpack(c)) for p, c
+                                       in zip(pivots, reduced[:, f].tolist()) if c]:
+            t, n_t, size, k = monomials[i]
+            terms.setdefault(t, ([spec.zero] * size, n_t))[0][k] = c
+        functions.append(FunctionElement(curve, terms))
     return RRBasis(divisor=G, functions=tuple(functions), dimension=len(functions))
 
 
@@ -413,11 +433,7 @@ def _check_dimension(curve: KummerCurve, G: Divisor, dim: int) -> None:
 
 
 def _ell_fast(curve: KummerCurve, ram: Sequence[int], inf: int) -> int:
-    total = 0
-    for _, _, top in _term_bounds(curve, ram, inf):
-        if top >= 0:
-            total += top + 1
-    return total
+    return sum(size for _, _, size in _term_bounds(curve, ram, inf))
 
 
 def ell(curve: KummerCurve, G: Divisor) -> int:
@@ -497,6 +513,8 @@ def parse_function(curve: KummerCurve, text: str) -> FunctionElement:
                 if not coeff_text:
                     raise ParseError(f"bad polynomial term {mono!r}")
                 power = _parse_int(power_text, f"bad polynomial term {mono!r}")
+                if power < 0 or power in coeffs:
+                    raise ParseError(f"bad polynomial term {mono!r}: negative or repeated power")
                 coeffs[power] = parse_element(spec, coeff_text)
             num = [coeffs.get(k, spec.zero) for k in range(max(coeffs) + 1)]
         exps = [0] * curve.r
@@ -508,6 +526,8 @@ def parse_function(curve: KummerCurve, text: str) -> FunctionElement:
             alpha = parse_element(spec, match.group(1))
             if alpha not in curve.alphas:
                 raise ParseError(f"{alpha} is not a root of the curve")
-            exps[curve.alphas.index(alpha)] += _parse_int(match.group(2), bad)
+            if (exp := _parse_int(match.group(2), bad)) < 0:
+                raise ParseError(f"{bad}: negative exponent")
+            exps[curve.alphas.index(alpha)] += exp
         total = total + FunctionElement(curve, {int(t_text): (tuple(num), tuple(exps))})
     return total

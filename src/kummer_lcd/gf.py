@@ -9,13 +9,27 @@ constructed: one interned ``FieldElement`` per value, generator-power tables
 ``0, g^0, g^1, ...``, negatives, and a Zech-log table for sums when p is odd
 (an XOR when p = 2). Every table has O(q) entries. Coefficient tuples appear
 only in the text forms and while the generator and the tables are found.
+
+All matrix work goes through one kernel, ``_Kernel``: numpy int32 arrays of
+field elements packed as base-p integers (``FieldElement.n``). A product is
+one gather in the field's extended exp/log tables. A sum is XOR when p = 2;
+for odd p it is one gather in a q x q sum table while q^2 <= 2^21, and
+digit-wise addition mod p above that. A long odd-p sum (``total``) adds the
+digits in carry-free bit lanes of an int64 and reduces mod p once per lane
+and segment. Row reduction is one elimination pass per pivot. The kernel
+row reduces, takes nullspaces and forms G * H^T; it reads only the
+``FieldSpec`` tables, so ``functions`` and ``codes`` share it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 import re
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "DEFAULT_MODULI",
@@ -186,12 +200,14 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, k: int = 1, modulus: Optional[Sequence[int]] = None):
+        # 2^k > MAX_FIELD_SIZE once k reaches its bit length, so p^k is formed
+        # only while it is small, and before p is tested for primality
+        if p > 1 and k > 0 and (k >= MAX_FIELD_SIZE.bit_length() or p ** k > MAX_FIELD_SIZE):
+            raise ValueError(f"field size {p}^{k} exceeds the supported desk scale")
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if p ** k > MAX_FIELD_SIZE:
-            raise ValueError(f"field size {p}^{k} exceeds the supported desk scale")
         self.p = p
         self.k = k
         self.order = p ** k
@@ -478,16 +494,12 @@ def GF(q: int, modulus: Optional[Sequence[int]] = None) -> FieldSpec:
     key = (q, None if modulus is None else tuple(modulus))
     spec = _GF_CACHE.get(key)
     if spec is None:
-        factors = _prime_factors(q)
-        if len(factors) != 1:
-            raise ValueError(f"{q} is not a prime power")
-        p = factors[0]
-        k = 0
-        n = q
-        while n > 1:
-            n //= p
-            k += 1
-        if p ** k != q:
+        # the least prime factor p, sought below 2^16 at most: a q with none
+        # there is refused by its size as p = q, k = 1
+        bound = min(math.isqrt(max(q, 0)), MAX_FIELD_SIZE)
+        p = next((d for d in range(2, bound + 1) if q % d == 0), q)
+        k = round(math.log(q, p)) if q > 1 else 0
+        if k < 1 or p ** k != q:
             raise ValueError(f"{q} is not a prime power")
         spec = FieldSpec(p, k, modulus)
         _GF_CACHE[key] = spec
@@ -557,3 +569,125 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
     if s.startswith("a^"):
         return spec.generator ** _parse_int(s[2:], bad)
     return spec.element(_parse_int(s, bad))
+
+
+# ---------------------------------------------------------------------------
+# the matrix kernel: exact arithmetic on numpy arrays of packed elements
+
+# dtype of packed elements (below q <= 2^16); logs are np.intp, which
+# indexes without a conversion and holds the exponent sums of evaluation
+_DTYPE = np.int32
+# cells of the largest intermediate array G * H^T builds at once
+_DOT_CHUNK_CELLS = 1 << 16
+# largest odd-p sum table the kernel builds, q^2 cells; larger fields add
+# digit by digit
+_ADD_TABLE_CELLS = 1 << 21
+
+
+class _Kernel:
+    """Vectorised GF(p^k) arithmetic, row reduction and products.
+
+    ``log``, ``exp`` and ``neg`` are the field's own tables as arrays, so
+    ``exp[log[a] + log[b]]`` is a * b for every pair, zero included, with no
+    reduction mod q - 1 and no mask. ``add`` is XOR for p = 2, a gather in
+    the q^2-cell table of sums for odd p while q^2 <= ``_ADD_TABLE_CELLS``,
+    and the digit-wise sum above that. For odd p, the int64 ``spread[n]`` has
+    digit i of n at bit ``bits * i``: a sum of up to ``seg`` of them adds each
+    digit in its own lane with no carry, and shift, mask and mod p read it.
+    """
+
+    def __init__(self, spec: FieldSpec):
+        p, q = spec.p, spec.order
+        self.p = p
+        self.units = spec.units
+        self.log = np.array(spec.log, dtype=np.intp)
+        self.exp = np.array(spec.exp, dtype=_DTYPE)
+        self.neg = np.array(spec.neg, dtype=_DTYPE)
+        self.weights = [p ** i for i in range(spec.k)]
+        if p == 2:
+            self.add = np.bitwise_xor
+            return
+        self.bits = min(62, 63 // spec.k)
+        self.seg = ((1 << self.bits) - 1) // (p - 1)
+        values = np.arange(q, dtype=np.int64)
+        self.spread = sum(values // w % p << self.bits * i
+                          for i, w in enumerate(self.weights))
+        if q * q <= _ADD_TABLE_CELLS:
+            sums = self._digit_add(values[:, None], values[None, :]).ravel()
+            self.add = lambda a, b: sums[a * q + b]
+        else:
+            self.add = self._digit_add
+
+    def mul(self, a, b):
+        return self.exp[self.log[a] + self.log[b]]
+
+    def _digits(self, lanes):
+        """The packed element whose digit i is lane i of lanes, mod p."""
+        mask = (1 << self.bits) - 1
+        return sum((lanes >> self.bits * i & mask) % self.p * w
+                   for i, w in enumerate(self.weights)).astype(_DTYPE)
+
+    def _digit_add(self, a, b):
+        return self._digits(self.spread[a] + self.spread[b])
+
+    def total(self, a, axis: int):
+        """Field sum of a along one axis; for odd p, lane sums of ``seg`` terms
+        folded together with ``add``."""
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis=axis)
+        spread = np.moveaxis(self.spread[a], axis, -1)
+        parts = [self._digits(spread[..., i:i + self.seg].sum(axis=-1))
+                 for i in range(0, max(1, spread.shape[-1]), self.seg)]
+        return functools.reduce(self.add, parts)
+
+    def rref(self, mat) -> Tuple[np.ndarray, list]:
+        """Reduced row echelon form of a copy of mat: (rank x n rows, pivots),
+        one pass over m[:, col:] per pivot (the pivot row's own factor is 0)."""
+        m = np.array(mat, dtype=_DTYPE)
+        rows, n = m.shape
+        pivots = []
+        rank = 0
+        for col in range(n):
+            if rank == rows:
+                break
+            found = m[rank:, col].nonzero()[0]
+            if not found.size:
+                continue
+            pivot = rank + int(found[0])
+            if pivot != rank:
+                m[[rank, pivot]] = m[[pivot, rank]]
+            row_log = self.log[m[rank, col:]]
+            m[rank, col:] = row = self.exp[row_log + (self.units - row_log[0])]
+            factors = self.neg[m[:, col]]
+            factors[rank] = 0
+            m[:, col:] = self.add(m[:, col:], self.mul(factors[:, None], row))
+            pivots.append(col)
+            rank += 1
+        return m[:rank], pivots
+
+    def null_basis(self, reduced: np.ndarray, pivots) -> np.ndarray:
+        """Unreduced basis e_f - sum_p R[p, f] e_p (f free) of { v : R . v = 0 }, R an RREF."""
+        n = reduced.shape[1]
+        free = np.setdiff1d(np.arange(n), pivots)
+        basis = np.zeros((free.size, n), dtype=_DTYPE)
+        basis[np.arange(free.size), free] = 1
+        basis[:, pivots] = self.neg[reduced[:, free]].T
+        return basis
+
+    def nullspace(self, mat) -> np.ndarray:
+        """Canonical (row reduced) basis of { v : mat . v = 0 }."""
+        return self.rref(self.null_basis(*self.rref(mat)))[0]
+
+    def dot_t(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The matrix a . b^T, from the logs of a and b gathered once."""
+        out = np.zeros((len(a), len(b)), dtype=_DTYPE)
+        log_a, log_b = self.log[a], self.log[b]
+        step = max(1, _DOT_CHUNK_CELLS // max(1, b.size))
+        for i in range(0, len(a), step):
+            out[i:i + step] = self.total(self.exp[log_a[i:i + step, None, :] + log_b], axis=2)
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(spec: FieldSpec) -> _Kernel:
+    return _Kernel(spec)

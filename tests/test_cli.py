@@ -220,6 +220,34 @@ def test_curve_spec_that_fails_mathematically_exits_1(capsys, tmp_path, change, 
     assert (code, out, err) == (1, "", f"precondition violated: {message}\n")
 
 
+@pytest.mark.parametrize("argv, spec, code, message", [
+    # GF factorised q^2 by trial division
+    (["curve", "info", "--curve", "hermitian-q100000000007"], None, 2,
+     "parse error: curve 'hermitian-q100000000007': no such file and not a builtin curve name"),
+    # GF divided a 200 002-bit integer by 2 once per bit
+    (["code", "lcd-check", "--construction", "curve2", "--q", "2", "--r", "100001"], None, 1,
+     "precondition violated: field size 2^200002 exceeds the supported desk scale"),
+    # FieldSpec tested a 31-digit p for primality by trial division
+    (["curve", "info", "--curve"], {"p": 10 ** 30 + 57, "k": 1}, 1,
+     f"precondition violated: field size {10 ** 30 + 57}^1 exceeds the supported desk scale"),
+    # FieldSpec formed 2^(10^9)
+    (["curve", "info", "--curve"], {"p": 2, "k": 10 ** 9}, 1,
+     "precondition violated: field size 2^1000000000 exceeds the supported desk scale"),
+], ids=["hermitian-q-large", "curve2-r-large", "spec-p-large", "spec-k-large"])
+def test_a_field_past_the_size_cap_is_refused_at_once(tmp_path, argv, spec, code, message):
+    """Each command refuses before any arithmetic on the field. A child process
+    under a 5 s timeout turns a long run into a failure rather than a hang."""
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**GOOD_SPEC, "modulus": None, **spec}))
+        argv = argv + [str(path)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "kummer_lcd.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message + "\n")
+
+
 @pytest.mark.parametrize("name", ["curve1-q4", "curve2-q2-r3", "hermitian-q2",
                                   "hermitian-q3", "hermitian-q4", "norm-trace-q2-r3"])
 def test_bundled_spec_files_load(name):
@@ -416,24 +444,24 @@ def test_failed_self_check_exits_1_with_a_message(capsys, monkeypatch):
 
 
 def test_failed_rank_check_exits_1_with_a_message(capsys, monkeypatch):
-    import kummer_lcd.codes
-    original = kummer_lcd.codes._basis_values
+    import kummer_lcd.functions
+    original = kummer_lcd.functions._monomial_logs
 
     def repeated_row(*args):
         values = original(*args)
         values[1] = values[0]
         return values
 
-    monkeypatch.setattr(kummer_lcd.codes, "_basis_values", repeated_row)
+    monkeypatch.setattr(kummer_lcd.functions, "_monomial_logs", repeated_row)
     code, out, err = run_cli(capsys, "code", "build", "--curve", "hermitian-q2",
                              "--G", "3*Pinf")
     assert code == 1 and "evaluation lost rank" in err and out == ""
 
 
 def test_failed_dimension_self_test_on_the_direct_route_exits_1(capsys, monkeypatch):
-    import kummer_lcd.codes
-    original = kummer_lcd.codes._basis_values
-    monkeypatch.setattr(kummer_lcd.codes, "_basis_values",
+    import kummer_lcd.functions
+    original = kummer_lcd.functions._monomial_logs
+    monkeypatch.setattr(kummer_lcd.functions, "_monomial_logs",
                         lambda *args: original(*args)[:-1])
     code, out, err = run_cli(capsys, "code", "build", "--curve", "hermitian-q2",
                              "--G", "3*Pinf")

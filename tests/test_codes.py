@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from kummer_lcd import (Divisor, GF, LinearCode, Place, build_code,
+from kummer_lcd import (Divisor, FunctionElement, GF, LinearCode, Place, build_code,
                         construction_divisors, dual, dual_partner_divisor,
                         ell, evaluation_matrix, format_divisor, hull,
                         hull_dimension_by_rank, is_lcd, is_self_orthogonal, lcd_construct_maxcur,
@@ -111,6 +111,31 @@ def test_build_code_second_table(h2):
     assert printed == [row for _, row in HERMITIAN_Q2_H_TABLE]
 
 
+def per_point_basis(curve, G):
+    """Second route for riemann_roch_basis: the monomials of G's ramified and
+    infinite part from the floor formulas, then each simple zero imposed by
+    one elimination step over FunctionElements, point by point. This is the
+    elimination the shared row reduction of the monomial values replaced."""
+    m, r = curve.m, curve.r
+    ram = [G[Place.ramified(i)] for i in range(1, r + 1)]
+    functions = []
+    for t in range(m):
+        n_t = [(c + t) // m for c in ram]
+        for k in range(sum(n_t) + (G[Place.infinity()] - r * t) // m + 1):
+            functions.append(FunctionElement.monomial(
+                curve, t, alpha_exps=[-n for n in n_t], y_poly=[0] * k + [1]))
+    for point in sorted((P for P in G.support if P.kind == AFFINE),
+                        key=lambda P: P.sort_key()):
+        values = [f.evaluate(point) for f in functions]
+        pivot = next((i for i, v in enumerate(values) if not v.is_zero()), None)
+        if pivot is None:
+            continue
+        inv = values[pivot].inverse()
+        functions = [f if values[i].is_zero() else f - (values[i] * inv) * functions[pivot]
+                     for i, f in enumerate(functions) if i != pivot]
+    return tuple(functions)
+
+
 def assert_matches_function_route(curve, places, G):
     """build_code against the second route: the FunctionElement basis of
     riemann_roch_basis, evaluated by evaluation_matrix and row reduced."""
@@ -146,6 +171,8 @@ def test_direct_basis_matches_function_route_with_simple_zeros(family):
                 coeffs.update({Place.ramified(i): c for i, c in enumerate(ram, start=1)})
                 coeffs[Place.infinity()] = degree + zeros - sum(ram)
                 assert_matches_function_route(curve, places, Divisor(coeffs))
+                G = Divisor(coeffs)
+                assert riemann_roch_basis(curve, G).functions == per_point_basis(curve, G)
 
 
 @st.composite
@@ -162,6 +189,8 @@ def curves_with_divisor_and_zeros(draw):
 @given(curves_with_divisor_and_zeros())
 def test_direct_basis_matches_function_route_on_drawn_curves(case):
     assert_matches_function_route(*case)
+    curve, _, G = case
+    assert riemann_roch_basis(curve, G).functions == per_point_basis(curve, G)
 
 
 def test_build_code_repetition(h2):

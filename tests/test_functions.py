@@ -231,6 +231,19 @@ def test_function_linear_ops_and_text_roundtrip(h2):
     assert combo.evaluate(point) == a * f.evaluate(point) + g.evaluate(point) - f.evaluate(point)
 
 
+def test_negative_exponent_moves_into_the_numerator(h2, c1):
+    # (y - alpha_i)^-e in the denominator is (y - alpha_i)^e in the numerator
+    for curve in (h2, c1):
+        spec = curve.field
+        num = (spec.generator, spec.zero, spec.one)
+        for t in range(curve.m):
+            for exps in [(-1, 0), (0, -2), (-2, 3), (1, -1)]:
+                f = FunctionElement(curve, {t: (num, exps)})
+                want = FunctionElement.monomial(curve, t, alpha_exps=[-e for e in exps],
+                                                y_poly=num)
+                assert f == want and all(d >= 0 for d in f.terms[t][1])
+
+
 def test_monomial_x_power_reduction(c1):
     # x^5 = y^2 + y on this curve, so x^5 / y^2 is (y + 1) / y
     f = FunctionElement.monomial(c1, 5, alpha_exps=(-2, 0))

@@ -1,4 +1,4 @@
-"""Second routes for the packed-int matrix kernel in ``codes``.
+"""Second routes for the packed-int matrix kernel in ``gf``.
 
 The scalar row reduction below is the one-entry-at-a-time routine the kernel
 replaced, kept here as the oracle. Its arithmetic goes through the
@@ -10,13 +10,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kummer_lcd import (GF, Divisor, FunctionElement, KummerCurve, LinearCode,
                         Place, build_code, dual, is_self_orthogonal,
                         riemann_roch_basis)
-from kummer_lcd import codes
+from kummer_lcd import codes, gf
 from kummer_lcd.codes import _kernel, _orthogonal, evaluation_matrix
 from test_gf import TupleField
+from test_properties import SETTINGS, curves_with_divisor
 
 FIELD_SIZES = [2, 4, 7, 9, 16, 25, 27, 49, 64, 81]
 
@@ -181,8 +184,8 @@ def test_digit_wise_sum_matches_the_sum_table(q, monkeypatch):
     # q^2-cell table
     spec = GF(q)
     table = _kernel(spec)
-    monkeypatch.setattr(codes, "_ADD_TABLE_CELLS", 0)
-    digits = codes._Kernel(spec)
+    monkeypatch.setattr(gf, "_ADD_TABLE_CELLS", 0)
+    digits = gf._Kernel(spec)
     assert digits.add == digits._digit_add and table.add != table._digit_add
     values = np.arange(q, dtype=np.int32)
     assert np.array_equal(digits.add(values[:, None], values[None, :]),
@@ -247,6 +250,23 @@ def test_evaluation_matrix_matches_evaluate_on_bundled_curves(family):
     for curve in family:
         for G in _evaluation_divisors(curve):
             _assert_rows_match(curve, G)
+
+
+@SETTINGS
+@given(curves_with_divisor(), st.randoms(use_true_random=False))
+def test_evaluation_matrix_matches_evaluate_on_drawn_curves(case, rng):
+    # evaluation_matrix shares build_code's evaluator, so FunctionElement.evaluate
+    # is its independent check: on basis functions, and on sums of monomials
+    # with numerators, denominators and several x-powers
+    curve, G = case
+    places = _assert_rows_match(curve, G)
+    elements = curve.field.elements()
+    functions = [sum((FunctionElement.monomial(
+        curve, rng.randint(-2 * curve.m, 2 * curve.m), [rng.randint(-2, 2) for _ in curve.alphas],
+        [rng.choice(elements) for _ in range(3)]) for _ in range(3)), FunctionElement.zero(curve))
+        for _ in range(4)]
+    got = evaluation_matrix(curve, functions, places)
+    assert got.tolist() == [[f.evaluate(p).n for p in places] for f in functions]
 
 
 def test_evaluation_matrix_at_places_with_b_zero():
