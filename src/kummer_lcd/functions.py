@@ -4,9 +4,11 @@ A function is stored in the canonical shape
 
     f = sum_{t=0}^{m-1} x^t * N_t(y) / prod_i (y - alpha_i)^{d_{t,i}}
 
-with each y-part in lowest terms. This shape is closed under the curve
-relation x^m = prod (y - alpha_i), which rewrites any power of x into the
-window 0 <= t < m at the cost of shifting the (y - alpha_i) exponents.
+with each y-part in lowest terms, the numerators N_t polynomials in the
+curve's field under ``gf``'s polynomial helpers. This shape is closed under
+the curve relation x^m = prod (y - alpha_i), which rewrites any power of x
+into the window 0 <= t < m at the cost of shifting the (y - alpha_i)
+exponents.
 
 The key structural fact used everywhere: at each ramified place the term
 x^t * h(y) has valuation congruent to t mod m, and at the infinite place
@@ -30,8 +32,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .curves import AFFINE, INFINITY, RAMIFIED, Divisor, KummerCurve, Place
-from .gf import (_DTYPE, FieldElement, ParseError, _kernel, _parse_int, _ptrim, _split_top,
-                 format_element, parse_element)
+from .gf import (_DTYPE, FieldElement, ParseError, _kernel, _parse_int, _pdivmod, _peval, _pmul,
+                 _ptrim, _split_top, format_element, parse_element)
 
 __all__ = [
     "FunctionElement",
@@ -52,44 +54,7 @@ __all__ = [
 MAX_RR_DIMENSION = 1 << 10
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over a FieldSpec (little-endian FieldElement lists)
-
-def _pmul(a: Sequence[FieldElement], b: Sequence[FieldElement], spec) -> list:
-    if not a or not b:
-        return []
-    out = [spec.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x.is_zero():
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-    return _ptrim(out)
-
-
-def _peval(a: Sequence[FieldElement], y: FieldElement, spec) -> FieldElement:
-    acc = spec.zero
-    for coeff in reversed(a):
-        acc = acc * y + coeff
-    return acc
-
-
-def _pdiv_linear(a: Sequence[FieldElement], root: FieldElement, spec):
-    """Divide by (y - root); returns (quotient, remainder constant)."""
-    quo = [spec.zero] * (len(a) - 1) if len(a) > 1 else []
-    carry = spec.zero
-    for i in range(len(a) - 1, -1, -1):
-        cur = a[i] + carry * root
-        if i > 0:
-            quo[i - 1] = cur
-            carry = cur
-        else:
-            rem = cur
-    if not a:
-        return [], spec.zero
-    return _ptrim(quo), rem
-
-
-def _strip_root(poly: Sequence[FieldElement], root: FieldElement, spec,
+def _strip_root(poly: Sequence[FieldElement], root: FieldElement,
                 limit: Optional[int] = None) -> Tuple[int, Sequence[FieldElement]]:
     """Divide poly by (y - root) while it divides, at most limit times:
     (count, quotient)."""
@@ -99,19 +64,11 @@ def _strip_root(poly: Sequence[FieldElement], root: FieldElement, spec,
         return count, (list(poly[count:]) if count else poly)
     count = 0
     while poly and (limit is None or count < limit):
-        quo, rem = _pdiv_linear(poly, root, spec)
-        if not rem.is_zero():
+        quo, rem = _pdivmod(poly, [-root, root.spec.one])
+        if rem:
             break
         poly, count = quo, count + 1
     return count, poly
-
-
-def _linear_power(root: FieldElement, e: int, spec) -> list:
-    out = [spec.one]
-    factor = [-root, spec.one]
-    for _ in range(e):
-        out = _pmul(out, factor, spec)
-    return out
 
 
 class FunctionElement:
@@ -120,22 +77,26 @@ class FunctionElement:
     __slots__ = ("curve", "terms")
 
     def __init__(self, curve: KummerCurve, terms: Dict[int, Tuple[tuple, tuple]]):
-        # terms: t -> (num coeffs tuple, denominator exponents tuple); a
+        # terms: t -> (numerator coefficients, one denominator exponent per
+        # root); coefficients are coerced into the curve's field, and a
         # negative exponent moves its factor into the numerator
         self.curve = curve
         spec = curve.field
         normalized: Dict[int, Tuple[tuple, tuple]] = {}
         for t, (num, dens) in terms.items():
-            if not 0 <= t < curve.m:
+            if not isinstance(t, int) or not 0 <= t < curve.m:
                 raise ValueError("x-exponent out of the canonical window")
-            num = _ptrim(list(num))
+            dens = list(dens)
+            if len(dens) != curve.r or not all(isinstance(d, int) for d in dens):
+                raise ValueError(f"need {curve.r} integer denominator exponents, got {dens}")
+            num = _ptrim([spec.element(c) for c in num])
             if not num:
                 continue
-            dens = list(dens)
             for i, alpha in enumerate(curve.alphas):
-                if dens[i] < 0:
-                    num, dens[i] = _pmul(num, _linear_power(alpha, -dens[i], spec), spec), 0
-                stripped, num = _strip_root(num, alpha, spec, dens[i])
+                for _ in range(-dens[i]):
+                    num = _pmul(num, [-alpha, spec.one])
+                dens[i] = max(dens[i], 0)
+                stripped, num = _strip_root(num, alpha, dens[i])
                 dens[i] -= stripped
             normalized[t] = (tuple(num), tuple(dens))
         self.terms = normalized
@@ -158,16 +119,11 @@ class FunctionElement:
 
         Any integer x_exp is reduced into [0, m) through x^m = prod(y - alpha_i).
         """
-        spec = curve.field
-        exps = list(alpha_exps) if alpha_exps is not None else [0] * curve.r
-        if len(exps) != curve.r:
-            raise ValueError("alpha_exps must list one exponent per root")
+        exps = alpha_exps if alpha_exps is not None else [0] * curve.r
         t = x_exp % curve.m
         shift = (x_exp - t) // curve.m
-        num = [spec.one]
-        if y_poly is not None:
-            num = [spec.element(c) if not isinstance(c, FieldElement) else c for c in y_poly]
-        return FunctionElement(curve, {t: (tuple(num), tuple(-e - shift for e in exps))})
+        num = y_poly if y_poly is not None else [curve.field.one]
+        return FunctionElement(curve, {t: (num, [-e - shift for e in exps])})
 
     # -- predicates and linear structure ---------------------------------------
 
@@ -185,13 +141,13 @@ class FunctionElement:
                 continue
             num1, dens1 = terms[t]
             dens = tuple(max(d1, d2) for d1, d2 in zip(dens1, dens2))
-            lift1, lift2 = list(num1), list(num2)
-            for alpha, d1, d2, d in zip(self.curve.alphas, dens1, dens2, dens):
-                if d > d1:
-                    lift1 = _pmul(lift1, _linear_power(alpha, d - d1, spec), spec)
-                if d > d2:
-                    lift2 = _pmul(lift2, _linear_power(alpha, d - d2, spec), spec)
-            num = zip_longest(lift1, lift2, fillvalue=spec.zero)
+            lifts = []
+            for num, own in ((num1, dens1), (num2, dens2)):
+                for alpha, e, d in zip(self.curve.alphas, own, dens):
+                    for _ in range(d - e):
+                        num = _pmul(num, [-alpha, spec.one])
+                lifts.append(num)
+            num = zip_longest(*lifts, fillvalue=spec.zero)
             terms[t] = (tuple(x + y for x, y in num), dens)
         return FunctionElement(self.curve, terms)
 
@@ -202,7 +158,7 @@ class FunctionElement:
         return self + (-other)
 
     def __mul__(self, scalar) -> "FunctionElement":
-        scalar = self.curve.field.element(scalar) if not isinstance(scalar, FieldElement) else scalar
+        scalar = self.curve.field.element(scalar)
         if scalar.is_zero():
             return FunctionElement.zero(self.curve)
         terms = {t: (tuple(x * scalar for x in num), dens)
@@ -228,7 +184,7 @@ class FunctionElement:
         a, b = place.a, place.b
         total = spec.zero
         for t, (num, dens) in self.terms.items():
-            value = _peval(num, b, spec)
+            value = _peval(num, b)
             for alpha, d in zip(self.curve.alphas, dens):
                 if d:
                     factor = b - alpha
@@ -251,13 +207,12 @@ class FunctionElement:
         if self.is_zero():
             raise ValueError("the zero function has no valuation")
         curve = self.curve
-        spec = curve.field
         m, r = curve.m, curve.r
         if place.kind == RAMIFIED:
             alpha = curve.alphas[place.index - 1]
             best = None
             for t, (num, dens) in self.terms.items():
-                ord_alpha = _strip_root(num, alpha, spec)[0] - dens[place.index - 1]
+                ord_alpha = _strip_root(num, alpha)[0] - dens[place.index - 1]
                 v = t + m * ord_alpha
                 best = v if best is None else min(best, v)
             return best
@@ -282,12 +237,11 @@ def principal_divisor(f: FunctionElement) -> Divisor:
     if len(f.terms) != 1:
         raise ValueError("only single-term functions have exact divisors here")
     curve = f.curve
-    spec = curve.field
     (t, (num, dens)), = f.terms.items()
     poly = num
     net = []
     for alpha, d in zip(curve.alphas, dens):
-        mult, poly = _strip_root(poly, alpha, spec)
+        mult, poly = _strip_root(poly, alpha)
         net.append(mult - d)
     if len(poly) != 1:
         raise ValueError("numerator is not a product of the (y - alpha_i)")

@@ -10,6 +10,12 @@ constructed: one interned ``FieldElement`` per value, generator-power tables
 (an XOR when p = 2). Every table has O(q) entries. Coefficient tuples appear
 only in the text forms and while the generator and the tables are found.
 
+A polynomial is a little-endian list of ``FieldElement``, and this module has
+the one set of helpers for it (``_ptrim``, ``_pmul``, ``_pdivmod``,
+``_peval``), each reading the field from its operands: the irreducibility
+test of a modulus divides over GF(p)'s elements, ``solve_additive``
+evaluates with them, and ``functions`` keeps its numerators in them.
+
 All matrix work goes through one kernel, ``_Kernel``: numpy int32 arrays of
 field elements packed as base-p integers (``FieldElement.n``). A product is
 one gather in the field's extended exp/log tables. A sum is XOR when p = 2;
@@ -101,49 +107,68 @@ def _prime_factors(n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over the prime field (little-endian coefficient lists)
+# polynomials: little-endian lists of FieldElement, the field read from the
+# coefficients (field construction, solve_additive and functions share them)
 
 def _ptrim(c: list) -> list:
-    while c and c[-1] == 0:
+    while c and not c[-1]:
         c.pop()
     return c
 
 
-def _pdivmod(a: Sequence[int], b: Sequence[int], p: int):
+def _pmul(a: Sequence[FieldElement], b: Sequence[FieldElement]) -> list:
+    if not a or not b:
+        return []
+    out = [a[0].spec.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+    return _ptrim(out)
+
+
+def _pdivmod(a: Sequence[FieldElement], b: Sequence[FieldElement]):
+    """(quotient, remainder) of a by b, the remainder trimmed and shorter than b."""
     b = _ptrim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
-    rem = list(a)
-    _ptrim(rem)
-    quo = [0] * max(0, len(rem) - len(b) + 1)
+    inv_lead = b[-1].inverse()
+    rem = _ptrim(list(a))
+    quo = [inv_lead.spec.zero] * max(0, len(rem) - len(b) + 1)
     while len(rem) >= len(b):
         shift = len(rem) - len(b)
-        factor = (rem[-1] * inv_lead) % p
+        factor = rem[-1] * inv_lead
         quo[shift] = factor
         for i, c in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * c) % p
+            rem[shift + i] = rem[shift + i] - factor * c
         _ptrim(rem)
     return quo, rem
+
+
+def _peval(a: Sequence[FieldElement], y: FieldElement) -> FieldElement:
+    acc = y.spec.zero
+    for coeff in reversed(a):
+        acc = acc * y + coeff
+    return acc
+
+
+def _monic(p: int, d: int):
+    """Monic polynomials of degree d over GF(p) as int tuples, in counting
+    order of their low coefficients read as base-p digits."""
+    for code in range(p ** d):
+        yield tuple(code // p ** i % p for i in range(d)) + (1,)
 
 
 def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree <= k // 2."""
     k = len(modulus) - 1
     if k == 1:
+        # GF(p) itself is built through this case, so it must not touch GF(p)
         return True
-    for d in range(1, k // 2 + 1):
-        for code in range(p ** d):
-            divisor = []
-            c = code
-            for _ in range(d):
-                divisor.append(c % p)
-                c //= p
-            divisor.append(1)
-            _, rem = _pdivmod(modulus, divisor, p)
-            if not rem:
-                return False
-    return True
+    prime = GF(p).unpack
+    a = [prime(c) for c in modulus]
+    return all(_pdivmod(a, [prime(c) for c in divisor])[1]
+               for d in range(1, k // 2 + 1) for divisor in _monic(p, d))
 
 
 # Pinned moduli (little-endian, monic) for the (p, k) pairs the bundled
@@ -175,17 +200,9 @@ DEFAULT_MODULI = {
 def _default_modulus(p: int, k: int) -> tuple:
     if (p, k) in DEFAULT_MODULI:
         return DEFAULT_MODULI[(p, k)]
-    # first monic irreducible of degree k in counting order of the low coeffs
-    for code in range(p ** k):
-        cand = []
-        c = code
-        for _ in range(k):
-            cand.append(c % p)
-            c //= p
-        cand.append(1)
-        if _is_irreducible(cand, p):
-            return tuple(cand)
-    raise ValueError(f"no irreducible modulus found for GF({p}^{k})")
+    # the first monic irreducible of degree k in counting order; one exists
+    # for every degree
+    return next(cand for cand in _monic(p, k) if _is_irreducible(cand, p))
 
 
 class FieldSpec:
@@ -364,7 +381,10 @@ class FieldSpec:
     # -- public element factory ----------------------------------------------
 
     def element(self, value) -> "FieldElement":
-        """Coerce an int (prime-subfield constant), str, or coeff sequence."""
+        """Coerce an element, an int (prime-subfield constant), a str or a coeff
+        sequence; an element of another field raises ValueError."""
+        if isinstance(value, FieldElement) and value.spec is self:
+            return value
         if isinstance(value, str):
             return parse_element(self, value)
         if isinstance(value, int):
@@ -515,20 +535,9 @@ def solve_additive(spec: FieldSpec, poly_coeffs: Sequence, c=None) -> set:
     F is any univariate polynomial given by little-endian coefficients; the
     intended use is linearized F, whose fibers are kernel cosets.
     """
-    coeffs = [spec.element(v) if not isinstance(v, FieldElement) else v
-              for v in poly_coeffs]
-    for v in coeffs:
-        if v.spec != spec:
-            raise ValueError("coefficient from a different field")
+    coeffs = [spec.element(v) for v in poly_coeffs]
     target = spec.zero if c is None else spec.element(c)
-    out = set()
-    for y in spec.elements():
-        acc = spec.zero
-        for coeff in reversed(coeffs):
-            acc = acc * y + coeff
-        if acc == target:
-            out.add(y)
-    return out
+    return {y for y in spec.elements() if _peval(coeffs, y) == target}
 
 
 # ---------------------------------------------------------------------------

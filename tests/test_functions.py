@@ -7,8 +7,8 @@ from kummer_lcd import (Divisor, FunctionElement, Place, ell, format_function,
                         parse_function, principal_divisor, riemann_roch_basis,
                         valuation_ok)
 from kummer_lcd.codes import evaluation_matrix
-from kummer_lcd.functions import _pdiv_linear, _pmul, _strip_root
-from kummer_lcd.gf import GF
+from kummer_lcd.functions import _strip_root
+from kummer_lcd.gf import GF, _pdivmod, _pmul
 from kummer_lcd.codes import LinearCode
 
 
@@ -170,8 +170,8 @@ def strip_by_division(poly, root, spec, limit):
     """Second route for _strip_root: one division by (y - root) at a time."""
     count = 0
     while poly and (limit is None or count < limit):
-        quo, rem = _pdiv_linear(poly, root, spec)
-        if not rem.is_zero():
+        quo, rem = _pdivmod(poly, [-root, spec.one])
+        if rem:
             break
         poly, count = quo, count + 1
     return count, list(poly)
@@ -190,14 +190,14 @@ def test_strip_root_matches_division(q):
         factor = [-root, spec.one]
         poly = [elements[rng.randrange(1, q)]]
         for _ in range(rng.randrange(4)):
-            poly = _pmul(poly, factor, spec)
+            poly = _pmul(poly, factor)
         polys.append(poly)
     # monomials c * y^k, k = 0..5
     polys += [[spec.zero] * k + [elements[rng.randrange(1, q)]] for k in range(6)]
     for poly in polys:
         for root in (spec.zero, spec.one, elements[-1]):
             for limit in (None, 0, 1, 2, 3, 10):
-                count, quo = _strip_root(poly, root, spec, limit)
+                count, quo = _strip_root(poly, root, limit)
                 assert (count, list(quo)) == strip_by_division(poly, root, spec, limit)
 
 
@@ -205,11 +205,11 @@ def test_strip_root_on_a_monomial_needs_no_division(h2, monkeypatch):
     from kummer_lcd import functions
     spec = h2.field
     poly = [spec.zero] * 5 + [spec.one]
-    monkeypatch.setattr(functions, "_pdiv_linear", None)
-    assert _strip_root(poly, spec.zero, spec) == (5, [spec.one])
-    assert _strip_root(poly, spec.zero, spec, 3) == (3, poly[3:])
-    assert _strip_root(poly, spec.zero, spec, 0) == (0, poly)
-    assert _strip_root(poly, spec.one, spec, 2) == (0, poly)
+    monkeypatch.setattr(functions, "_pdivmod", None)
+    assert _strip_root(poly, spec.zero) == (5, [spec.one])
+    assert _strip_root(poly, spec.zero, 3) == (3, poly[3:])
+    assert _strip_root(poly, spec.zero, 0) == (0, poly)
+    assert _strip_root(poly, spec.one, 2) == (0, poly)
 
 
 def test_unsupported_affine_coefficients_rejected(h2):
@@ -242,6 +242,32 @@ def test_negative_exponent_moves_into_the_numerator(h2, c1):
                 want = FunctionElement.monomial(curve, t, alpha_exps=[-e for e in exps],
                                                 y_poly=num)
                 assert f == want and all(d >= 0 for d in f.terms[t][1])
+
+
+def test_constructor_coerces_and_checks_its_terms(h2):
+    spec = h2.field
+    # integer coefficients are coerced into the curve's field
+    f = FunctionElement(h2, {0: ((1, 0, 1), (0, 0))})
+    assert f == FunctionElement.monomial(h2, 0, y_poly=[spec.one, spec.zero, spec.one])
+    assert format_function(f) == "x^0*([1,0]*y^0 + [1,0]*y^2)"
+    foreign = GF(9).one
+    bad_terms = [
+        ((foreign,), (0, 0)),  # an element of another field
+        ((1,), (0,)),  # too few denominator exponents
+        ((1,), (1, 0, 5)),  # too many
+        ((1,), (1.5, 0)),  # not an integer
+    ]
+    for num, dens in bad_terms:
+        with pytest.raises(ValueError):
+            FunctionElement(h2, {0: (num, dens)})
+    with pytest.raises(ValueError, match="x-exponent"):
+        FunctionElement(h2, {1.5: ((1,), (0, 0))})
+    with pytest.raises(ValueError):
+        FunctionElement.monomial(h2, 1.5)
+    with pytest.raises(ValueError):
+        FunctionElement.monomial(h2, 0, y_poly=[foreign])
+    with pytest.raises(ValueError):
+        FunctionElement.monomial(h2, 0, alpha_exps=(1,))
 
 
 def test_monomial_x_power_reduction(c1):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from kummer_lcd import (GF, FieldSpec, ParseError, format_element,
                         format_element_pretty, parse_element, solve_additive)
-from kummer_lcd.gf import DEFAULT_MODULI
+from kummer_lcd.gf import DEFAULT_MODULI, _is_irreducible, _pdivmod, _pmul, _ptrim
 
 
 def test_gf4_pinned_convention():
@@ -88,6 +88,60 @@ def test_default_moduli_irreducible_with_primitive_t():
             assert spec.generator == t
 
 
+# the first monic irreducible in counting order, for fields outside DEFAULT_MODULI
+@pytest.mark.parametrize("p, k, modulus, generator", [
+    (2, 9, (1, 1, 0, 0, 0, 0, 0, 0, 0, 1), 7),
+    (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), 2),
+    (3, 5, (1, 2, 0, 0, 0, 1), 3),
+    (5, 3, (1, 1, 0, 1), 9),
+    (11, 2, (1, 0, 1), 15),
+    (13, 2, (2, 0, 1), 15),
+    (17, 2, (3, 0, 1), 19),
+    (2, 16, (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,), 3),
+])
+def test_searched_moduli_are_pinned(p, k, modulus, generator):
+    assert (p, k) not in DEFAULT_MODULI
+    spec = FieldSpec(p, k)
+    assert spec.modulus == modulus and spec.generator.n == generator
+
+
+def _mobius(n):
+    sign = 1
+    for d in range(2, n + 1):
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            sign = -sign
+    return sign
+
+
+@pytest.mark.parametrize("p, top", [(2, 8), (3, 4), (5, 3)])
+def test_irreducible_count_matches_gauss(p, top):
+    # (1/k) sum_{d | k} mu(d) p^(k/d) monic irreducibles of degree k over GF(p)
+    for k in range(1, top + 1):
+        monic = [low + (1,) for low in itertools.product(range(p), repeat=k)]
+        gauss = sum(_mobius(d) * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+        assert sum(_is_irreducible(f, p) for f in monic) == gauss, (p, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([p ** k for p in (2, 3, 5, 7, 13) for k in (1, 2, 3)]), st.data())
+def test_polynomial_division_identity(q, data):
+    F = GF(q)
+    poly = st.lists(st.integers(0, q - 1).map(F.unpack), max_size=7)
+    a, b = data.draw(poly), data.draw(poly.filter(any))
+    size = len(_ptrim(list(b)))
+    # a drawn dividend, a zero one and one shorter than the divisor
+    for dividend in (a, [], a[:size - 1]):
+        quo, rem = _pdivmod(dividend, b)
+        assert len(rem) < size and (not rem or rem[-1])
+        total = itertools.zip_longest(_pmul(quo, b), rem, fillvalue=F.zero)
+        assert _ptrim([x + y for x, y in total]) == _ptrim(list(dividend))
+    with pytest.raises(ZeroDivisionError):
+        _pdivmod(a, [F.zero] * len(b))
+
+
 def test_modulus_override_changes_representation():
     default = GF(9)
     custom = FieldSpec(3, 2, modulus=(2, 2, 1))
@@ -116,6 +170,8 @@ def test_solve_additive_examples():
     assert solve_additive(F4, [0, 1, 1], F4.one) == {a, a ** 2}
     F8 = GF(8)
     assert len(solve_additive(F8, [0, 1, 1, 0, 1])) == 4
+    with pytest.raises(ValueError, match="different field"):
+        solve_additive(F4, [0, F8.one])
 
 
 def test_text_form_roundtrip_and_aliases():
