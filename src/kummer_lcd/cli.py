@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -269,15 +270,13 @@ def cmd_verify(args) -> Report:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser(argv=None) -> argparse.ArgumentParser:
-    """Every command is named, so help and choice errors list them all, but
-    only the command and subcommand that argv runs get options (None: all)."""
-    chosen = None if argv is None else [a for a in argv if not a.startswith("-")][:2]
-
-    def add(subparsers, name, **kwargs):  # None for a command argv does not run
-        if chosen is None or name in chosen:
-            return subparsers.add_parser(name, allow_abbrev=False, **kwargs)
-        subparsers.add_parser(name, add_help=False, allow_abbrev=False, **kwargs)
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first main() call and reused
+    (parse_args leaves it unchanged). Handlers are stored by name, and main
+    looks each up when its call runs, so a handler rebound later is reached."""
+    def add(subparsers, name, **kwargs):  # options are named in full
+        return subparsers.add_parser(name, allow_abbrev=False, **kwargs)
 
     parser = argparse.ArgumentParser(
         prog="kummer-lcd", allow_abbrev=False,
@@ -289,75 +288,75 @@ def _build_parser(argv=None) -> argparse.ArgumentParser:
         p.add_argument("--pretty", action="store_true",
                        help="human-readable tables instead of JSON")
 
-    if curve := add(sub, "curve", help="curve data"):
-        curve_sub = curve.add_subparsers(dest="what", required=True)
-        if info := add(curve_sub, "info"):
-            info.add_argument("--curve", required=True)
-            add_common(info)
-            info.set_defaults(func=cmd_curve_info)
-        if points := add(curve_sub, "points"):
-            points.add_argument("--curve", required=True)
-            add_common(points)
-            points.set_defaults(func=cmd_curve_points)
+    curve = add(sub, "curve", help="curve data")
+    curve_sub = curve.add_subparsers(dest="what", required=True)
+    info = add(curve_sub, "info")
+    info.add_argument("--curve", required=True)
+    add_common(info)
+    info.set_defaults(handler="cmd_curve_info")
+    points = add(curve_sub, "points")
+    points.add_argument("--curve", required=True)
+    add_common(points)
+    points.set_defaults(handler="cmd_curve_points")
 
-    if rr := add(sub, "rr", help="Riemann-Roch spaces"):
-        rr_sub = rr.add_subparsers(dest="what", required=True)
-        if basis := add(rr_sub, "basis"):
-            basis.add_argument("--curve", required=True)
-            basis.add_argument("--divisor", required=True)
-            add_common(basis)
-            basis.set_defaults(func=cmd_rr_basis)
+    rr = add(sub, "rr", help="Riemann-Roch spaces")
+    rr_sub = rr.add_subparsers(dest="what", required=True)
+    basis = add(rr_sub, "basis")
+    basis.add_argument("--curve", required=True)
+    basis.add_argument("--divisor", required=True)
+    add_common(basis)
+    basis.set_defaults(handler="cmd_rr_basis")
 
-    if semi := add(sub, "semigroup", help="gap sets and minimal generators"):
-        semi.add_argument("what", choices=["gaps", "gamma"])
-        semi.add_argument("--curve", required=True)
-        semi.add_argument("--tuple", default=None,
-                          help="comma-separated ramified indices, e.g. 1,2,3")
-        add_common(semi)
-        semi.set_defaults(func=cmd_semigroup)
+    semi = add(sub, "semigroup", help="gap sets and minimal generators")
+    semi.add_argument("what", choices=["gaps", "gamma"])
+    semi.add_argument("--curve", required=True)
+    semi.add_argument("--tuple", default=None,
+                      help="comma-separated ramified indices, e.g. 1,2,3")
+    add_common(semi)
+    semi.set_defaults(handler="cmd_semigroup")
 
-    if nonspecial := add(sub, "nonspecial", help="explicit non-special divisors"):
-        nonspecial.add_argument("--curve", required=True)
-        nonspecial.add_argument("--degree", choices=["g", "g-1"], required=True)
-        nonspecial.add_argument("--minus", default=None,
-                                help="place to subtract for degree g-1 (default Pinf)")
-        add_common(nonspecial)
-        nonspecial.set_defaults(func=cmd_nonspecial)
+    nonspecial = add(sub, "nonspecial", help="explicit non-special divisors")
+    nonspecial.add_argument("--curve", required=True)
+    nonspecial.add_argument("--degree", choices=["g", "g-1"], required=True)
+    nonspecial.add_argument("--minus", default=None,
+                            help="place to subtract for degree g-1 (default Pinf)")
+    add_common(nonspecial)
+    nonspecial.set_defaults(handler="cmd_nonspecial")
 
-    if code := add(sub, "code", help="evaluation codes"):
-        code_sub = code.add_subparsers(dest="what", required=True)
-        for name in ("build", "dual", "hull"):
-            if p := add(code_sub, name):
-                p.add_argument("--curve", required=True)
-                p.add_argument("--G", required=True)
-                p.add_argument("--D", default="standard")
-                p.add_argument("--out", default=None, help="write the matrix as CSV")
-                add_common(p)
-                p.set_defaults(func=cmd_code)
-        if lcd := add(code_sub, "lcd-check"):
-            lcd.add_argument("--construction", required=True,
-                             choices=["maxcur", "curve1", "curve2", "hermitian"])
-            lcd.add_argument("--q", type=int, default=None)
-            lcd.add_argument("--r", type=int, default=None)
-            lcd.add_argument("--curve", default=None)
-            lcd.add_argument("--G", default=None)
-            lcd.add_argument("--allow-remark-family", action="store_true")
-            add_common(lcd)
-            lcd.set_defaults(func=cmd_code_lcd_check)
-        if mindist := add(code_sub, "mindist"):
-            mindist.add_argument("--curve", required=True)
-            mindist.add_argument("--G", required=True)
-            mindist.add_argument("--D", default="standard")
-            mindist.add_argument("--budget", type=int, default=DEFAULT_MINDIST_BUDGET)
-            add_common(mindist)
-            mindist.set_defaults(func=cmd_code_mindist)
+    code = add(sub, "code", help="evaluation codes")
+    code_sub = code.add_subparsers(dest="what", required=True)
+    for name in ("build", "dual", "hull"):
+        p = add(code_sub, name)
+        p.add_argument("--curve", required=True)
+        p.add_argument("--G", required=True)
+        p.add_argument("--D", default="standard")
+        p.add_argument("--out", default=None, help="write the matrix as CSV")
+        add_common(p)
+        p.set_defaults(handler="cmd_code")
+    lcd = add(code_sub, "lcd-check")
+    lcd.add_argument("--construction", required=True,
+                     choices=["maxcur", "curve1", "curve2", "hermitian"])
+    lcd.add_argument("--q", type=int, default=None)
+    lcd.add_argument("--r", type=int, default=None)
+    lcd.add_argument("--curve", default=None)
+    lcd.add_argument("--G", default=None)
+    lcd.add_argument("--allow-remark-family", action="store_true")
+    add_common(lcd)
+    lcd.set_defaults(handler="cmd_code_lcd_check")
+    mindist = add(code_sub, "mindist")
+    mindist.add_argument("--curve", required=True)
+    mindist.add_argument("--G", required=True)
+    mindist.add_argument("--D", default="standard")
+    mindist.add_argument("--budget", type=int, default=DEFAULT_MINDIST_BUDGET)
+    add_common(mindist)
+    mindist.set_defaults(handler="cmd_code_mindist")
 
-    if verify := add(sub, "verify", help="bundled end-to-end checks"):
-        verify_sub = verify.add_subparsers(dest="what", required=True)
-        if pe := add(verify_sub, "paper-examples"):
-            pe.add_argument("--which", default="all")
-            add_common(pe)
-            pe.set_defaults(func=cmd_verify)
+    verify = add(sub, "verify", help="bundled end-to-end checks")
+    verify_sub = verify.add_subparsers(dest="what", required=True)
+    pe = add(verify_sub, "paper-examples")
+    pe.add_argument("--which", default="all")
+    add_common(pe)
+    pe.set_defaults(handler="cmd_verify")
 
     return parser
 
@@ -367,10 +366,10 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 2, -1, -1):  # "--G -1*Pinf" reads as "--G=-1*Pinf"
         if argv[i] in ("--G", "--divisor", "--minus") and re.match(r"-[\dP]", argv[i + 1]):
             argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
-    args = _build_parser(argv).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     command = " ".join(filter(None, (args.command, getattr(args, "what", None))))
     try:
-        report = args.func(args)
+        report = globals()[args.handler](args)
         _emit({"command": command, "inputs": report.inputs, "results": report.results,
                "checks": list(report.checks)}, args.pretty)
         if args.pretty and report.matrix is not None:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -341,9 +342,9 @@ def test_option_prefixes_are_not_options(capsys, argv, missing):
 
 
 def test_each_call_parses_as_the_parser_of_every_command(capsys, tmp_path, monkeypatch):
-    """main() builds options only for the command its argv runs; every call
-    in one process, help and argparse errors included, prints what the
-    parser of every command prints, and no call leaves state to the next."""
+    """main() reuses one parser; every call in one process, help and argparse
+    errors included, prints what a freshly built parser prints, and no call
+    leaves state to the next."""
     csv_path = tmp_path / "dual.csv"
     mindist = ["code", "mindist", "--curve", "hermitian-q2", "--G", "3*Pinf+1*P1"]
     build = ["code", "build", "--curve", "hermitian-q2", "--G", "3*Pinf+1*P1"]
@@ -377,8 +378,7 @@ def test_each_call_parses_as_the_parser_of_every_command(capsys, tmp_path, monke
         return results
 
     runs = run()
-    build_every_command = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda argv: build_every_command())
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     assert runs == run()
     assert [r[0] for r in runs[:11]] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0]
     assert all(code == 0 and out.startswith("usage: ") for code, out, _ in runs[11:15])
@@ -404,6 +404,56 @@ def test_a_traced_call_after_a_plain_one_records_the_commands(capsys, monkeypatc
     capsys.readouterr()
     assert [s[NAME] for s in tracer.spans].count("cli.cmd_code_lcd_check") == 1
     assert layer_metrics(tracer)["codes.hull_calls_per_cert"] == ("ratio", 3.0)
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    """After one call, output, argparse errors, help and parse errors alike
+    construct no ArgumentParser, and each exits as on a freshly built parser."""
+    sequence = [
+        ["curve", "info", "--curve", "hermitian-q2"],
+        ["curve", "points", "--curve", "hermitian-q2", "--pretty"],
+        ["code", "hull", "--curve", "hermitian-q2"],  # no --G: SystemExit(2)
+        ["code", "lcd-check", "--help"],  # SystemExit(0)
+        ["curve", "info", "--curve", "missing.json"],  # ParseError: exit 2
+    ]
+    _call(capsys, sequence[0])
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    runs = [_call(capsys, argv) for argv in sequence]
+    assert built == []
+    assert [r[0] for r in runs] == [0, 0, 2, 0, 2]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert runs == [_call(capsys, argv) for argv in sequence]
+    assert built
+
+
+def test_importing_the_cli_builds_no_parser():
+    """The parser is built on the first main() call, not at import."""
+    script = ("import argparse\n"
+              "built = []\n"
+              "init = argparse.ArgumentParser.__init__\n"
+              "argparse.ArgumentParser.__init__ = "
+              "lambda self, *a, **kw: built.append(self) or init(self, *a, **kw)\n"
+              "import kummer_lcd.cli\n"
+              "print(len(built))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_handlers_are_looked_up_when_the_call_runs(capsys, monkeypatch):
+    """A handler replaced between two calls of one process runs in the second."""
+    argv = ["curve", "info", "--curve", "hermitian-q2"]
+    assert run_json(capsys, *argv)["results"]["genus"] == 1
+    monkeypatch.setattr(cli, "cmd_curve_info",
+                        lambda args: cli.Report({"curve": args.curve}, {"stub": True}))
+    assert run_json(capsys, *argv) == {"command": "curve info",
+                                       "inputs": {"curve": "hermitian-q2"},
+                                       "results": {"stub": True}, "checks": []}
 
 
 @pytest.mark.parametrize("budget", ["-5", "0"])
