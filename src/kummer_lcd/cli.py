@@ -44,9 +44,9 @@ def _resolve_curve(arg: str) -> KummerCurve:
             return load_curve_spec(candidate)
     try:
         return builtin_curve(arg)
-    except ValueError:
+    except ParseError:
         raise ParseError(
-            f"curve {arg!r}: no such file and not a builtin curve name")
+            f"curve {arg!r}: no such file and not a builtin curve name") from None
 
 
 class Report(NamedTuple):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Union
 
 from .gf import (MAX_FIELD_SIZE, FieldElement, FieldSpec, GF, ParseError, _parse_int,
                  _split_top, format_element, parse_element, solve_additive)
@@ -35,6 +35,12 @@ __all__ = [
     "parse_divisor",
     "parse_place",
 ]
+
+# largest r * N of a curve, with r roots over GF(N): it bounds the root
+# search of the additive families and the point listing, which evaluates the
+# defining product at every y and finds at most r places above each x
+# (hermitian q <= 64)
+MAX_CURVE_WORK = 1 << 18
 
 RAMIFIED = "ramified"
 INFINITY = "infinity"
@@ -212,6 +218,7 @@ class KummerCurve:
             raise ValueError("duplicate roots in the defining product")
         if not coerced:
             raise ValueError("at least one root is required")
+        _check_curve_work(len(coerced), field.order)
         self.alphas = coerced
         self.r = len(coerced)
         self.m = int(m)
@@ -300,6 +307,12 @@ class KummerCurve:
 # ---------------------------------------------------------------------------
 # curve families used by the bundled constructions
 
+def _check_curve_work(r: int, order: int) -> None:
+    if r * order > MAX_CURVE_WORK:
+        raise ValueError(f"r * N = {r} * {order} = {r * order} is above the cap "
+                         f"MAX_CURVE_WORK = {MAX_CURVE_WORK}")
+
+
 def _additive_kernel_curve(field: FieldSpec, poly_coeffs: Sequence, m: int,
                            expected_roots: int, label: str) -> KummerCurve:
     roots = solve_additive(field, poly_coeffs)
@@ -311,17 +324,20 @@ def _additive_kernel_curve(field: FieldSpec, poly_coeffs: Sequence, m: int,
     return KummerCurve(field, alphas, m, label=label)
 
 
-def _family_field(q: int, e: int) -> FieldSpec:
-    """GF(q^e), refused before q^e is formed when e alone puts it past
-    MAX_FIELD_SIZE (q >= 2 gives q^e >= 2^e)."""
+def _family_field(q: int, e: int, roots: Callable[[], int]) -> FieldSpec:
+    """GF(q^e) for a curve with roots() roots, refused before q^e is formed
+    when e alone puts it past MAX_FIELD_SIZE (q >= 2 gives q^e >= 2^e), and
+    before its tables are built when r * N is above MAX_CURVE_WORK."""
     if q > 1 and e >= MAX_FIELD_SIZE.bit_length():
         raise ValueError(f"field size {q}^{e} exceeds the supported desk scale")
+    if 1 < q ** e <= MAX_FIELD_SIZE:
+        _check_curve_work(roots(), q ** e)
     return GF(q ** e)
 
 
 def hermitian_curve(q: int) -> KummerCurve:
     """y^q + y = x^(q+1) over GF(q^2)."""
-    field = _family_field(q, 2)
+    field = _family_field(q, 2, lambda: q)
     poly = [0] * (q + 1)
     poly[1] = 1
     poly[q] = 1
@@ -332,7 +348,7 @@ def hermitian_quotient_curve(q: int) -> KummerCurve:
     """y^(q/2) + y^(q/4) + ... + y = x^(q+1) over GF(q^2), for 4 | q."""
     if q % 4 != 0 or q & (q - 1):
         raise ValueError("this family needs q a power of 2 with 4 | q")
-    field = _family_field(q, 2)
+    field = _family_field(q, 2, lambda: q // 2)
     poly = [0] * (q // 2 + 1)
     e = 1
     while e <= q // 2:
@@ -345,7 +361,7 @@ def lifted_hermitian_curve(q: int, r: int) -> KummerCurve:
     """y^q + y = x^(q^r + 1) over GF(q^(2r)), r odd."""
     if r % 2 == 0:
         raise ValueError("this family needs r odd")
-    field = _family_field(q, 2 * r)
+    field = _family_field(q, 2 * r, lambda: q)
     poly = [0] * (q + 1)
     poly[1] = 1
     poly[q] = 1
@@ -354,7 +370,7 @@ def lifted_hermitian_curve(q: int, r: int) -> KummerCurve:
 
 def norm_trace_curve(q: int, r: int) -> KummerCurve:
     """y^(q^(r-1)) + ... + y^q + y = x^((q^r - 1)/(q - 1)) over GF(q^r)."""
-    field = _family_field(q, r)
+    field = _family_field(q, r, lambda: q ** (r - 1))
     poly = [0] * (q ** (r - 1) + 1)
     for i in range(r):
         poly[q ** i] = 1
@@ -363,23 +379,30 @@ def norm_trace_curve(q: int, r: int) -> KummerCurve:
                                   f"norm-trace-q{q}-r{r}")
 
 
+# parameters are positive, as lcd-check's --q and --r must be: a zero is no
+# family's name
+_POSITIVE = r"0*([1-9]\d*)"
 _BUILTIN_PATTERNS = (
-    (re.compile(r"^hermitian-q(\d+)$"), lambda m: hermitian_curve(int(m.group(1)))),
-    (re.compile(r"^curve1-q(\d+)$"), lambda m: hermitian_quotient_curve(int(m.group(1)))),
-    (re.compile(r"^curve2-q(\d+)-r(\d+)$"),
+    (re.compile(rf"^hermitian-q{_POSITIVE}$"), lambda m: hermitian_curve(int(m.group(1)))),
+    (re.compile(rf"^curve1-q{_POSITIVE}$"),
+     lambda m: hermitian_quotient_curve(int(m.group(1)))),
+    (re.compile(rf"^curve2-q{_POSITIVE}-r{_POSITIVE}$"),
      lambda m: lifted_hermitian_curve(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^norm-trace-q(\d+)-r(\d+)$"),
+    (re.compile(rf"^norm-trace-q{_POSITIVE}-r{_POSITIVE}$"),
      lambda m: norm_trace_curve(int(m.group(1)), int(m.group(2)))),
 )
 
 
 def builtin_curve(name: str) -> KummerCurve:
-    """Construct a bundled curve from names like hermitian-q2, curve2-q2-r3."""
+    """Construct a bundled curve from names like hermitian-q2, curve2-q2-r3.
+
+    A name that matches no family is a ParseError; parameters that a family
+    refuses are a ValueError that gives the family's reason."""
     for pattern, build in _BUILTIN_PATTERNS:
         match = pattern.match(name)
         if match:
             return build(match)
-    raise ValueError(f"unknown builtin curve {name!r}")
+    raise ParseError(f"unknown builtin curve {name!r}")
 
 
 # ---------------------------------------------------------------------------

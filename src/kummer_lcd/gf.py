@@ -588,8 +588,8 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
 _DTYPE = np.int32
 # cells of the largest intermediate array G * H^T builds at once
 _DOT_CHUNK_CELLS = 1 << 16
-# largest odd-p sum table the kernel builds, q^2 cells; larger fields add
-# digit by digit
+# largest q^2-cell table the kernel builds, for products and odd-p sums;
+# larger fields multiply through the logs and add digit by digit
 _ADD_TABLE_CELLS = 1 << 21
 
 
@@ -598,11 +598,13 @@ class _Kernel:
 
     ``log``, ``exp`` and ``neg`` are the field's own tables as arrays, so
     ``exp[log[a] + log[b]]`` is a * b for every pair, zero included, with no
-    reduction mod q - 1 and no mask. ``add`` is XOR for p = 2, a gather in
-    the q^2-cell table of sums for odd p while q^2 <= ``_ADD_TABLE_CELLS``,
-    and the digit-wise sum above that. For odd p, the int64 ``spread[n]`` has
-    digit i of n at bit ``bits * i``: a sum of up to ``seg`` of them adds each
-    digit in its own lane with no carry, and shift, mask and mod p read it.
+    reduction mod q - 1 and no mask. While q^2 <= ``_ADD_TABLE_CELLS``,
+    ``prod[a, b]`` is a * b, and ``rref`` gathers every multiple of a pivot
+    row from it at once; above the cap ``prod`` is None. ``add`` is XOR for
+    p = 2, a gather in the q^2-cell table of sums for odd p under the same
+    cap, and the digit-wise sum above it. For odd p, the int64 ``spread[n]``
+    has digit i of n at bit ``bits * i``: a sum of up to ``seg`` of them adds
+    each digit in its own lane with no carry, and shift, mask and mod p read it.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -613,15 +615,17 @@ class _Kernel:
         self.exp = np.array(spec.exp, dtype=_DTYPE)
         self.neg = np.array(spec.neg, dtype=_DTYPE)
         self.weights = [p ** i for i in range(spec.k)]
+        values = np.arange(q, dtype=np.int64)
+        tabled = q * q <= _ADD_TABLE_CELLS
+        self.prod = self.mul(values[:, None], values[None, :]) if tabled else None
         if p == 2:
             self.add = np.bitwise_xor
             return
         self.bits = min(62, 63 // spec.k)
         self.seg = ((1 << self.bits) - 1) // (p - 1)
-        values = np.arange(q, dtype=np.int64)
         self.spread = sum(values // w % p << self.bits * i
                           for i, w in enumerate(self.weights))
-        if q * q <= _ADD_TABLE_CELLS:
+        if tabled:
             sums = self._digit_add(values[:, None], values[None, :]).ravel()
             self.add = lambda a, b: sums[a * q + b]
         else:
@@ -651,9 +655,13 @@ class _Kernel:
 
     def rref(self, mat) -> Tuple[np.ndarray, list]:
         """Reduced row echelon form of a copy of mat: (rank x n rows, pivots),
-        one pass over m[:, col:] per pivot (the pivot row's own factor is 0)."""
+        one pass over m[:, col:] per pivot (the pivot row's own factor is 0).
+        With ``prod`` and at least q / 2 rows, the pass gathers each row's
+        multiple of the pivot row from the q multiples ``prod`` gives."""
         m = np.array(mat, dtype=_DTYPE)
         rows, n = m.shape
+        # the q multiples cost q rows of gathers, the logs about two per row of m
+        table = self.prod if 2 * rows > self.units else None
         pivots = []
         rank = 0
         for col in range(n):
@@ -665,11 +673,17 @@ class _Kernel:
             pivot = rank + int(found[0])
             if pivot != rank:
                 m[[rank, pivot]] = m[[pivot, rank]]
-            row_log = self.log[m[rank, col:]]
-            m[rank, col:] = row = self.exp[row_log + (self.units - row_log[0])]
+            row = m[rank, col:]
+            if row[0] != 1:
+                row_log = self.log[row]
+                m[rank, col:] = row = self.exp[row_log + (self.units - row_log[0])]
             factors = self.neg[m[:, col]]
             factors[rank] = 0
-            m[:, col:] = self.add(m[:, col:], self.mul(factors[:, None], row))
+            if table is None:
+                products = self.mul(factors[:, None], row)
+            else:
+                products = table.take(row, axis=1).take(factors, axis=0)
+            m[:, col:] = self.add(m[:, col:], products)
             pivots.append(col)
             rank += 1
         return m[:rank], pivots

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from kummer_lcd import builtin_curve, load_curve_spec, parse_divisor, parse_function
-from kummer_lcd import cli
+from kummer_lcd import cli, curves
 from kummer_lcd.cli import main
 from kummer_lcd.codes import DEFAULT_MINDIST_BUDGET
 
@@ -221,10 +221,20 @@ def test_curve_spec_that_fails_mathematically_exits_1(capsys, tmp_path, change, 
     assert (code, out, err) == (1, "", f"precondition violated: {message}\n")
 
 
+def _child(argv):
+    """Exit code, stdout and stderr of the CLI run in a child process under a
+    5 s timeout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "kummer_lcd.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=5)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize("argv, spec, code, message", [
     # GF factorised q^2 by trial division
-    (["curve", "info", "--curve", "hermitian-q100000000007"], None, 2,
-     "parse error: curve 'hermitian-q100000000007': no such file and not a builtin curve name"),
+    (["curve", "info", "--curve", "hermitian-q100000000007"], None, 1,
+     "precondition violated: 10000000001400000000049 is not a prime power"),
     # GF divided a 200 002-bit integer by 2 once per bit
     (["code", "lcd-check", "--construction", "curve2", "--q", "2", "--r", "100001"], None, 1,
      "precondition violated: field size 2^200002 exceeds the supported desk scale"),
@@ -242,11 +252,65 @@ def test_a_field_past_the_size_cap_is_refused_at_once(tmp_path, argv, spec, code
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({**GOOD_SPEC, "modulus": None, **spec}))
         argv = argv + [str(path)]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-m", "kummer_lcd.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=5)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message + "\n")
+    assert _child(argv) == (code, "", message + "\n")
+
+
+@pytest.mark.parametrize("name, q, r, reason", [
+    ("curve2-q2-r2", "2", "2", "this family needs r odd"),
+    ("hermitian-q6", "6", None, "36 is not a prime power"),
+    ("curve1-q6", "6", None, "this family needs q a power of 2 with 4 | q"),
+    ("hermitian-q256", "256", None,
+     "r * N = 256 * 65536 = 16777216 is above the cap MAX_CURVE_WORK = 262144"),
+])
+def test_a_builtin_name_with_refused_parameters_gives_the_familys_reason(
+        capsys, name, q, r, reason):
+    construction = name.split("-")[0]
+    lcd_check = ["code", "lcd-check", "--construction", construction, "--q", q]
+    lcd_check += ["--r", r] if r else []
+    want = (1, "", f"precondition violated: {reason}\n")
+    assert _call(capsys, lcd_check) == want
+    for argv in (["curve", "info", "--curve", name],
+                 ["code", "build", "--curve", name, "--G", "3*Pinf"],
+                 ["code", "lcd-check", "--construction", "maxcur", "--curve", name,
+                  "--G", "3*Pinf"]):
+        assert _call(capsys, argv) == want, argv
+
+
+@pytest.mark.parametrize("name", ["hermitian", "hermitian-q", "hermitian-q0", "hermitian-qx",
+                                  "curve2-q2", "curve2-q2-r0", "norm-trace-q0-r3",
+                                  "hermitian-q3 "])
+def test_a_name_that_matches_no_family_is_a_parse_error(capsys, name):
+    assert _call(capsys, ["curve", "info", "--curve", name]) == (
+        2, "", f"parse error: curve {name!r}: no such file and not a builtin curve name\n")
+
+
+@pytest.mark.parametrize("argv, spec, work", [
+    (["curve", "info", "--curve", "hermitian-q256"], None, "256 * 65536 = 16777216"),
+    (["curve", "points", "--curve", "curve1-q256"], None, "128 * 65536 = 8388608"),
+    (["curve", "info", "--curve", "norm-trace-q2-r16"], None, "32768 * 65536 = 2147483648"),
+    (["curve", "info", "--curve", "hermitian-q128"], None, "128 * 16384 = 2097152"),
+    (["code", "lcd-check", "--construction", "curve1", "--q", "128"], None,
+     "64 * 16384 = 1048576"),
+    (["curve", "points", "--curve"], {"p": 65521, "k": 1, "m": 3, "alphas": [0, 1, 2, 3, 4]},
+     "5 * 65521 = 327605"),
+], ids=["hermitian-q256", "curve1-q256", "norm-trace-q2-r16", "hermitian-q128",
+        "curve1-q128", "spec-r5-p65521"])
+def test_a_curve_past_the_work_cap_is_refused_at_once(tmp_path, argv, spec, work):
+    """r * N bounds the root search and the point listing; a curve above the
+    cap is refused before either, in a child process under a 5 s timeout."""
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = argv + [str(path)]
+    assert _child(argv) == (1, "", f"precondition violated: r * N = {work} is above "
+                                   f"the cap MAX_CURVE_WORK = 262144\n")
+
+
+def test_the_work_cap_admits_hermitian_q64():
+    assert curves.MAX_CURVE_WORK == 64 * 64 ** 2
+    curves._check_curve_work(64, 64 ** 2)
+    with pytest.raises(ValueError, match="above the cap"):
+        curves._check_curve_work(65, 64 ** 2)
 
 
 @pytest.mark.parametrize("name", ["curve1-q4", "curve2-q2-r3", "hermitian-q2",
@@ -640,6 +704,9 @@ PINNED_DIGESTS = {
         (0, "8ac5a8dc4f8f52b042a896f4ff2496d7648e55bee5b0bf80a585824cf950f3ed"),
     "code build --curve hermitian-q3 --G 10*Pinf --out m.csv":
         (0, "f38ba492501c23353fb722ab8578efc01a7c0b8613f54379c6773c05868c965c"),
+    # the dual RREF of perfbench's lcd-certify tail stratum, over GF(16)
+    "code dual --curve hermitian-q4 --G 30*Pinf --out m.csv":
+        (0, "0c24639959fabbf3b558ea2fb0882dd5d7789b6759575903546fb75b3fe64929"),
     "code dual --curve curve1-q4 --G 15*Pinf":
         (0, "d5d2c285d513aa98f1eee4b8c230d56595aeb17873c777f505f71320f94a534e"),
     "code hull --curve hermitian-q3 --G 1*P1+2*P2+8*P3":

@@ -303,6 +303,33 @@ def test_code_equality_is_field_labels_and_matrix(h2):
     assert dual(built) != built and built != "C(D, G)"
 
 
+def test_every_route_gives_a_read_only_packed_matrix(h2):
+    # __hash__ hashes matrix.tobytes(), so equal codes hash alike only while
+    # every route stores the same element width
+    spec, D = h2.field, h2.standard_D()
+    built = build_code(h2, D, parse_divisor(h2, "3*Pinf+1*P1"))
+    # the code again, from unreduced rows: row 0 plus row 1, then row 1 times 2
+    rows = built.matrix.tolist()
+    rows[0] = [(x + y).n for x, y in zip(built.generator[0], built.generator[1])]
+    rows[1] = [(spec.unpack(2) * x).n for x in built.generator[1]]
+    small = hull(build_code(h2, D, parse_divisor(h2, "3*Pinf")))
+    scaled = [[(spec.unpack(3) * x).n for x in small.generator[0]]]
+    full = [[int(i == j) for j in range(D.degree)] for i in range(D.degree)]
+    same = [
+        [built, LinearCode.from_rows(spec, rows, D.support), dual(dual(built))]
+        + [LinearCode.from_rows(spec, np.array(rows, dtype=t), D.support)
+           for t in (np.int64, np.uint8)],
+        [dual(built), build_code(h2, D, parse_divisor(h2, "1*P1+2*P2-1*Pinf"))],
+        [small, LinearCode.from_rows(spec, np.array(scaled, dtype=np.uint8), D.support)],
+        [dual(LinearCode.from_rows(spec, full, D.support)),
+         LinearCode.from_rows(spec, [], D.support), hull(dual(built))],
+    ]
+    for group in same:
+        for code in group:
+            assert code.matrix.dtype == codes._DTYPE and not code.matrix.flags.writeable
+            assert code == group[0] and hash(code) == hash(group[0])
+
+
 def test_dual_dimensions_and_involution(h2):
     D = h2.standard_D()
     C = build_code(h2, D, parse_divisor(h2, "3*Pinf+1*P1"))

@@ -4,9 +4,15 @@ The scalar row reduction below is the one-entry-at-a-time routine the kernel
 replaced, kept here as the oracle. Its arithmetic goes through the
 coefficient-tuple field of ``test_gf``, so it shares no table with the kernel
 or with ``FieldElement``, which both read the field's exp/log tables.
+``log_rref`` is the kernel's per-pivot elimination before the product table,
+kept as a second vectorised route.
 """
 
+import functools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,29 +28,19 @@ from test_gf import TupleField
 from test_properties import SETTINGS, curves_with_divisor
 
 FIELD_SIZES = [2, 4, 7, 9, 16, 25, 27, 49, 64, 81]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class ScalarOps:
-    """Packed-int arithmetic routed through coefficient tuples."""
+    """Packed-int arithmetic routed through coefficient tuples, each result
+    computed once per operand pair."""
 
     def __init__(self, spec):
-        self.field = TupleField(spec)
-
-    def add(self, a, b):
-        f = self.field
-        return f.packed(f.add(f.digits(a), f.digits(b)))
-
-    def mul(self, a, b):
-        f = self.field
-        return f.packed(f.mul(f.digits(a), f.digits(b)))
-
-    def neg(self, a):
-        f = self.field
-        return f.packed(f.neg(f.digits(a)))
-
-    def inv(self, a):
-        f = self.field
-        return f.packed(f.inverse(f.digits(a)))
+        f = self.field = TupleField(spec)
+        self.add = functools.cache(lambda a, b: f.packed(f.add(f.digits(a), f.digits(b))))
+        self.mul = functools.cache(lambda a, b: f.packed(f.mul(f.digits(a), f.digits(b))))
+        self.neg = functools.cache(lambda a: f.packed(f.neg(f.digits(a))))
+        self.inv = functools.cache(lambda a: f.packed(f.inverse(f.digits(a))))
 
 
 def scalar_rref(ops, rows):
@@ -75,6 +71,32 @@ def scalar_rref(ops, rows):
         if rank == len(mat):
             break
     return mat[:rank], pivots
+
+
+def log_rref(kern, mat):
+    """Reduced row echelon form of a copy of mat: every pivot row is scaled
+    through the logs and each row's multiple of it is exp[log f + log row]."""
+    m = np.array(mat, dtype=gf._DTYPE)
+    rows, n = m.shape
+    pivots = []
+    rank = 0
+    for col in range(n):
+        if rank == rows:
+            break
+        found = m[rank:, col].nonzero()[0]
+        if not found.size:
+            continue
+        pivot = rank + int(found[0])
+        if pivot != rank:
+            m[[rank, pivot]] = m[[pivot, rank]]
+        row_log = kern.log[m[rank, col:]]
+        m[rank, col:] = row = kern.exp[row_log + (kern.units - row_log[0])]
+        factors = kern.neg[m[:, col]]
+        factors[rank] = 0
+        m[:, col:] = kern.add(m[:, col:], kern.mul(factors[:, None], row))
+        pivots.append(col)
+        rank += 1
+    return m[:rank], pivots
 
 
 def scalar_nullspace(ops, rows, n):
@@ -121,6 +143,29 @@ def random_matrices(q, rng):
 
 def as_array(rows, n):
     return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+def deficient_matrices(q, rng, shapes, rank):
+    """(label, rows, n) of each shape, with rank at most rank + 2: zero
+    columns, a first lead of 2 that a row swap brings up, random leads."""
+    kern = _kernel(GF(q))
+    out = []
+    for rows, n in shapes:
+        basis = as_array([[rng.randrange(q) for _ in range(n)] for _ in range(rank)], n)
+        coeffs = as_array([[rng.randrange(q) for _ in range(rank)] for _ in range(rows)], rank)
+        mat = kern.dot_t(coeffs, basis.T)
+        mat[:, [0, 5, n // 2]] = 0
+        mat[0, 1], mat[1, 1] = 0, 2
+        out.append((f"{rows}x{n}", mat.tolist(), n))
+    return out
+
+
+def table_route_cases(q, rng):
+    """random_matrices plus, up to GF(256), a case with 2 * rows >= q, the
+    shapes ``rref`` eliminates from the product table."""
+    rows = q // 2 + 3
+    tall = deficient_matrices(q, rng, [(rows, rows + 5)], rows - 4) if q <= 256 else []
+    return random_matrices(q, rng) + tall
 
 
 @pytest.mark.parametrize("q", FIELD_SIZES)
@@ -191,13 +236,66 @@ def test_digit_wise_sum_matches_the_sum_table(q, monkeypatch):
     assert np.array_equal(digits.add(values[:, None], values[None, :]),
                           table.add(values[:, None], values[None, :]))
     rng = random.Random(3000 + q)
-    for label, rows, n in random_matrices(q, rng):
+    for label, rows, n in table_route_cases(q, rng):
         mat = as_array(rows, n)
         (got, got_pivots), (want, want_pivots) = digits.rref(mat), table.rref(mat)
         assert got_pivots == want_pivots and np.array_equal(got, want), label
         assert np.array_equal(digits.nullspace(mat), table.nullspace(mat)), label
         other = as_array([[rng.randrange(q) for _ in range(n)] for _ in range(3)], n)
         assert np.array_equal(digits.dot_t(mat, other), table.dot_t(mat, other)), label
+
+
+@pytest.mark.parametrize("q", [4, 16, 64, 256, 2 ** 11])
+def test_log_products_match_the_product_table(q, monkeypatch):
+    # a kernel built under a zero table cap multiplies through the logs, the
+    # only route above the cap (GF(2^11) is there even unpatched); the cached
+    # kernel gathers each pivot row's multiples from its q x q table
+    spec = GF(q)
+    table = _kernel(spec)
+    monkeypatch.setattr(gf, "_ADD_TABLE_CELLS", 0)
+    logs = gf._Kernel(spec)
+    assert logs.prod is None and (table.prod is None) == (q == 2 ** 11)
+    if table.prod is not None:
+        values = np.arange(q)
+        assert np.array_equal(table.prod, logs.mul(values[:, None], values[None, :]))
+    rng = random.Random(7000 + q)
+    for label, rows, n in table_route_cases(q, rng):
+        mat = as_array(rows, n)
+        (got, got_pivots), (want, want_pivots) = logs.rref(mat), table.rref(mat)
+        assert got_pivots == want_pivots and np.array_equal(got, want), label
+        assert np.array_equal(want, log_rref(table, mat)[0]), label
+        assert np.array_equal(logs.nullspace(mat), table.nullspace(mat)), label
+
+
+@pytest.mark.parametrize("q", [9, 16, 25, 64, 81, 256])
+def test_large_shapes_match_scalar_oracle(q):
+    spec = GF(q)
+    kern, ops = _kernel(spec), ScalarOps(spec)
+    shapes = [(40, 70), (70, 40)]
+    for label, rows, n in deficient_matrices(q, random.Random(8000 + q), shapes, 25):
+        mat = as_array(rows, n)
+        reduced, pivots = kern.rref(mat)
+        want_rows, want_pivots = scalar_rref(ops, rows)
+        assert pivots[0] == 1 and len(pivots) < len(rows), label
+        assert pivots == want_pivots and reduced.tolist() == want_rows, label
+        assert np.array_equal(reduced, log_rref(kern, mat)[0]), label
+
+
+def test_the_tables_are_built_on_first_use_not_at_import_or_in_bench_setup():
+    """Importing the package and perfbench's setup (fields, curves, points)
+    build no kernel; the first ``_kernel(spec)`` call builds its tables."""
+    script = ("import sys\n"
+              "sys.path.insert(0, 'perfbench')\n"
+              "import run\n"
+              "run.prepare_environment()\n"
+              "from kummer_lcd import GF, gf\n"
+              "for workload in run.workloads.WORKLOADS:\n"
+              "    run.setup(workload)\n"
+              "print(gf._kernel.cache_info().currsize)\n"
+              "print(gf._kernel(GF(64)).prod.shape)\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n(64, 64)\n", "")
 
 
 def test_odd_fields_above_the_table_cap_add_digit_by_digit():
