@@ -441,7 +441,10 @@ def curve_from_spec(spec: Mapping) -> KummerCurve:
             raise ParseError(f"malformed curve spec: missing key {key!r}")
         if not valid(spec[key]):
             raise ParseError(f"malformed curve spec: {key!r} must be {kind}")
-    field = FieldSpec(spec["p"], spec["k"], spec["modulus"])
+    p, k = spec["p"], spec["k"]
+    if 0 < k < MAX_FIELD_SIZE.bit_length() and 1 < p ** k <= MAX_FIELD_SIZE:
+        _check_curve_work(len(spec["alphas"]), p ** k)  # before any field table
+    field = FieldSpec(p, k, spec["modulus"])
     try:
         alphas = [field.element(a) for a in spec["alphas"]]
     except ValueError as exc:

@@ -5,7 +5,10 @@ For tuples of ramified places the minimal generating set has a closed form
 driven by floor counts in r and m. Membership in the semigroup can be decided
 two independent ways: through least upper bounds of generators, and through
 the dimension-jump criterion ell(A) = ell(A - P_j) + 1 for every j. The test
-suite checks the two agree box-exhaustively.
+suite checks the two agree box-exhaustively. alpha is 0 or a lub of generators
+iff each alpha_i > 0 is attained by a generator gamma <= alpha, gamma_i = alpha_i:
+(=>) the generators of a lub lie below it, and alpha_i is the largest gamma_i;
+(<=) one attaining generator per i gives a lub <= alpha reaching every alpha_i.
 """
 
 from __future__ import annotations
@@ -94,11 +97,15 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def _check_places(curve: KummerCurve, places: Sequence[int]):
+def _check_query(curve: KummerCurve, places: Sequence[int], alpha: Sequence[int]):
     if len(set(places)) != len(places):
         raise ValueError("places must be distinct")
     for i in places:
         curve.ramified_place(i)
+    if len(alpha) != len(places):
+        raise ValueError("alpha and places must have the same length")
+    if any(a < 0 for a in alpha):
+        raise ValueError("alpha entries must be nonnegative")
 
 
 def semigroup_membership_oracle(curve: KummerCurve, places: Sequence[int],
@@ -109,11 +116,7 @@ def semigroup_membership_oracle(curve: KummerCurve, places: Sequence[int],
     at each chosen place is achieved by some function, i.e. dropping any one
     place lowers the dimension by exactly one.
     """
-    _check_places(curve, places)
-    if len(alpha) != len(places):
-        raise ValueError("alpha and places must have the same length")
-    if any(a < 0 for a in alpha):
-        raise ValueError("alpha entries must be nonnegative")
+    _check_query(curve, places, alpha)
     ram = [0] * curve.r
     for i, a in zip(places, alpha):
         ram[i - 1] = a
@@ -155,26 +158,24 @@ def _gamma_in_box(curve: KummerCurve, l: int, bound: int) -> list:
 
 
 def _semigroup_box(curve: KummerCurve, l: int, bound: int) -> np.ndarray:
-    """H(P_1..P_l) on [0, B]^l for some B >= bound, as a read-only boolean grid.
-
-    One pass M <- M | lub(M, g) over the generators leaves every lub of a
-    subset of generators in M. H on [0, b]^l is the restriction of H on
-    [0, B]^l for b <= B, so one grid per tuple size serves every smaller box.
+    """H(P_1..P_l) on [0, B]^l for some B >= bound, as a read-only boolean grid
+    whose restriction to [0, bound]^l is H there. alpha is in H iff each alpha_i > 0
+    is attained (module docstring): axis i keeps alpha_i = 0 and the generators'
+    prefix ORs along every other axis.
     """
     grid = curve._semigroup_boxes.get(l)
     if grid is not None and grid.shape[0] > bound:
         return grid
-    grid = np.zeros((bound + 1,) * l, dtype=bool)
-    grid[(0,) * l] = True
-    for gen in _gamma_in_box(curve, l, bound):
-        lub = grid
-        for axis, g in enumerate(gen):  # max(a_i, g_i) folds slices 0..g_i onto g_i
-            if g:
-                lub = np.moveaxis(lub, axis, 0).copy()
-                lub[g] = lub[:g + 1].any(axis=0)
-                lub[:g] = False
-                lub = np.moveaxis(lub, 0, axis)
-        grid |= lub
+    gens = np.array(_gamma_in_box(curve, l, bound), dtype=np.intp).reshape(-1, l)
+    grid = np.ones((bound + 1,) * l, dtype=bool)
+    attained = np.empty_like(grid)
+    for i in range(l):
+        attained[...] = False
+        attained[tuple(gens.T)] = True
+        for j in set(range(l)) - {i}:
+            np.logical_or.accumulate(attained, axis=j, out=attained)
+        attained[(slice(None),) * i + (0,)] = True
+        grid &= attained
     grid.flags.writeable = False
     curve._semigroup_boxes[l] = grid
     return grid
@@ -183,12 +184,8 @@ def _semigroup_box(curve: KummerCurve, l: int, bound: int) -> np.ndarray:
 def lub_closure_membership(curve: KummerCurve, places: Sequence[int],
                            alpha: Sequence[int]) -> bool:
     """Membership via least upper bounds of minimal generators."""
-    _check_places(curve, places)
+    _check_query(curve, places, alpha)
     l = len(places)
-    if len(alpha) != l:
-        raise ValueError("alpha and places must have the same length")
-    if any(a < 0 for a in alpha):
-        raise ValueError("alpha entries must be nonnegative")
     if not 1 <= l < curve.field.order:
         raise ValueError("tuple size must be positive and below the field size")
     if l > _max_tuple_size(curve):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from kummer_lcd import builtin_curve, load_curve_spec, parse_divisor, parse_function
-from kummer_lcd import cli, curves
+from kummer_lcd import cli, curves, gf
 from kummer_lcd.cli import main
 from kummer_lcd.codes import DEFAULT_MINDIST_BUDGET
 
@@ -304,6 +304,24 @@ def test_a_curve_past_the_work_cap_is_refused_at_once(tmp_path, argv, spec, work
         argv = argv + [str(path)]
     assert _child(argv) == (1, "", f"precondition violated: r * N = {work} is above "
                                    f"the cap MAX_CURVE_WORK = 262144\n")
+
+
+@pytest.mark.parametrize("alphas", [["0", "1", "a", "a^2", "a^3"], ["0", "1", "a", "a", "a^3"],
+                                    ["0", "1", "a", "a^2", "b"]],
+                         ids=["distinct", "duplicate", "malformed"])
+def test_a_spec_past_the_work_cap_is_refused_before_its_field_tables(
+        tmp_path, capsys, monkeypatch, alphas):
+    """GF(2^16) with five roots: r * N is checked on the spec itself, so the
+    tables of a field the curve could never use are not built."""
+    def no_tables(self, generator):
+        raise AssertionError("field tables built")
+
+    monkeypatch.setattr(gf.FieldSpec, "_build_tables", no_tables)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"p": 2, "k": 16, "m": 3, "alphas": alphas}))
+    assert _call(capsys, ["curve", "info", "--curve", str(path)]) == (
+        1, "", "precondition violated: r * N = 5 * 65536 = 327680 is above "
+               "the cap MAX_CURVE_WORK = 262144\n")
 
 
 def test_the_work_cap_admits_hermitian_q64():

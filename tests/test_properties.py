@@ -19,6 +19,7 @@ from kummer_lcd import (GF, Divisor, FunctionElement, KummerCurve, Place,
                         lub_closure_membership, min_distance, parse_divisor,
                         parse_element, parse_function,
                         semigroup_membership_oracle)
+from test_semigroup import box_matches_fold
 
 # field sizes up to 27 keep a drawn curve at a few hundred points
 FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
@@ -99,6 +100,16 @@ def test_lub_closure_agrees_with_the_oracle(curve, data):
     for alpha in data.draw(st.lists(point, min_size=1, max_size=6)):
         assert (lub_closure_membership(curve, places, alpha)
                 == semigroup_membership_oracle(curve, places, alpha))
+
+
+@SETTINGS
+@given(curves(), st.data())
+def test_semigroup_box_equals_the_fold(curve, data):
+    top = min(curve.r, curve.r - curve.r // curve.m)
+    l = data.draw(st.integers(1, top))
+    for bound in sorted(data.draw(st.lists(st.integers(0, 2 * curve.m), min_size=1,
+                                           max_size=3))):
+        assert box_matches_fold(curve, l, bound)
 
 
 @SETTINGS

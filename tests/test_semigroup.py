@@ -1,16 +1,40 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from kummer_lcd import (Divisor, Place, ell, enumerate_nonspecial_degree_g,
+from kummer_lcd import (Divisor, KummerCurve, Place, ell, enumerate_nonspecial_degree_g,
                         floor_identity_checks, gamma_plus_multi,
                         gap_set_single, hermitian_curve, is_nonspecial_gns,
                         lub_closure_membership, nonspecial_degree_g,
                         nonspecial_degree_g_minus_1, parse_divisor,
                         semigroup_membership_oracle, semigroup_multiplicity)
 from kummer_lcd.functions import _ell_fast
-from kummer_lcd.semigroup import MAX_BOX_CELLS, _semigroup_box
+from kummer_lcd.semigroup import MAX_BOX_CELLS, _gamma_in_box, _semigroup_box
+
+
+def fold_box(curve, l, bound):
+    """H(P_1..P_l) on exactly [0, bound]^l by the definition: starting from
+    M = {0}, one pass M <- M | lub(M, gamma) over the generators leaves every
+    lub of a set of generators in M."""
+    grid = np.zeros((bound + 1,) * l, dtype=bool)
+    grid[(0,) * l] = True
+    for gen in _gamma_in_box(curve, l, bound):
+        lub = grid
+        for axis, g in enumerate(gen):  # max(a_i, g_i) folds slices 0..g_i onto g_i
+            if g:
+                lub = np.moveaxis(lub, axis, 0).copy()
+                lub[g] = lub[:g + 1].any(axis=0)
+                lub[:g] = False
+                lub = np.moveaxis(lub, 0, axis)
+        grid |= lub
+    return grid
+
+
+def box_matches_fold(curve, l, bound):
+    grid = _semigroup_box(curve, l, bound)[(slice(bound + 1),) * l]
+    return np.array_equal(grid, fold_box(curve, l, bound))
 
 
 def test_gap_set_hermitian(h2, h3):
@@ -103,6 +127,20 @@ def test_lub_closure_answers_do_not_depend_on_query_order():
     assert not grid.flags.writeable
     with pytest.raises(ValueError):
         grid[0, 0, 1] = True
+
+
+def test_attained_coordinates_grid_equals_the_fold(family):
+    boxes = 0
+    for curve in family:
+        for l in range(1, curve.r - curve.r // curve.m + 1):
+            # a fresh copy, bounds ascending: each box is built, not restricted
+            fresh = KummerCurve(curve.field, curve.alphas, curve.m, label=curve.label)
+            for bound in range(curve.m, 2 * curve.m + 1):
+                if (bound + 1) ** l <= 1 << 16:
+                    assert box_matches_fold(fresh, l, bound), (curve.label, l, bound)
+                    assert fresh._semigroup_boxes[l].shape == (bound + 1,) * l
+                    boxes += 1
+    assert boxes == 111
 
 
 def test_gns_examples(h3):
