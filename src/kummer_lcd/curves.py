@@ -431,7 +431,8 @@ def curve_from_spec(spec: Mapping) -> KummerCurve:
     Schema: {"p": int, "k": int, "modulus": [c0..ck] (optional), "m": int,
              "alphas": [alpha, ...], "label": str (optional)}, where an alpha
     is an int, element text such as "a^2", or a coefficient list [c0..].
-    A missing key or a value of the wrong type is a ParseError naming the key.
+    A missing key, a value of the wrong type or a modulus whose length is not
+    k + 1 is a ParseError naming the key.
     """
     if not isinstance(spec, Mapping):
         raise ParseError("malformed curve spec: not a JSON object")
@@ -442,6 +443,8 @@ def curve_from_spec(spec: Mapping) -> KummerCurve:
         if not valid(spec[key]):
             raise ParseError(f"malformed curve spec: {key!r} must be {kind}")
     p, k = spec["p"], spec["k"]
+    if k > 0 and spec["modulus"] is not None and len(spec["modulus"]) != k + 1:
+        raise ParseError(f"malformed curve spec: 'modulus' must have k + 1 = {k + 1} entries")
     if 0 < k < MAX_FIELD_SIZE.bit_length() and 1 < p ** k <= MAX_FIELD_SIZE:
         _check_curve_work(len(spec["alphas"]), p ** k)  # before any field table
     field = FieldSpec(p, k, spec["modulus"])

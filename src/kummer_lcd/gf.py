@@ -8,7 +8,7 @@ constructed: one interned ``FieldElement`` per value, generator-power tables
 (exp/log) for products, inverses, powers and the canonical element order
 ``0, g^0, g^1, ...``, negatives, and a Zech-log table for sums when p is odd
 (an XOR when p = 2). Every table has O(q) entries. Coefficient tuples appear
-only in the text forms and while the generator and the tables are found.
+only in the text forms.
 
 A polynomial is a little-endian list of ``FieldElement``, and this module has
 the one set of helpers for it (``_ptrim``, ``_pmul``, ``_pdivmod``,
@@ -152,6 +152,17 @@ def _peval(a: Sequence[FieldElement], y: FieldElement) -> FieldElement:
     return acc
 
 
+def _matrix_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    """m^e mod p for a square int64 matrix m with entries below p."""
+    out = np.eye(len(m), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ m % p
+        m = m @ m % p
+        e >>= 1
+    return out
+
+
 def _monic(p: int, d: int):
     """Monic polynomials of degree d over GF(p) as int tuples, in counting
     order of their low coefficients read as base-p digits."""
@@ -214,6 +225,14 @@ class FieldSpec:
     ``exp[log[a] + log[b]]`` is a * b for every pair, zero included, with no
     reduction mod q - 1. ``neg`` holds the negatives. A sum is an XOR for
     p = 2 and a * (1 + b / a) through the Zech-log table log(1 + g^i) for odd p.
+
+    The tables come from GF(p)-linear algebra on digit vectors: multiplying by
+    c is the k x k matrix M_c = sum_i c_i T^i, T the companion matrix of the
+    modulus. The generator g is the least packed value with M_g^((q - 1) / l)
+    != I for every prime l dividing q - 1, so t when k > 1 and t generates.
+    Its powers come by doubling: the digit rows of g^0 .. g^(n-1) times
+    M_(g^n)^T mod p are those of g^n .. g^(2n-1), and M_(g^n) is squared after
+    each step.
     """
 
     def __init__(self, p: int, k: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -238,20 +257,7 @@ class FieldSpec:
             raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
         self.modulus = modulus
         self._hash = hash((p, k, modulus))
-        # reduction vectors: t^(k+i) mod modulus for i = 0 .. k-2
-        red = []
-        cur = [(-c) % p for c in modulus[:-1]]
-        red.append(tuple(cur))
-        for _ in range(k - 2):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(k):
-                    nxt[i] = (nxt[i] + top * red[0][i]) % p
-            red.append(tuple(nxt))
-            cur = nxt
-        self._red = red
-        self._build_tables(self._find_generator())
+        self._build_tables(self._generator_matrix())
 
     # -- construction helpers ------------------------------------------------
 
@@ -269,60 +275,31 @@ class FieldSpec:
         coeffs += [0] * (self.k - len(coeffs))
         return tuple(coeffs)
 
-    def _tuple_mul(self, a: tuple, b: tuple) -> tuple:
+    def _generator_matrix(self) -> np.ndarray:
+        """M_g for the first packed value g with M_g^((q - 1) / l) != I for every
+        prime l dividing q - 1."""
         p, k = self.p, self.k
-        conv = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        out = conv[:k]
-        for i in range(k, 2 * k - 1):
-            c = conv[i]
-            if c:
-                rv = self._red[i - k]
-                for j in range(k):
-                    out[j] = (out[j] + c * rv[j]) % p
-        return tuple(out)
-
-    def _tuple_pow(self, a: tuple, e: int) -> tuple:
-        result = (1,) + (0,) * (self.k - 1)
-        base = a
-        while e:
-            if e & 1:
-                result = self._tuple_mul(result, base)
-            base = self._tuple_mul(base, base)
-            e >>= 1
-        return result
-
-    def _order_of(self, coeffs: tuple) -> int:
-        if not any(coeffs):
-            return 0
-        one = (1,) + (0,) * (self.k - 1)
-        order = self.units
-        for q in _prime_factors(self.units):
-            while order % q == 0 and self._tuple_pow(coeffs, order // q) == one:
-                order //= q
-        return order
-
-    def _find_generator(self) -> tuple:
-        if self.k >= 2:
-            t = (0, 1) + (0,) * (self.k - 2)
-            if self._order_of(t) == self.units:
-                return t
-        for packed in range(1, self.order):
-            cand = self._digits(packed)
-            if self._order_of(cand) == self.units:
-                return cand
+        # T multiplies by t: t^j goes to t^(j+1), and t^(k-1) to -(m_0 .. m_(k-1))
+        companion = np.eye(k, k, -1, dtype=np.int64)
+        companion[:, -1] = [-c % p for c in self.modulus[:-1]]
+        t_powers = np.array([_matrix_pow(companion, i, p) for i in range(k)])
+        exponents = [self.units // l for l in _prime_factors(self.units)]
+        # the packed values below p form GF(p), which holds no generator once
+        # k > 1, so t = p comes first, then t + 1, ... in counting order
+        for n in range(p if k > 1 else 1, self.order):
+            gen = np.tensordot(self._digits(n), t_powers, axes=1) % p
+            if all((_matrix_pow(gen, e, p) != t_powers[0]).any() for e in exponents):
+                return gen
         raise AssertionError("no generator found; field construction is broken")
 
-    def _build_tables(self, gen: tuple) -> None:
+    def _build_tables(self, gen: np.ndarray) -> None:
         p, q, units = self.p, self.order, self.units
-        powers = []
-        cur = (1,) + (0,) * (self.k - 1)
-        for _ in range(units):
-            powers.append(self._pack(cur))
-            cur = self._tuple_mul(cur, gen)
+        # digit rows of g^0 .. g^(n-1); the rows times M_(g^n)^T are g^n .. g^(2n-1)
+        powers, step = np.eye(1, self.k, dtype=np.int64), gen
+        while len(powers) < units:
+            powers = np.vstack([powers, powers @ step.T % p])
+            step = step @ step % p
+        powers = (powers[:units] @ p ** np.arange(self.k)).tolist()
         log = [2 * units] * q
         for i, packed in enumerate(powers):
             log[packed] = i
@@ -340,7 +317,7 @@ class FieldSpec:
         self._by_packed = [FieldElement(self, n) for n in range(q)]
         self._elements = (self._by_packed[0],) + tuple(self._by_packed[n] for n in powers)
         self.zero, self.one = self._by_packed[0], self._by_packed[1]
-        self.generator = self._by_packed[self._pack(gen)]
+        self.generator = self._by_packed[exp[1]]
 
     def _zech_add(self, a: int, b: int) -> int:
         """a + b = a * (1 + b / a) for packed a, b and odd p."""

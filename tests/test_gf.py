@@ -1,7 +1,8 @@
 import itertools
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kummer_lcd import (GF, FieldSpec, ParseError, format_element,
@@ -103,6 +104,7 @@ def test_searched_moduli_are_pinned(p, k, modulus, generator):
     assert (p, k) not in DEFAULT_MODULI
     spec = FieldSpec(p, k)
     assert spec.modulus == modulus and spec.generator.n == generator
+    _assert_tables_match_tuples(spec)
 
 
 def _mobius(n):
@@ -224,6 +226,8 @@ class TupleField:
         p, k = self.p, self.k
         prod = [0] * (2 * k - 1)
         for i, x in enumerate(a):
+            if not x:
+                continue
             for j, y in enumerate(b):
                 prod[i + j] = (prod[i + j] + x * y) % p
         for top in range(2 * k - 2, k - 1, -1):
@@ -311,6 +315,70 @@ def test_arithmetic_matches_coefficient_tuples_in_larger_fields(q, data):
     x, y = (F.unpack(data.draw(st.integers(0, q - 1))) for _ in range(2))
     _check_pair(oracle, x, y)
     _check_single(oracle, x, [data.draw(st.integers(-3 * q, 3 * q)) for _ in range(3)])
+
+
+# ---------------------------------------------------------------------------
+# field tables against a coefficient-tuple second route
+
+def tuple_tables(spec):
+    """(generator, log, exp, neg) of spec in its table layout, from TupleField
+    alone: the first of t, 1, 2, ... (packed) whose order is q - 1, orders by
+    TupleField.pow, its powers walked by TupleField.mul, negatives digit-wise."""
+    oracle, units = TupleField(spec), spec.units
+
+    def order(a):
+        out = units
+        for ell in range(2, units + 1):
+            while out % ell == 0 and oracle.pow(a, out // ell) == oracle.one:
+                out //= ell
+        return out
+
+    candidates = ([spec.p] if spec.k >= 2 else []) + list(range(1, spec.order))
+    gen = next(oracle.digits(n) for n in candidates if order(oracle.digits(n)) == units)
+    powers, cur = [], oracle.one
+    for _ in range(units):
+        powers.append(oracle.packed(cur))
+        cur = oracle.mul(gen, cur)
+    assert cur == oracle.one and sorted(powers) == list(range(1, spec.order))
+    log = [2 * units] * spec.order
+    for i, n in enumerate(powers):
+        log[n] = i
+    exp = powers + powers + [0] * (2 * units + 1)
+    neg = [oracle.packed(oracle.neg(oracle.digits(n))) for n in range(spec.order)]
+    return oracle.packed(gen), log, exp, neg
+
+
+def _assert_tables_match_tuples(spec):
+    assert (spec.generator.n, spec.log, spec.exp, spec.neg) == tuple_tables(spec)
+
+
+@pytest.mark.parametrize("p, k, modulus, generator", [
+    (p, k, None, None) for p, k in DEFAULT_MODULI
+] + [
+    # t is not primitive: t^2 = -1 in GF(9), t^5 = 1 in GF(16)
+    (3, 2, (1, 0, 1), 4),
+    (2, 4, (1, 1, 1, 1, 1), 3),
+])
+def test_tables_match_coefficient_tuples(p, k, modulus, generator):
+    spec = FieldSpec(p, k, modulus)
+    _assert_tables_match_tuples(spec)
+    if generator is not None:
+        assert spec.generator.n == generator
+
+
+@st.composite
+def _irreducible_moduli(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 31]))
+    k = draw(st.integers(1, max(1, int(math.log(1 << 10, p)))))
+    modulus = tuple(draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))) + (1,)
+    assume(_is_irreducible(modulus, p))
+    return p, k, modulus
+
+
+@settings(max_examples=60, deadline=None)
+@given(_irreducible_moduli())
+def test_tables_match_coefficient_tuples_for_drawn_moduli(field):
+    _assert_tables_match_tuples(FieldSpec(*field))
 
 
 def test_equal_fields_built_apart_give_equal_elements():
