@@ -16,12 +16,11 @@ from .curves import (Divisor, KummerCurve, Place, builtin_curve,
 from .functions import (FunctionElement, RRBasis, ell, format_function,
                         index_of_specialty, is_nonspecial, parse_function,
                         principal_divisor, riemann_roch_basis, valuation_ok)
-from .semigroup import (NonspecialRecipe, enumerate_nonspecial_degree_g,
-                        floor_identity_checks, gamma_plus_multi,
-                        gap_set_single, is_nonspecial_gns,
+from .semigroup import (enumerate_nonspecial_degree_g, floor_identity_checks,
+                        gamma_plus_multi, gap_set_single, is_nonspecial_gns,
                         lub_closure_membership, nonspecial_degree_g,
-                        nonspecial_degree_g_minus_1, nonspecial_recipe,
-                        semigroup_membership_oracle, semigroup_multiplicity)
+                        nonspecial_degree_g_minus_1, semigroup_membership_oracle,
+                        semigroup_multiplicity)
 from .codes import (LcdCertificate, LinearCode, MinDistanceResult, build_code,
                     construction_divisors, dual, dual_partner_divisor,
                     evaluation_matrix, hull, hull_dimension_by_rank, is_lcd,

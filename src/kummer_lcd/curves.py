@@ -46,8 +46,6 @@ RAMIFIED = "ramified"
 INFINITY = "infinity"
 AFFINE = "affine"
 
-_KIND_RANK = {RAMIFIED: 0, AFFINE: 1, INFINITY: 2}
-
 
 class Place:
     """A rational place: Ramified(i), Infinity, or Affine(a, b) with a != 0."""
@@ -313,70 +311,61 @@ def _check_curve_work(r: int, order: int) -> None:
                          f"MAX_CURVE_WORK = {MAX_CURVE_WORK}")
 
 
-def _additive_kernel_curve(field: FieldSpec, poly_coeffs: Sequence, m: int,
-                           expected_roots: int, label: str) -> KummerCurve:
-    roots = solve_additive(field, poly_coeffs)
-    if len(roots) != expected_roots:
-        raise ValueError(
-            f"additive polynomial for {label} has {len(roots)} roots in "
-            f"{field!r}, expected {expected_roots}")
-    alphas = sorted(roots, key=field.enum_index)
-    return KummerCurve(field, alphas, m, label=label)
-
-
-def _family_field(q: int, e: int, roots: Callable[[], int]) -> FieldSpec:
-    """GF(q^e) for a curve with roots() roots, refused before q^e is formed
-    when e alone puts it past MAX_FIELD_SIZE (q >= 2 gives q^e >= 2^e), and
-    before its tables are built when r * N is above MAX_CURVE_WORK."""
+def _admit(q: int, e: int, roots: Callable[[], int]) -> None:
+    """Refuse a curve over GF(q^e) before any field table: first an e that
+    alone puts q^e past MAX_FIELD_SIZE (q >= 2 gives q^e >= 2^e), before q^e
+    is formed, then roots() * q^e above MAX_CURVE_WORK. roots() is asked only
+    for 1 < q^e <= MAX_FIELD_SIZE; GF and FieldSpec refuse any other order
+    with their own reason."""
     if q > 1 and e >= MAX_FIELD_SIZE.bit_length():
         raise ValueError(f"field size {q}^{e} exceeds the supported desk scale")
-    if 1 < q ** e <= MAX_FIELD_SIZE:
+    if 0 < e < MAX_FIELD_SIZE.bit_length() and 1 < q ** e <= MAX_FIELD_SIZE:
         _check_curve_work(roots(), q ** e)
-    return GF(q ** e)
+
+
+def _additive_curve(label: str, q: int, e: int, terms: Callable[[], tuple]) -> KummerCurve:
+    """prod (y - alpha) = x^m over GF(q^e), alpha running over the roots of
+    F(y) = sum of y^j for j in exponents, (exponents, m) = terms(), in field
+    order. The curve has r = deg F roots. terms() is formed only once q and e
+    have passed the field-size cap, so a family may put q^e in it."""
+    _admit(q, e, lambda: max(terms()[0]))
+    field = GF(q ** e)
+    exponents, m = terms()
+    poly = [0] * (max(exponents) + 1)
+    for j in exponents:
+        poly[j] = 1
+    roots = solve_additive(field, poly)
+    if len(roots) != len(poly) - 1:
+        raise ValueError(
+            f"additive polynomial for {label} has {len(roots)} roots in "
+            f"{field!r}, expected {len(poly) - 1}")
+    return KummerCurve(field, sorted(roots, key=field.enum_index), m, label=label)
 
 
 def hermitian_curve(q: int) -> KummerCurve:
     """y^q + y = x^(q+1) over GF(q^2)."""
-    field = _family_field(q, 2, lambda: q)
-    poly = [0] * (q + 1)
-    poly[1] = 1
-    poly[q] = 1
-    return _additive_kernel_curve(field, poly, q + 1, q, f"hermitian-q{q}")
+    return _additive_curve(f"hermitian-q{q}", q, 2, lambda: ((1, q), q + 1))
 
 
 def hermitian_quotient_curve(q: int) -> KummerCurve:
     """y^(q/2) + y^(q/4) + ... + y = x^(q+1) over GF(q^2), for 4 | q."""
     if q % 4 != 0 or q & (q - 1):
         raise ValueError("this family needs q a power of 2 with 4 | q")
-    field = _family_field(q, 2, lambda: q // 2)
-    poly = [0] * (q // 2 + 1)
-    e = 1
-    while e <= q // 2:
-        poly[e] = 1
-        e *= 2
-    return _additive_kernel_curve(field, poly, q + 1, q // 2, f"curve1-q{q}")
+    return _additive_curve(f"curve1-q{q}", q, 2,
+                           lambda: ([2 ** i for i in range(q.bit_length() - 1)], q + 1))
 
 
 def lifted_hermitian_curve(q: int, r: int) -> KummerCurve:
     """y^q + y = x^(q^r + 1) over GF(q^(2r)), r odd."""
     if r % 2 == 0:
         raise ValueError("this family needs r odd")
-    field = _family_field(q, 2 * r, lambda: q)
-    poly = [0] * (q + 1)
-    poly[1] = 1
-    poly[q] = 1
-    return _additive_kernel_curve(field, poly, q ** r + 1, q, f"curve2-q{q}-r{r}")
+    return _additive_curve(f"curve2-q{q}-r{r}", q, 2 * r, lambda: ((1, q), q ** r + 1))
 
 
 def norm_trace_curve(q: int, r: int) -> KummerCurve:
     """y^(q^(r-1)) + ... + y^q + y = x^((q^r - 1)/(q - 1)) over GF(q^r)."""
-    field = _family_field(q, r, lambda: q ** (r - 1))
-    poly = [0] * (q ** (r - 1) + 1)
-    for i in range(r):
-        poly[q ** i] = 1
-    m = (q ** r - 1) // (q - 1)
-    return _additive_kernel_curve(field, poly, m, q ** (r - 1),
-                                  f"norm-trace-q{q}-r{r}")
+    return _additive_curve(f"norm-trace-q{q}-r{r}", q, r,
+                           lambda: ([q ** i for i in range(r)], (q ** r - 1) // (q - 1)))
 
 
 # parameters are positive, as lcd-check's --q and --r must be: a zero is no
@@ -431,8 +420,8 @@ def curve_from_spec(spec: Mapping) -> KummerCurve:
     Schema: {"p": int, "k": int, "modulus": [c0..ck] (optional), "m": int,
              "alphas": [alpha, ...], "label": str (optional)}, where an alpha
     is an int, element text such as "a^2", or a coefficient list [c0..].
-    A missing key, a value of the wrong type or a modulus whose length is not
-    k + 1 is a ParseError naming the key.
+    A missing key, a value of the wrong type, or a modulus that is not k + 1
+    entries long or (for p > 1) not monic, is a ParseError naming the key.
     """
     if not isinstance(spec, Mapping):
         raise ParseError("malformed curve spec: not a JSON object")
@@ -442,12 +431,16 @@ def curve_from_spec(spec: Mapping) -> KummerCurve:
             raise ParseError(f"malformed curve spec: missing key {key!r}")
         if not valid(spec[key]):
             raise ParseError(f"malformed curve spec: {key!r} must be {kind}")
-    p, k = spec["p"], spec["k"]
-    if k > 0 and spec["modulus"] is not None and len(spec["modulus"]) != k + 1:
-        raise ParseError(f"malformed curve spec: 'modulus' must have k + 1 = {k + 1} entries")
-    if 0 < k < MAX_FIELD_SIZE.bit_length() and 1 < p ** k <= MAX_FIELD_SIZE:
-        _check_curve_work(len(spec["alphas"]), p ** k)  # before any field table
-    field = FieldSpec(p, k, spec["modulus"])
+    p, k, modulus = spec["p"], spec["k"], spec["modulus"]
+    if k > 0 and modulus is not None:
+        if len(modulus) != k + 1:
+            raise ParseError(f"malformed curve spec: 'modulus' must have k + 1 = {k + 1} entries")
+        # a p below 2 is no characteristic, and FieldSpec says so
+        if p > 1 and modulus[-1] % p != 1:
+            raise ParseError("malformed curve spec: 'modulus' must be monic: "
+                             "its last entry must be 1 mod p")
+    _admit(p, k, lambda: len(spec["alphas"]))
+    field = FieldSpec(p, k, modulus)
     try:
         alphas = [field.element(a) for a in spec["alphas"]]
     except ValueError as exc:

@@ -261,20 +261,6 @@ class FieldSpec:
 
     # -- construction helpers ------------------------------------------------
 
-    def _coerce_coeffs(self, value) -> tuple:
-        """Coefficients of an element, an int or a coefficient sequence."""
-        if isinstance(value, FieldElement):
-            if value.spec != self:
-                raise ValueError("element belongs to a different field")
-            return value.coeffs
-        if isinstance(value, int):
-            return (value % self.p,) + (0,) * (self.k - 1)
-        coeffs = [int(c) % self.p for c in value]
-        if len(coeffs) > self.k:
-            raise ValueError(f"too many coefficients for GF({self.p}^{self.k})")
-        coeffs += [0] * (self.k - len(coeffs))
-        return tuple(coeffs)
-
     def _generator_matrix(self) -> np.ndarray:
         """M_g for the first packed value g with M_g^((q - 1) / l) != I for every
         prime l dividing q - 1."""
@@ -333,9 +319,6 @@ class FieldSpec:
 
     # -- packed-integer view (base-p digits) ----------------------------------
 
-    def _pack(self, coeffs: tuple) -> int:
-        return sum(c * self.p ** i for i, c in enumerate(coeffs))
-
     def _digits(self, n: int) -> tuple:
         coeffs = []
         for _ in range(self.k):
@@ -360,13 +343,18 @@ class FieldSpec:
     def element(self, value) -> "FieldElement":
         """Coerce an element, an int (prime-subfield constant), a str or a coeff
         sequence; an element of another field raises ValueError."""
-        if isinstance(value, FieldElement) and value.spec is self:
-            return value
+        if isinstance(value, FieldElement):
+            if value.spec is not self and value.spec != self:
+                raise ValueError("element belongs to a different field")
+            return self._by_packed[value.n]
         if isinstance(value, str):
             return parse_element(self, value)
         if isinstance(value, int):
             return self._by_packed[value % self.p]
-        return self._by_packed[self._pack(self._coerce_coeffs(value))]
+        coeffs = [int(c) % self.p for c in value]
+        if len(coeffs) > self.k:
+            raise ValueError(f"too many coefficients for GF({self.p}^{self.k})")
+        return self._by_packed[sum(c * self.p ** i for i, c in enumerate(coeffs))]
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
@@ -486,24 +474,18 @@ class FieldElement:
         return f"{self.spec!r}:{format_element(self)}"
 
 
-def GF(q: int, modulus: Optional[Sequence[int]] = None) -> FieldSpec:
-    """Field with q = p^k elements; instances are cached per (q, modulus)."""
-    key = (q, None if modulus is None else tuple(modulus))
-    spec = _GF_CACHE.get(key)
-    if spec is None:
-        # the least prime factor p, sought below 2^16 at most: a q with none
-        # there is refused by its size as p = q, k = 1
-        bound = min(math.isqrt(max(q, 0)), MAX_FIELD_SIZE)
-        p = next((d for d in range(2, bound + 1) if q % d == 0), q)
-        k = round(math.log(q, p)) if q > 1 else 0
-        if k < 1 or p ** k != q:
-            raise ValueError(f"{q} is not a prime power")
-        spec = FieldSpec(p, k, modulus)
-        _GF_CACHE[key] = spec
-    return spec
-
-
-_GF_CACHE: dict = {}
+@functools.cache
+def GF(q: int) -> FieldSpec:
+    """The field with q = p^k elements under its default modulus, one instance
+    per q; ``FieldSpec(p, k, modulus)`` takes any other modulus."""
+    # the least prime factor p, sought below 2^16 at most: a q with none
+    # there is refused by its size as p = q, k = 1
+    bound = min(math.isqrt(max(q, 0)), MAX_FIELD_SIZE)
+    p = next((d for d in range(2, bound + 1) if q % d == 0), q)
+    k = round(math.log(q, p)) if q > 1 else 0
+    if k < 1 or p ** k != q:
+        raise ValueError(f"{q} is not a prime power")
+    return FieldSpec(p, k)
 
 
 def solve_additive(spec: FieldSpec, poly_coeffs: Sequence, c=None) -> set:

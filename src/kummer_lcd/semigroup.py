@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .curves import Divisor, KummerCurve, Place
 from .functions import _ell_fast
 
 __all__ = [
-    "NonspecialRecipe",
     "enumerate_nonspecial_degree_g",
     "floor_identity_checks",
     "gamma_plus_multi",
@@ -33,7 +31,6 @@ __all__ = [
     "lub_closure_membership",
     "nonspecial_degree_g",
     "nonspecial_degree_g_minus_1",
-    "nonspecial_recipe",
     "semigroup_membership_oracle",
     "semigroup_multiplicity",
 ]
@@ -224,37 +221,27 @@ def is_nonspecial_gns(curve: KummerCurve, A: Divisor) -> bool:
 # ---------------------------------------------------------------------------
 # explicit non-special divisors of degree g and g - 1
 
-@dataclass(frozen=True)
-class NonspecialRecipe:
-    """Multiplicity pattern: s[j] places receive coefficient j."""
-    l: Dict[int, int]
-    s: Dict[int, int]
-    assignment: Tuple[Tuple[int, int], ...]  # (multiplicity, place index)
-
-
 def _recipe_counts(curve: KummerCurve):
+    """(s, top): s[j] places receive coefficient j, for 1 <= j <= top."""
     m, r = curve.m, curve.r
     top = m - 1 - m // r
-    l = {j: r - (r * j) // m for j in range(1, top + 2)}
-    s = {}
-    for j in range(1, top):
-        s[j] = l[j] - l[j + 1]
+    # s[j] = l_j - l_(j+1) with l_j = r - floor(rj / m), and s[top] = l_top - 1
+    s = {j: (r * (j + 1)) // m - (r * j) // m for j in range(1, top)}
     if top >= 1:
-        s[top] = l[top] - 1
-    l = {j: l[j] for j in range(1, top + 1)}
-    return l, s, top
+        s[top] = r - (r * top) // m - 1
+    return s, top
 
 
-def nonspecial_recipe(curve: KummerCurve,
-                      assignment: Optional[Sequence[int]] = None) -> NonspecialRecipe:
-    """Resolve the multiplicity pattern and its assignment to places.
+def nonspecial_degree_g(curve: KummerCurve,
+                        assignment: Optional[Sequence[int]] = None) -> Divisor:
+    """The effective non-special divisor of degree g on ramified places.
 
     The default assignment gives ascending multiplicities to ascending place
     indices. A custom assignment lists the place indices consumed in that
     order and must be injective.
     """
-    l, s, top = _recipe_counts(curve)
-    slots = [j for j in range(1, top + 1) for _ in range(s.get(j, 0))]
+    s, top = _recipe_counts(curve)
+    slots = [j for j in range(1, top + 1) for _ in range(s[j])]
     if assignment is None:
         assignment = list(range(1, len(slots) + 1))
     assignment = list(assignment)
@@ -264,23 +251,14 @@ def nonspecial_recipe(curve: KummerCurve,
         raise ValueError("assignment repeats a place")
     for i in assignment:
         curve.ramified_place(i)
-    pairs = tuple(zip(slots, assignment))
-    total = sum(j for j, _ in pairs)
-    if total != curve.genus:
+    if sum(slots) != curve.genus:
         raise AssertionError("multiplicity pattern does not sum to the genus")
-    return NonspecialRecipe(l=l, s=s, assignment=pairs)
-
-
-def nonspecial_degree_g(curve: KummerCurve,
-                        assignment: Optional[Sequence[int]] = None) -> Divisor:
-    """The effective non-special divisor of degree g on ramified places."""
-    recipe = nonspecial_recipe(curve, assignment)
-    return Divisor({Place.ramified(i): j for j, i in recipe.assignment})
+    return Divisor({Place.ramified(i): j for j, i in zip(slots, assignment)})
 
 
 def enumerate_nonspecial_degree_g(curve: KummerCurve) -> set:
     """Every divisor the recipe can produce, over all injective assignments."""
-    _, s, top = _recipe_counts(curve)
+    s, top = _recipe_counts(curve)
     groups = [(j, s[j]) for j in range(1, top + 1) if s.get(j, 0)]
     out = set()
 

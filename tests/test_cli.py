@@ -199,7 +199,7 @@ GOOD_SPEC = {"p": 2, "k": 2, "modulus": [1, 1, 1], "m": 3,
     ("alphas", [[0.5, 0], [1, 0]]), ("alphas", ["b", "a"]), ("alphas", [[0, 0, 0], [1, 0]]),
     ("modulus", "ab"), ("modulus", [1, 1, 1.9]), ("modulus", [1, 1]), ("modulus", [1, 1, 0, 1]),
     ("p", "2"), ("p", True), ("k", 2.0),
-    ("m", None), ("label", 5),
+    ("m", None), ("label", 5), ("modulus", [1, 1, 0]),
 ])
 def test_malformed_curve_spec_is_a_parse_error(capsys, tmp_path, key, value):
     path = tmp_path / "spec.json"
@@ -214,6 +214,9 @@ def test_malformed_curve_spec_is_a_parse_error(capsys, tmp_path, key, value):
     ({"modulus": [1, 0, 1]}, "modulus [1, 0, 1] is reducible over GF(2)"),
     ({"alphas": [[1, 0], [1, 0]]}, "duplicate roots in the defining product"),
     ({"p": 4}, "characteristic 4 is not prime"),
+    # a p below 2 has no residues to read a leading 1 in: the field names it
+    ({"p": 1, "modulus": [1, 1, 0]}, "characteristic 1 is not prime"),
+    ({"p": 0, "modulus": [1, 1, 0]}, "characteristic 0 is not prime"),
 ])
 def test_curve_spec_that_fails_mathematically_exits_1(capsys, tmp_path, change, message):
     path = tmp_path / "spec.json"
@@ -245,7 +248,14 @@ def _child(argv):
     # FieldSpec formed 2^(10^9)
     (["curve", "info", "--curve"], {"p": 2, "k": 10 ** 9}, 1,
      "precondition violated: field size 2^1000000000 exceeds the supported desk scale"),
-], ids=["hermitian-q-large", "curve2-r-large", "spec-p-large", "spec-k-large"])
+    # a family that formed its polynomial's degree 3^(r-1) or its m = 3^r + 1
+    # before the size cap ran for seconds
+    (["curve", "info", "--curve", "norm-trace-q3-r1000000000"], None, 1,
+     "precondition violated: field size 3^1000000000 exceeds the supported desk scale"),
+    (["curve", "info", "--curve", "curve2-q3-r1000000001"], None, 1,
+     "precondition violated: field size 3^2000000002 exceeds the supported desk scale"),
+], ids=["hermitian-q-large", "curve2-r-large", "spec-p-large", "spec-k-large",
+        "norm-trace-r-large", "curve2-q3-r-large"])
 def test_a_field_past_the_size_cap_is_refused_at_once(tmp_path, argv, spec, code, message):
     """Each command refuses before any arithmetic on the field. A child process
     under a 5 s timeout turns a long run into a failure rather than a hang."""

@@ -7,7 +7,7 @@ import pytest
 from kummer_lcd import (Divisor, GF, KummerCurve, Place, builtin_curve,
                         curve_from_spec, format_divisor, gcd_divisor,
                         lmd_divisor, load_curve_spec, parse_divisor,
-                        parse_place)
+                        parse_place, solve_additive)
 
 
 def test_make_curve_examples(h2, c1):
@@ -155,3 +155,48 @@ def test_builtin_names(h3, nt):
     assert builtin_curve("norm-trace-q2-r3") == nt
     with pytest.raises(ValueError):
         builtin_curve("nope")
+
+
+# the families' additive polynomials written out by hand, the second route to
+# the one builder that derives them from exponents
+def _hermitian_poly(q):
+    poly = [0] * (q + 1)
+    poly[1] = 1
+    poly[q] = 1
+    return poly
+
+
+def _quotient_poly(q):
+    poly = [0] * (q // 2 + 1)
+    e = 1
+    while e <= q // 2:
+        poly[e] = 1
+        e *= 2
+    return poly
+
+
+def _norm_trace_poly(q, r):
+    poly = [0] * (q ** (r - 1) + 1)
+    for i in range(r):
+        poly[q ** i] = 1
+    return poly
+
+
+_HAND_WRITTEN = (
+    [(f"hermitian-q{q}", q ** 2, _hermitian_poly(q), q + 1) for q in (2, 3, 4, 5, 7, 8, 9, 16)]
+    + [(f"curve1-q{q}", q ** 2, _quotient_poly(q), q + 1) for q in (4, 8, 16)]
+    + [(f"curve2-q{q}-r{r}", q ** (2 * r), _hermitian_poly(q), q ** r + 1)
+       for q, r in ((2, 3), (2, 5), (3, 3))]
+    + [(f"norm-trace-q{q}-r{r}", q ** r, _norm_trace_poly(q, r), (q ** r - 1) // (q - 1))
+       for q, r in ((2, 3), (2, 4), (3, 3), (4, 2), (5, 2))])
+
+
+@pytest.mark.parametrize("name, order, poly, m", _HAND_WRITTEN, ids=[c[0] for c in _HAND_WRITTEN])
+def test_builtin_families_match_their_hand_written_polynomials(name, order, poly, m):
+    field = GF(order)
+    alphas = sorted(solve_additive(field, poly), key=field.enum_index)
+    assert len(alphas) == len(poly) - 1
+    want = KummerCurve(field, alphas, m, name)
+    curve = builtin_curve(name)
+    assert curve == want
+    assert (curve.label, curve.alphas) == (want.label, want.alphas)
