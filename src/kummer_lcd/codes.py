@@ -28,7 +28,7 @@ import numpy as np
 
 from .curves import (AFFINE, Divisor, KummerCurve, Place, format_divisor,
                      gcd_divisor)
-from .functions import _basis_rows, _coords, _monomial_logs, ell, index_of_specialty
+from .functions import _basis_rows, _coords, _monomial_logs, is_nonspecial
 from .gf import _DTYPE, FieldSpec, _kernel
 from .semigroup import nonspecial_degree_g
 
@@ -288,7 +288,7 @@ def verify_hull_theorem(curve: KummerCurve, D, G: Divisor, H: Divisor) -> dict:
     n = code_G.n
     A = gcd_divisor(G, H)
     hull_code = hull(code_G)
-    ell_A = ell(curve, A)
+    gcd_nonspecial = is_nonspecial(curve, A)
     gcd_code = build_code(curve, places, A)
     report = {
         "n": n,
@@ -299,7 +299,7 @@ def verify_hull_theorem(curve: KummerCurve, D, G: Divisor, H: Divisor) -> dict:
         "gcd": format_divisor(A),
         "gcd_degree": A.degree,
         "gcd_degree_is_g_minus_1": A.degree == g - 1,
-        "gcd_nonspecial": ell_A == A.degree + 1 - g,
+        "gcd_nonspecial": gcd_nonspecial,
         "hull_dimension": hull_code.k,
         "hull_matches_gcd_code": hull_code == gcd_code,
         "hull_trivial": hull_code.k == 0,
@@ -400,7 +400,7 @@ def lcd_construct_maxcur(curve: KummerCurve, G: Divisor,
     n = D.degree
     checks["degree_window"] = (2 * g - 2 < G.degree < n) and (2 * g - 2 < H.degree < n)
     checks["gcd_degree_is_g_minus_1"] = A.degree == g - 1
-    checks["gcd_nonspecial"] = index_of_specialty(curve, A) == 0
+    checks["gcd_nonspecial"] = is_nonspecial(curve, A)
     code = build_code(curve, D, G) if 0 <= G.degree < n else None
     code_H = build_code(curve, D, H) if code is not None and 0 <= H.degree < n else None
     checks["duality_verified"] = (code_H is not None and _orthogonal(code, code_H)

@@ -39,7 +39,8 @@ __all__ = [
 # largest r * N of a curve, with r roots over GF(N): it bounds the root
 # search of the additive families and the point listing, which evaluates the
 # defining product at every y and finds at most r places above each x
-# (hermitian q <= 64)
+# (hermitian q <= 64). It caps r * m too, as the gap set, the degree-g
+# recipe and the L(G) components loop over m; every family has m < N.
 MAX_CURVE_WORK = 1 << 18
 
 RAMIFIED = "ramified"
@@ -222,6 +223,7 @@ class KummerCurve:
         self.m = int(m)
         if self.m < 1:
             raise ValueError("exponent m must be positive")
+        _check_curve_work(self.r, self.m, "m")
         if math.gcd(self.r, self.m) != 1:
             raise ValueError(f"gcd(r, m) = gcd({self.r}, {self.m}) != 1")
         if self.m % field.p == 0:
@@ -305,9 +307,9 @@ class KummerCurve:
 # ---------------------------------------------------------------------------
 # curve families used by the bundled constructions
 
-def _check_curve_work(r: int, order: int) -> None:
-    if r * order > MAX_CURVE_WORK:
-        raise ValueError(f"r * N = {r} * {order} = {r * order} is above the cap "
+def _check_curve_work(r: int, size: int, name: str = "N") -> None:
+    if r * size > MAX_CURVE_WORK:
+        raise ValueError(f"r * {name} = {r} * {size} = {r * size} is above the cap "
                          f"MAX_CURVE_WORK = {MAX_CURVE_WORK}")
 
 

@@ -237,23 +237,12 @@ def principal_divisor(f: FunctionElement) -> Divisor:
     if len(f.terms) != 1:
         raise ValueError("only single-term functions have exact divisors here")
     curve = f.curve
-    (t, (num, dens)), = f.terms.items()
-    poly = num
-    net = []
-    for alpha, d in zip(curve.alphas, dens):
-        mult, poly = _strip_root(poly, alpha)
-        net.append(mult - d)
+    (poly, _), = f.terms.values()
+    for alpha in curve.alphas:
+        poly = _strip_root(poly, alpha)[1]
     if len(poly) != 1:
         raise ValueError("numerator is not a product of the (y - alpha_i)")
-    coeffs = {}
-    for i, c in enumerate(net, start=1):
-        v = t + curve.m * c
-        if v:
-            coeffs[Place.ramified(i)] = v
-    v_inf = -curve.r * t - curve.m * sum(net)
-    if v_inf:
-        coeffs[Place.infinity()] = v_inf
-    return Divisor(coeffs)
+    return Divisor({P: f.valuation(P) for P in curve.ramified_places() + (Place.infinity(),)})
 
 
 # ---------------------------------------------------------------------------

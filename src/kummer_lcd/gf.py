@@ -79,30 +79,20 @@ def _parse_int(text: str, message: str) -> int:
         raise ParseError(message) from exc
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+def _least_factor(n: int) -> int:
+    """The least factor d >= 2 of n, sought below 2^16 at most: n itself
+    when there is none, which is exact for n < 2^32."""
+    bound = min(math.isqrt(max(n, 0)), MAX_FIELD_SIZE)
+    return next((d for d in range(2, bound + 1) if n % d == 0), n)
 
 
 def _prime_factors(n: int) -> list:
+    """The distinct prime factors of 1 <= n < 2^32, ascending."""
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        out.append(d := _least_factor(n))
+        while n % d == 0:
+            n //= d
     return out
 
 
@@ -240,7 +230,7 @@ class FieldSpec:
         # only while it is small, and before p is tested for primality
         if p > 1 and k > 0 and (k >= MAX_FIELD_SIZE.bit_length() or p ** k > MAX_FIELD_SIZE):
             raise ValueError(f"field size {p}^{k} exceeds the supported desk scale")
-        if not _is_prime(p):
+        if not (p >= 2 and _least_factor(p) == p):
             raise ValueError(f"characteristic {p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
@@ -478,10 +468,8 @@ class FieldElement:
 def GF(q: int) -> FieldSpec:
     """The field with q = p^k elements under its default modulus, one instance
     per q; ``FieldSpec(p, k, modulus)`` takes any other modulus."""
-    # the least prime factor p, sought below 2^16 at most: a q with none
-    # there is refused by its size as p = q, k = 1
-    bound = min(math.isqrt(max(q, 0)), MAX_FIELD_SIZE)
-    p = next((d for d in range(2, bound + 1) if q % d == 0), q)
+    # a q with no factor below 2^16 is refused by its size as p = q, k = 1
+    p = _least_factor(q)
     k = round(math.log(q, p)) if q > 1 else 0
     if k < 1 or p ** k != q:
         raise ValueError(f"{q} is not a prime power")

@@ -37,6 +37,8 @@ __all__ = [
 
 # lub_closure_membership refuses boxes (bound + 1)^l with more cells (16 MB).
 MAX_BOX_CELLS = 1 << 24
+# gamma_plus_multi refuses generating sets with more vectors, counted first
+MAX_GENERATORS = 1 << 18
 
 
 def gap_set_single(curve: KummerCurve) -> frozenset:
@@ -68,20 +70,20 @@ def gamma_plus_multi(curve: KummerCurve, l: int) -> set:
     """Minimal-generating vectors for a tuple of l distinct ramified places.
 
     Valid for 2 <= l <= r - floor(r/m); outside that window the closed form
-    is not established and the call is refused.
+    is not established and the call is refused, as is a set counted above
+    MAX_GENERATORS vectors.
     """
     m, r = curve.m, curve.r
     if not 2 <= l <= _max_tuple_size(curve):
         raise ValueError(
             f"tuple size {l} outside the supported range 2..{_max_tuple_size(curve)}")
-    out = set()
-    for j in range(1, m - m // r):
-        total = r - l - (r * j) // m
-        if total < 0:
-            continue
-        for comp in _compositions(total, l):
-            out.add(tuple(m * s + j for s in comp))
-    return out
+    totals = [(j, total) for j in range(1, m - m // r) if (total := r - l - (r * j) // m) >= 0]
+    count = sum(math.comb(total + l - 1, l - 1) for _, total in totals)
+    if count > MAX_GENERATORS:
+        raise ValueError(f"the generating set for {l} places has {count} vectors, "
+                         f"above the cap MAX_GENERATORS = {MAX_GENERATORS}")
+    return {tuple(m * s + j for s in comp) for j, total in totals
+            for comp in _compositions(total, l)}
 
 
 def _compositions(total: int, parts: int):
@@ -257,25 +259,11 @@ def nonspecial_degree_g(curve: KummerCurve,
 
 
 def enumerate_nonspecial_degree_g(curve: KummerCurve) -> set:
-    """Every divisor the recipe can produce, over all injective assignments."""
-    s, top = _recipe_counts(curve)
-    groups = [(j, s[j]) for j in range(1, top + 1) if s.get(j, 0)]
-    out = set()
-
-    def assign(idx: int, remaining: tuple, acc: dict):
-        if idx == len(groups):
-            out.add(Divisor({Place.ramified(i): j for i, j in acc.items()}))
-            return
-        j, count = groups[idx]
-        for chosen in itertools.combinations(remaining, count):
-            nxt = dict(acc)
-            for i in chosen:
-                nxt[i] = j
-            rest = tuple(i for i in remaining if i not in chosen)
-            assign(idx + 1, rest, nxt)
-
-    assign(0, tuple(range(1, curve.r + 1)), {})
-    return out
+    """Every divisor the recipe can produce: nonspecial_degree_g(curve, a) over
+    every injective assignment a."""
+    size = sum(_recipe_counts(curve)[0].values())
+    return {nonspecial_degree_g(curve, a)
+            for a in itertools.permutations(range(1, curve.r + 1), size)}
 
 
 def nonspecial_degree_g_minus_1(curve: KummerCurve, P: Place,

@@ -254,8 +254,14 @@ def _child(argv):
      "precondition violated: field size 3^1000000000 exceeds the supported desk scale"),
     (["curve", "info", "--curve", "curve2-q3-r1000000001"], None, 1,
      "precondition violated: field size 3^2000000002 exceeds the supported desk scale"),
+    # FieldSpec tested a 31-digit p for primality, with no bound, before
+    # reading k; the least-factor search stops at 2^16
+    (["curve", "info", "--curve"], {"p": 10 ** 30 + 57, "k": 0}, 1,
+     "precondition violated: extension degree must be >= 1"),
+    (["curve", "info", "--curve"], {"p": 10 ** 30 + 57, "k": -1}, 1,
+     "precondition violated: extension degree must be >= 1"),
 ], ids=["hermitian-q-large", "curve2-r-large", "spec-p-large", "spec-k-large",
-        "norm-trace-r-large", "curve2-q3-r-large"])
+        "norm-trace-r-large", "curve2-q3-r-large", "spec-k-zero", "spec-k-negative"])
 def test_a_field_past_the_size_cap_is_refused_at_once(tmp_path, argv, spec, code, message):
     """Each command refuses before any arithmetic on the field. A child process
     under a 5 s timeout turns a long run into a failure rather than a hang."""
@@ -264,6 +270,31 @@ def test_a_field_past_the_size_cap_is_refused_at_once(tmp_path, argv, spec, code
         path.write_text(json.dumps({**GOOD_SPEC, "modulus": None, **spec}))
         argv = argv + [str(path)]
     assert _child(argv) == (code, "", message + "\n")
+
+
+HUGE_M = "r * m = 2 * 1000000007 = 2000000014 is above the cap MAX_CURVE_WORK = 262144"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the gap set, the degree-g recipe and the L(G) components loop over m
+    (["semigroup", "gaps", "--curve", "spec.json"], HUGE_M),
+    (["nonspecial", "--curve", "spec.json", "--degree", "g"], HUGE_M),
+    (["rr", "basis", "--curve", "spec.json", "--divisor", "3*Pinf"], HUGE_M),
+    (["curve", "info", "--curve", "spec.json"], HUGE_M),
+    # C(32, 20) vectors
+    (["semigroup", "gamma", "--curve", "hermitian-q32", "--tuple",
+      ",".join(str(i) for i in range(1, 21))],
+     "the generating set for 20 places has 225792840 vectors, "
+     "above the cap MAX_GENERATORS = 262144"),
+], ids=["gaps-m-large", "nonspecial-m-large", "rr-m-large", "info-m-large",
+        "gamma-h32-20-places"])
+def test_a_curve_or_generating_set_past_its_cap_is_refused_at_once(tmp_path, argv, message):
+    """A huge m and a huge generating set are refused before the loops over
+    them; the child process runs under a 5 s timeout."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**GOOD_SPEC, "modulus": None, "m": 1000000007}))
+    argv = [str(path) if arg == "spec.json" else arg for arg in argv]
+    assert _child(argv) == (1, "", f"precondition violated: {message}\n")
 
 
 @pytest.mark.parametrize("name, q, r, reason", [

@@ -39,6 +39,26 @@ def test_principal_divisors_have_degree_zero(family):
                 == curve.divisor_of_x())
 
 
+def test_principal_divisor_refuses_the_zero_function(h2):
+    with pytest.raises(ValueError, match="the zero function has no divisor"):
+        principal_divisor(FunctionElement.zero(h2))
+
+
+def test_principal_divisor_refuses_more_than_one_x_power(h2):
+    f = FunctionElement.one(h2) + FunctionElement.monomial(h2, 1)
+    with pytest.raises(ValueError, match="only single-term functions"):
+        principal_divisor(f)
+
+
+def test_principal_divisor_refuses_a_numerator_with_an_affine_zero(h2):
+    # y + a vanishes at y = a, which is no root of h2
+    a = h2.field.generator
+    assert a not in h2.alphas
+    f = FunctionElement.monomial(h2, 0, y_poly=[a, 1])
+    with pytest.raises(ValueError, match=r"numerator is not a product of the \(y - alpha_i\)"):
+        principal_divisor(f)
+
+
 def test_zero_function_valuation_rejected(h2):
     with pytest.raises(ValueError):
         FunctionElement.zero(h2).valuation(Place.infinity())

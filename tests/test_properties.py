@@ -17,7 +17,7 @@ from kummer_lcd import (GF, Divisor, FunctionElement, KummerCurve, Place,
                         build_code, dual, ell, format_divisor, format_element,
                         format_function, hull, hull_dimension_by_rank,
                         lub_closure_membership, min_distance, parse_divisor,
-                        parse_element, parse_function,
+                        parse_element, parse_function, principal_divisor,
                         semigroup_membership_oracle)
 from test_semigroup import box_matches_fold
 
@@ -110,6 +110,19 @@ def test_semigroup_box_equals_the_fold(curve, data):
     for bound in sorted(data.draw(st.lists(st.integers(0, 2 * curve.m), min_size=1,
                                            max_size=3))):
         assert box_matches_fold(curve, l, bound)
+
+
+@SETTINGS
+@given(curves(), st.data())
+def test_principal_divisor_adds_the_divisors_of_x_and_each_root(curve, data):
+    """(x^e prod (y - alpha_i)^(c_i)) = e (x) + sum_i c_i (y - alpha_i)."""
+    for _ in range(data.draw(st.integers(1, 5))):
+        e = data.draw(st.integers(-2 * curve.m, 2 * curve.m))
+        c = data.draw(st.lists(st.integers(-3, 3), min_size=curve.r, max_size=curve.r))
+        expected = e * curve.divisor_of_x()
+        for i, c_i in enumerate(c, start=1):
+            expected = expected + c_i * curve.divisor_of_y_minus_alpha(i)
+        assert principal_divisor(FunctionElement.monomial(curve, e, c)) == expected
 
 
 @SETTINGS

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kummer_lcd import (Divisor, KummerCurve, Place, ell, enumerate_nonspecial_degree_g,
+from kummer_lcd import (GF, Divisor, KummerCurve, Place, ell, enumerate_nonspecial_degree_g,
                         floor_identity_checks, gamma_plus_multi,
                         gap_set_single, hermitian_curve, is_nonspecial_gns,
                         lub_closure_membership, nonspecial_degree_g,
@@ -203,7 +203,13 @@ def test_enumerate_counts(h2, h3, nt):
 
 
 def test_classification_matches_brute_force(h2, h3, nt):
-    for curve in (h2, h3, nt):
+    # r > m: the recipe gives two places the same multiplicity (s_1 = 2)
+    r5 = KummerCurve(GF(7), [0, 1, 2, 3, 4], 3)
+    r7 = KummerCurve(GF(11), list(range(7)), 3)
+    assert (r5.genus, r7.genus) == (4, 6)
+    assert len(enumerate_nonspecial_degree_g(r5)) == 30
+    assert len(enumerate_nonspecial_degree_g(r7)) == 210
+    for curve in (h2, h3, nt, r5, r7):
         g = curve.genus
         brute = set()
         for comp in itertools.product(range(g + 1), repeat=curve.r):
