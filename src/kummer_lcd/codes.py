@@ -29,7 +29,7 @@ import numpy as np
 from .curves import (AFFINE, Divisor, KummerCurve, Place, format_divisor,
                      gcd_divisor)
 from .functions import _basis_rows, _coords, _monomial_logs, is_nonspecial
-from .gf import _DTYPE, FieldSpec, _kernel
+from .gf import FieldSpec, _kernel
 from .semigroup import nonspecial_degree_g
 
 __all__ = [
@@ -153,8 +153,8 @@ def evaluation_matrix(curve: KummerCurve, functions: Sequence,
                       places: Sequence[Place]) -> np.ndarray:
     """Function values at the given affine places, unreduced.
 
-    One row per function, as an int32 array of packed elements
-    (``spec.unpack`` gives each ``FieldElement``). Each term
+    One row per function, as an array of packed elements in the kernel's
+    dtype (``spec.unpack`` gives each ``FieldElement``). Each term
     x^t * N(y) / prod_i (y - alpha_i)^(d_i) of a function contributes
     sum_j c_j exp(L_j), with L_j the ``functions`` log of x^t y^j / prod_i
     (y - alpha_i)^(d_i) at the place and c_j the coefficients of N. Raises
@@ -168,7 +168,7 @@ def evaluation_matrix(curve: KummerCurve, functions: Sequence,
     coeffs = kern.log[[c.n for f_terms in terms for num, _ in f_terms for c in num]]
     values = kern.exp[logs + coeffs[:, None]]
     ends = list(itertools.accumulate(sum(len(num) for num, _ in f_terms) for f_terms in terms))
-    out = np.zeros((len(functions), len(places)), dtype=_DTYPE)
+    out = np.zeros((len(functions), len(places)), dtype=kern.dtype)
     for row, start, end in zip(out, [0] + ends, ends):
         row[:] = kern.total(values[start:end], axis=0)
     return out
@@ -177,7 +177,7 @@ def evaluation_matrix(curve: KummerCurve, functions: Sequence,
 def _off_curve(curve: KummerCurve, places: Sequence[Place]) -> np.ndarray:
     """Indices of the affine places P(a, b) with a = 0 or prod_i (b - alpha_i) != a^m."""
     kern = _kernel(curve.field)
-    a, b = _coords(places)
+    a, b = _coords(places, kern.dtype)
     lhs = functools.reduce(kern.mul, [kern.add(b, kern.neg[c.n]) for c in curve.alphas])
     return np.flatnonzero((a == 0) | (lhs != kern.exp[kern.log[a] * curve.m % kern.units]))
 
@@ -464,46 +464,78 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_MINDIST_BUDGET) -> MinD
 def _min_weight_enum(code: LinearCode) -> int:
     """Least weight over the messages whose first nonzero digit is 1.
 
+    A message is a head on rows 0..s-1 and a tail on rows s..k-1 of R, and
+    head . R + tail . R vanishes at a column exactly where tail . R equals
+    -head . R. So a word weighs as much as its message plus n - k, less the
+    columns where the two agree: the loop compares words and never adds
+    them, and counts the agreements in int16 (n <= 1024).
+
     ``tail`` holds, one per column, every combination of rows s..k-1 of R,
-    and ``tail_weight`` the Hamming weight of its digits. The table grows by
-    one row at a time while it fits in ``_MINDIST_TABLE_CELLS``; block 1 of
-    each step holds the words whose leading 1 sits at row s. Each message on
-    the head rows 0..s-1 then gives one vector, added to the whole table.
+    grown one row at a time while it fits in ``_MINDIST_TABLE_CELLS``; block
+    1 of each step holds the words whose leading 1 sits at row s. ``heads``
+    grows the same way from rows s-1, s-2, ..., u of -R while it fits under
+    the cap too, and block 1 of the step at row u holds the negated heads
+    that lead there. Each digit vector of the rows above u is one Python
+    iteration, whose vector is added to all of ``heads``. Heads meet the
+    tail in blocks whose comparison array also fits under the cap.
     """
     q = code.field.order
     kern = _kernel(code.field)
-    add = kern.add
     gen = code.matrix
     k, n = gen.shape
+    width = n - k
     rest = np.delete(gen, (gen != 0).argmax(axis=1), axis=1)
+    neg_rest = kern.neg[rest]
+    scalars = np.arange(q, dtype=kern.dtype)
 
-    def least(words, weights) -> int:
-        # summing down the short axis keeps the count vectorised over words
-        return int(((words != 0).sum(axis=0, dtype=_DTYPE) + weights).min())
+    def grow(table, weight, row):
+        """The table of c * row + t for c in GF(q), t in table: block c is
+        table plus c * row; the weights count the nonzero digits."""
+        multiples = kern.mul(row[:, None, None], scalars[None, :, None])
+        table = kern.add(table[:, None, :], multiples).reshape(width, q * table.shape[1])
+        return table, ((scalars != 0)[:, None] + weight).ravel()
 
-    scalars = np.arange(q, dtype=_DTYPE)
-    tail = np.zeros((n - k, 1), dtype=_DTYPE)
-    tail_weight = np.zeros(1, dtype=_DTYPE)
+    def least(tail, tail_weight, heads, head_weight) -> int:
+        """Least weight of a word whose head and tail are columns of heads
+        and tail."""
+        step = max(1, _MINDIST_TABLE_CELLS // (max(1, width) * tail.shape[1]))
+        out = n + 1
+        for i in range(0, heads.shape[1], step):
+            agree = (tail[:, None, :] == heads[:, i:i + step, None]).sum(axis=0, dtype=np.int16)
+            out = min(out, int(((tail_weight - agree).min(axis=1) + head_weight[i:i + step]).min()))
+        return width + out
+
+    def fits(table) -> bool:
+        return q * table.shape[1] * max(1, width) <= _MINDIST_TABLE_CELLS
+
+    zero = np.zeros((width, 1), dtype=kern.dtype), np.zeros(1, dtype=np.int16)
+    tail, tail_weight = zero
     best = n + 1
     s = k
-    # rows 0 and 1 stay head rows: the table of rows 1..k-1 would serve only
-    # row 0, through one of its q blocks, while q + 1 passes over the table
-    # of rows 2..k-1 visit the same words without building it
-    while s > 2 and q * tail.shape[1] * max(1, n - k) <= _MINDIST_TABLE_CELLS:
+    # the tail takes at most the last ceil(k / 2) rows, and the heads the
+    # rest: both tables then stay small next to the q^k / (q - 1) words
+    while s > k // 2 and fits(tail):
         s -= 1
         size = tail.shape[1]
-        multiples = kern.mul(rest[s][:, None, None], scalars[None, :, None])
-        tail = add(tail[:, None, :], multiples).reshape(n - k, q * size)
-        tail_weight = ((scalars != 0)[:, None] + tail_weight).ravel()
-        best = min(best, least(tail[:, size:2 * size], tail_weight[size:2 * size]))
-    for lead in range(s):
-        for digits in itertools.product(range(q), repeat=s - 1 - lead):
-            head, weight = rest[lead], 1
-            for row, c in zip(rest[lead + 1:s], digits):
+        tail, tail_weight = grow(tail, tail_weight, rest[s])
+        best = min(best, least(tail[:, size:2 * size], tail_weight[size:2 * size], *zero))
+    heads, head_weight = zero
+    u = s
+    while u > 0 and fits(heads):
+        u -= 1
+        size = heads.shape[1]
+        heads, head_weight = grow(heads, head_weight, neg_rest[u])
+        best = min(best, least(tail, tail_weight, heads[:, size:2 * size],
+                               head_weight[size:2 * size]))
+    for lead in range(u):
+        for digits in itertools.product(range(q), repeat=u - 1 - lead):
+            head, weight = neg_rest[lead], 1
+            for row, c in zip(neg_rest[lead + 1:u], digits):
                 if c:
-                    head = add(head, kern.mul(c, row))
+                    head = kern.add(head, kern.mul(c, row))
                     weight += 1
-            best = min(best, weight + least(add(tail, head[:, None]), tail_weight))
+            best = min(best, least(tail, tail_weight, kern.add(heads, head[:, None]),
+                                   head_weight + weight))
     return best
 
 

@@ -32,7 +32,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .curves import AFFINE, INFINITY, RAMIFIED, Divisor, KummerCurve, Place
-from .gf import (_DTYPE, FieldElement, ParseError, _kernel, _parse_int, _pdivmod, _peval, _pmul,
+from .gf import (FieldElement, ParseError, _kernel, _parse_int, _pdivmod, _peval, _pmul,
                  _ptrim, _split_top, format_element, parse_element)
 
 __all__ = [
@@ -291,9 +291,9 @@ def _term_bounds(curve: KummerCurve, ram: Sequence[int], inf: int):
             yield t, n_t, size
 
 
-def _coords(places: Sequence[Place]) -> np.ndarray:
+def _coords(places: Sequence[Place], dtype) -> np.ndarray:
     """The packed coordinates a and b of affine places, as the rows of one array."""
-    return np.array([(p.a.n, p.b.n) for p in places], dtype=_DTYPE).reshape(-1, 2).T
+    return np.array([(p.a.n, p.b.n) for p in places], dtype=dtype).reshape(-1, 2).T
 
 
 def _monomial_logs(curve: KummerCurve, components, places: Sequence[Place]) -> np.ndarray:
@@ -308,7 +308,7 @@ def _monomial_logs(curve: KummerCurve, components, places: Sequence[Place]) -> n
     if not components or not places:
         return np.zeros((sum(size for *_, size in components), len(places)), dtype=np.intp)
     kern, units = _kernel(curve.field), curve.field.units
-    a, b = _coords(places)
+    a, b = _coords(places, kern.dtype)
     diffs = kern.add(b, kern.neg[[alpha.n for alpha in curve.alphas]][:, None])
     t, d, size = (np.array(column, dtype=np.intp) for column in zip(*components))
     if not diffs.all() and (d[:, ~diffs.all(axis=1)] > 0).any():

@@ -16,15 +16,17 @@ the one set of helpers for it (``_ptrim``, ``_pmul``, ``_pdivmod``,
 test of a modulus divides over GF(p)'s elements, ``solve_additive``
 evaluates with them, and ``functions`` keeps its numerators in them.
 
-All matrix work goes through one kernel, ``_Kernel``: numpy int32 arrays of
-field elements packed as base-p integers (``FieldElement.n``). A product is
-one gather in the field's extended exp/log tables. A sum is XOR when p = 2;
-for odd p it is one gather in a q x q sum table while q^2 <= 2^21, and
-digit-wise addition mod p above that. A long odd-p sum (``total``) adds the
-digits in carry-free bit lanes of an int64 and reduces mod p once per lane
-and segment. Row reduction is one elimination pass per pivot. The kernel
-row reduces, takes nullspaces and forms G * H^T; it reads only the
-``FieldSpec`` tables, so ``functions`` and ``codes`` share it.
+All matrix work goes through one kernel, ``_Kernel``: numpy arrays of field
+elements packed as base-p integers (``FieldElement.n``), uint8 while
+q <= 256 and uint16 above; an index formed from them is widened to np.intp
+before it can overflow. A product is one gather in the field's extended
+exp/log tables. A sum is XOR when p = 2; for odd p it is one gather in a
+q x q sum table while q^2 <= 2^21, and digit-wise addition mod p above
+that. A long odd-p sum (``total``) adds the digits in carry-free bit lanes
+of an int64 and reduces mod p once per lane and segment. Row reduction is
+one elimination pass per pivot. The kernel row reduces, takes nullspaces
+and forms G * H^T; it reads only the ``FieldSpec`` tables, so
+``functions`` and ``codes`` share it.
 """
 
 from __future__ import annotations
@@ -468,8 +470,11 @@ class FieldElement:
 def GF(q: int) -> FieldSpec:
     """The field with q = p^k elements under its default modulus, one instance
     per q; ``FieldSpec(p, k, modulus)`` takes any other modulus."""
-    # a q with no factor below 2^16 is refused by its size as p = q, k = 1
     p = _least_factor(q)
+    if p == q > MAX_FIELD_SIZE:
+        # the search stops at 2^16, so q may as well be a product of larger primes
+        raise ValueError(f"field size {q} exceeds MAX_FIELD_SIZE = {MAX_FIELD_SIZE} "
+                         "and has no factor below 2^16")
     k = round(math.log(q, p)) if q > 1 else 0
     if k < 1 or p ** k != q:
         raise ValueError(f"{q} is not a prime power")
@@ -530,9 +535,6 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
 # ---------------------------------------------------------------------------
 # the matrix kernel: exact arithmetic on numpy arrays of packed elements
 
-# dtype of packed elements (below q <= 2^16); logs are np.intp, which
-# indexes without a conversion and holds the exponent sums of evaluation
-_DTYPE = np.int32
 # cells of the largest intermediate array G * H^T builds at once
 _DOT_CHUNK_CELLS = 1 << 16
 # largest q^2-cell table the kernel builds, for products and odd-p sums;
@@ -543,6 +545,10 @@ _ADD_TABLE_CELLS = 1 << 21
 class _Kernel:
     """Vectorised GF(p^k) arithmetic, row reduction and products.
 
+    ``dtype`` is the narrowest unsigned type that holds the packed elements:
+    uint8 for q <= 256, uint16 up to 2^16. Every array of elements the kernel,
+    ``codes`` and ``functions`` build has it. Logs are np.intp, which indexes
+    without a conversion and holds the exponent sums of evaluation.
     ``log``, ``exp`` and ``neg`` are the field's own tables as arrays, so
     ``exp[log[a] + log[b]]`` is a * b for every pair, zero included, with no
     reduction mod q - 1 and no mask. While q^2 <= ``_ADD_TABLE_CELLS``,
@@ -558,9 +564,10 @@ class _Kernel:
         p, q = spec.p, spec.order
         self.p = p
         self.units = spec.units
+        self.dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
         self.log = np.array(spec.log, dtype=np.intp)
-        self.exp = np.array(spec.exp, dtype=_DTYPE)
-        self.neg = np.array(spec.neg, dtype=_DTYPE)
+        self.exp = np.array(spec.exp, dtype=self.dtype)
+        self.neg = np.array(spec.neg, dtype=self.dtype)
         self.weights = [p ** i for i in range(spec.k)]
         values = np.arange(q, dtype=np.int64)
         tabled = q * q <= _ADD_TABLE_CELLS
@@ -574,7 +581,8 @@ class _Kernel:
                           for i, w in enumerate(self.weights))
         if tabled:
             sums = self._digit_add(values[:, None], values[None, :]).ravel()
-            self.add = lambda a, b: sums[a * q + b]
+            # a narrow a times q would wrap: the index is formed in np.intp
+            self.add = lambda a, b: sums[np.multiply(a, q, dtype=np.intp) + b]
         else:
             self.add = self._digit_add
 
@@ -585,7 +593,7 @@ class _Kernel:
         """The packed element whose digit i is lane i of lanes, mod p."""
         mask = (1 << self.bits) - 1
         return sum((lanes >> self.bits * i & mask) % self.p * w
-                   for i, w in enumerate(self.weights)).astype(_DTYPE)
+                   for i, w in enumerate(self.weights)).astype(self.dtype)
 
     def _digit_add(self, a, b):
         return self._digits(self.spread[a] + self.spread[b])
@@ -605,7 +613,7 @@ class _Kernel:
         one pass over m[:, col:] per pivot (the pivot row's own factor is 0).
         With ``prod`` and at least q / 2 rows, the pass gathers each row's
         multiple of the pivot row from the q multiples ``prod`` gives."""
-        m = np.array(mat, dtype=_DTYPE)
+        m = np.array(mat, dtype=self.dtype)
         rows, n = m.shape
         # the q multiples cost q rows of gathers, the logs about two per row of m
         table = self.prod if 2 * rows > self.units else None
@@ -639,7 +647,7 @@ class _Kernel:
         """Unreduced basis e_f - sum_p R[p, f] e_p (f free) of { v : R . v = 0 }, R an RREF."""
         n = reduced.shape[1]
         free = np.setdiff1d(np.arange(n), pivots)
-        basis = np.zeros((free.size, n), dtype=_DTYPE)
+        basis = np.zeros((free.size, n), dtype=self.dtype)
         basis[np.arange(free.size), free] = 1
         basis[:, pivots] = self.neg[reduced[:, free]].T
         return basis
@@ -650,7 +658,7 @@ class _Kernel:
 
     def dot_t(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The matrix a . b^T, from the logs of a and b gathered once."""
-        out = np.zeros((len(a), len(b)), dtype=_DTYPE)
+        out = np.zeros((len(a), len(b)), dtype=self.dtype)
         log_a, log_b = self.log[a], self.log[b]
         step = max(1, _DOT_CHUNK_CELLS // max(1, b.size))
         for i in range(0, len(a), step):

@@ -240,6 +240,12 @@ def _child(argv):
     (["curve", "info", "--curve", "hermitian-q100000000007"], None, 1,
      "precondition violated: 10000000001400000000049 is not a prime power"),
     # GF divided a 200 002-bit integer by 2 once per bit
+    # GF(65537^2) has no factor below 2^16: its order is refused, not read as a prime
+    (["curve", "info", "--curve", "hermitian-q65537"], None, 1,
+     "precondition violated: field size 4295098369 exceeds MAX_FIELD_SIZE = 65536 "
+     "and has no factor below 2^16"),
+    (["curve", "info", "--curve", f"hermitian-q{65521 * 65537}"], None, 1,
+     f"precondition violated: {(65521 * 65537) ** 2} is not a prime power"),
     (["code", "lcd-check", "--construction", "curve2", "--q", "2", "--r", "100001"], None, 1,
      "precondition violated: field size 2^200002 exceeds the supported desk scale"),
     # FieldSpec tested a 31-digit p for primality by trial division
@@ -260,7 +266,8 @@ def _child(argv):
      "precondition violated: extension degree must be >= 1"),
     (["curve", "info", "--curve"], {"p": 10 ** 30 + 57, "k": -1}, 1,
      "precondition violated: extension degree must be >= 1"),
-], ids=["hermitian-q-large", "curve2-r-large", "spec-p-large", "spec-k-large",
+], ids=["hermitian-q-large", "hermitian-q65537", "hermitian-q65521x65537",
+        "curve2-r-large", "spec-p-large", "spec-k-large",
         "norm-trace-r-large", "curve2-q3-r-large", "spec-k-zero", "spec-k-negative"])
 def test_a_field_past_the_size_cap_is_refused_at_once(tmp_path, argv, spec, code, message):
     """Each command refuses before any arithmetic on the field. A child process
@@ -603,6 +610,14 @@ def test_mindist_of_a_one_dimensional_code(capsys):
                       "--G=0*Pinf")
     assert report["results"] == {"n": 6, "k": 1, "d": 6, "exact": True,
                                  "designed_bound": 6}
+
+
+def test_mindist_counts_past_255_columns(capsys):
+    # n = 336 > 255: a count of agreeing columns in uint8 would read 80
+    report = run_json(capsys, "code", "mindist", "--curve", "hermitian-q7",
+                      "--G=0*Pinf")
+    assert report["results"] == {"n": 336, "k": 1, "d": 336, "exact": True,
+                                 "designed_bound": 336}
 
 
 def test_failed_self_check_exits_1_with_a_message(capsys, monkeypatch):

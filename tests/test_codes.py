@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -58,6 +59,49 @@ def full_enumeration_min_weight(code):
             weights = weights[1:]
         if len(weights):
             best = min(best, int(weights.min()))
+    return best
+
+
+def head_loop_min_weight(code):
+    """Second route: the least weight over the messages whose first nonzero
+    digit is 1, one word sum per head message.
+
+    This is the enumeration the comparison of heads with the tail replaced.
+    ``tail`` holds every combination of rows s..k-1 of R, the generator on
+    its non-pivot columns, grown while q times its cells fit in 2^21; each
+    message on the head rows 0..s-1 gives one vector, added to the whole
+    table, and the nonzero digits of the sum are counted.
+    """
+    q = code.field.order
+    kern = _kernel(code.field)
+    add = kern.add
+    gen = code.matrix
+    k, n = gen.shape
+    rest = np.delete(gen, (gen != 0).argmax(axis=1), axis=1)
+
+    def least(words, weights) -> int:
+        return int(((words != 0).sum(axis=0, dtype=np.intp) + weights).min())
+
+    scalars = np.arange(q, dtype=kern.dtype)
+    tail = np.zeros((n - k, 1), dtype=kern.dtype)
+    tail_weight = np.zeros(1, dtype=np.intp)
+    best = n + 1
+    s = k
+    while s > 2 and q * tail.shape[1] * max(1, n - k) <= 1 << 21:
+        s -= 1
+        size = tail.shape[1]
+        multiples = kern.mul(rest[s][:, None, None], scalars[None, :, None])
+        tail = add(tail[:, None, :], multiples).reshape(n - k, q * size)
+        tail_weight = ((scalars != 0)[:, None] + tail_weight).ravel()
+        best = min(best, least(tail[:, size:2 * size], tail_weight[size:2 * size]))
+    for lead in range(s):
+        for digits in itertools.product(range(q), repeat=s - 1 - lead):
+            head, weight = rest[lead], 1
+            for row, c in zip(rest[lead + 1:s], digits):
+                if c:
+                    head = add(head, kern.mul(c, row))
+                    weight += 1
+            best = min(best, weight + least(add(tail, head[:, None]), tail_weight))
     return best
 
 
@@ -324,9 +368,10 @@ def test_every_route_gives_a_read_only_packed_matrix(h2):
         [dual(LinearCode.from_rows(spec, full, D.support)),
          LinearCode.from_rows(spec, [], D.support), hull(dual(built))],
     ]
+    assert _kernel(spec).dtype == np.uint8
     for group in same:
         for code in group:
-            assert code.matrix.dtype == codes._DTYPE and not code.matrix.flags.writeable
+            assert code.matrix.dtype == _kernel(spec).dtype and not code.matrix.flags.writeable
             assert code == group[0] and hash(code) == hash(group[0])
 
 
@@ -720,6 +765,56 @@ def test_head_loop_matches_full_enumeration(q, monkeypatch, family):
         assert min_distance(code).d == full_enumeration_min_weight(code)
 
 
+def _edge_codes(q, rng):
+    """Codes over GF(q) with k = 1, with n = k and with zero columns."""
+    spec = GF(q)
+    label = Place.affine(spec.one, spec.one)
+
+    def code(rows):
+        return LinearCode.from_rows(spec, np.array(rows, dtype=np.int64).reshape(len(rows), -1),
+                                   (label,) * len(rows[0]))
+
+    def row(n):
+        return [rng.randrange(1, q) for _ in range(n)]
+
+    out = [code([row(rng.randint(1, 20))]), code([[0, 0] + row(5) + [0]]),
+           code([[1, 0], [0, 1]])]
+    # a zero column at each end and inside, on a code of dimension up to 4
+    k = max(1, min(4, int(math.log(1 << 14, q))))
+    out.append(code([[0] + row(4) + [0] + row(6) + [0] for _ in range(k)]))
+    return out
+
+
+@pytest.mark.parametrize("cap", [None, 64])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 512, 729])
+def test_min_distance_matches_the_head_loop(q, cap, monkeypatch):
+    # under a 64-cell cap the tail, the head table and each comparison block
+    # stop early, so heads meet the tail in several blocks and the rows above
+    # the head table run in the Python loop
+    if cap is not None:
+        monkeypatch.setattr(codes, "_MINDIST_TABLE_CELLS", cap)
+    rng = random.Random(9000 + q)
+    cases = _edge_codes(q, rng)
+    cases += _random_codes(q, rng, count=4, max_words=max(q, 1 << 12))
+    assert any(code.k == 1 for code in cases) and any(code.k == code.n for code in cases)
+    for code in cases:
+        want = head_loop_min_weight(code)
+        assert min_distance(code).d == want, (code, code.matrix.tolist())
+        if q ** code.k <= 1 << 12:
+            assert want == full_enumeration_min_weight(code)
+
+
+@pytest.mark.parametrize("q", [2, 9])
+def test_min_distance_counts_agreements_past_255(q):
+    # the weight-1 word agrees with -head on all 298 non-pivot columns, a
+    # count that would wrap to 42 in uint8; the other words weigh 299 or 300
+    spec = GF(q)
+    rows = [[1] + [0] * 299, [0, 1] + [1] * 298]
+    code = LinearCode.from_rows(spec, rows, (Place.affine(spec.one, spec.one),) * 300)
+    assert code.matrix.tolist() == rows
+    assert min_distance(code).d == head_loop_min_weight(code) == 1
+
+
 def test_min_distance_table_stays_under_the_cap(h3, monkeypatch):
     # uncapped, this [24, 6] code over GF(9) holds 9^4 x 18 table cells
     code = build_code(h3, h3.standard_D(), Divisor.of(Place.infinity(), 8))
@@ -733,7 +828,9 @@ def test_min_distance_table_stays_under_the_cap(h3, monkeypatch):
     finally:
         tracemalloc.stop()
     assert d == 16
-    assert peak < 4 * cap * np.dtype(codes._DTYPE).itemsize
+    # 64 KiB: the tail, a block of heads and its comparison array hold at
+    # most cap cells each, and a sum-table index 8 bytes a cell
+    assert peak < 4 * cap * 4
 
 
 @SETTINGS

@@ -157,6 +157,21 @@ def test_reducible_modulus_rejected():
         FieldSpec(2, 2, modulus=(0, 0, 1))  # t^2 = t * t
 
 
+@pytest.mark.parametrize("q, message", [
+    # 65537^2: no factor below 2^16, so no p^k is named
+    (65537 ** 2, "field size 4295098369 exceeds MAX_FIELD_SIZE = 65536 "
+                 "and has no factor below 2^16"),
+    # 65521 * 65537: the least factor is found, and q is no power of it
+    (65521 * 65537, "4294049777 is not a prime power"),
+    (65537, "field size 65537 exceeds MAX_FIELD_SIZE = 65536 and has no factor below 2^16"),
+    (36, "36 is not a prime power"),
+])
+def test_gf_refuses_an_order_with_its_reason(q, message):
+    with pytest.raises(ValueError) as caught:
+        GF(q)
+    assert str(caught.value) == message
+
+
 def test_cross_field_operations_rejected():
     with pytest.raises(ValueError):
         GF(4).one + GF(8).one

@@ -76,7 +76,7 @@ def scalar_rref(ops, rows):
 def log_rref(kern, mat):
     """Reduced row echelon form of a copy of mat: every pivot row is scaled
     through the logs and each row's multiple of it is exp[log f + log row]."""
-    m = np.array(mat, dtype=gf._DTYPE)
+    m = np.array(mat, dtype=kern.dtype)
     rows, n = m.shape
     pivots = []
     rank = 0
@@ -198,6 +198,35 @@ def test_rref_and_nullspace_match_scalar_oracle(q):
         assert pivots == want_pivots, label
         assert reduced.tolist() == want_rows, label
         null = kern.nullspace(as_array(rows, n))
+        assert null.tolist() == scalar_nullspace(ops, rows, n), label
+
+
+@pytest.mark.parametrize("q, dtype", [(4, np.uint8), (25, np.uint8), (27, np.uint8),
+                                      (243, np.uint8), (256, np.uint8), (729, np.uint16),
+                                      (2 ** 11, np.uint16)])
+def test_narrow_elements_match_the_oracles(q, dtype):
+    # from GF(25) on, a sum-table index a * q + b passes 255, so it must be
+    # formed wider than a uint8 element; GF(729) and GF(2^11) hold uint16
+    spec = GF(q)
+    kern, ops = _kernel(spec), ScalarOps(spec)
+    assert kern.dtype == kern.exp.dtype == kern.neg.dtype == dtype
+    top = np.full(q, q - 1, dtype=dtype)
+    values = np.arange(q, dtype=dtype)
+    assert kern.add(top, values).tolist() == [ops.add(q - 1, x) for x in range(q)]
+    assert kern.mul(top, values).tolist() == [ops.mul(q - 1, x) for x in range(q)]
+    rng = random.Random(9000 + q)
+    # the scalar oracle computes each product and sum once, which GF(2^11)
+    # makes slow on the larger shapes
+    shapes = [(20, 30), (30, 20)] if q <= 256 else [(10, 14)]
+    for label, rows, n in random_matrices(q, rng) + deficient_matrices(q, rng, shapes, 6):
+        mat = as_array(rows, n)
+        reduced, pivots = kern.rref(mat)
+        want_rows, want_pivots = scalar_rref(ops, rows)
+        assert reduced.dtype == dtype, label
+        assert pivots == want_pivots and reduced.tolist() == want_rows, label
+        assert np.array_equal(reduced, log_rref(kern, mat)[0]), label
+        null = kern.nullspace(mat)
+        assert null.dtype == dtype, label
         assert null.tolist() == scalar_nullspace(ops, rows, n), label
 
 
