@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -279,16 +279,32 @@ def _split_divisor(curve: KummerCurve, G: Divisor):
     return ram, inf, simple_zeros
 
 
+def _component_sizes(curve: KummerCurve, ram: Sequence[int], inf: int) -> list:
+    """size[t] = sum_i floor((g_i + t) / m) + floor((inf - r t) / m) + 1 for
+    t = 0..m-1, G with coefficients g_i in ram at ramified places (zeros may
+    be left out) and inf at Pinf: the t-component of L(G) has dimension
+    max(size[t], 0). With g_i = m d_i + rho_i, 0 <= rho_i < m, the floor sum
+    is sum_i d_i + #{i : rho_i >= m - t}, one histogram of the rho_i and one
+    running sum over t, so the profile costs O(r + m)."""
+    m, r = curve.m, curve.r
+    base, hist = 1, [0] * m
+    for g in ram:
+        if g:
+            d, rho = divmod(g, m)
+            base += d
+            hist[rho] += 1
+    return [base + above + (inf - r * t) // m
+            for t, above in enumerate(accumulate([0] + hist[:0:-1]))]
+
+
 def _term_bounds(curve: KummerCurve, ram: Sequence[int], inf: int):
     """(t, n_t, size) for each nonempty t-component of L(G), G with coefficients
     ram at P_1..P_r and inf at Pinf: its basis is x^t y^k / prod_i (y - alpha_i)^(n_it),
     k < size."""
-    m, r = curve.m, curve.r
-    for t in range(m):
-        n_t = [(g + t) // m for g in ram]
-        size = sum(n_t) + (inf - r * t) // m + 1
+    m = curve.m
+    for t, size in enumerate(_component_sizes(curve, ram, inf)):
         if size > 0:
-            yield t, n_t, size
+            yield t, [(g + t) // m for g in ram], size
 
 
 def _coords(places: Sequence[Place], dtype) -> np.ndarray:
@@ -376,7 +392,7 @@ def _check_dimension(curve: KummerCurve, G: Divisor, dim: int) -> None:
 
 
 def _ell_fast(curve: KummerCurve, ram: Sequence[int], inf: int) -> int:
-    return sum(size for _, _, size in _term_bounds(curve, ram, inf))
+    return sum(size for size in _component_sizes(curve, ram, inf) if size > 0)
 
 
 def ell(curve: KummerCurve, G: Divisor) -> int:

@@ -4,8 +4,11 @@ generating sets, and the explicit non-special divisors of degrees g and g-1.
 For tuples of ramified places the minimal generating set has a closed form
 driven by floor counts in r and m. Membership in the semigroup can be decided
 two independent ways: through least upper bounds of generators, and through
-the dimension-jump criterion ell(A) = ell(A - P_j) + 1 for every j. The test
-suite checks the two agree box-exhaustively. alpha is 0 or a lub of generators
+the dimension-jump criterion ell(A) = ell(A - P_j) + 1 for every j. L(A)
+splits into m components whose sizes are floor sums (``functions``), and
+dropping one pole at P_j changes only the component t = -alpha_j mod m, by
+one; so the criterion reads every j off one size profile. The test suite
+checks the two routes agree box-exhaustively. alpha is 0 or a lub of generators
 iff each alpha_i > 0 is attained by a generator gamma <= alpha, gamma_i = alpha_i:
 (=>) the generators of a lub lie below it, and alpha_i is the largest gamma_i;
 (<=) one attaining generator per i gives a lub <= alpha reaching every alpha_i.
@@ -15,12 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .curves import Divisor, KummerCurve, Place
-from .functions import _ell_fast
+from .functions import _component_sizes
 
 __all__ = [
     "enumerate_nonspecial_degree_g",
@@ -96,37 +100,37 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def _check_query(curve: KummerCurve, places: Sequence[int], alpha: Sequence[int]):
+def _check_query(curve: KummerCurve, places: Sequence[int], alpha: Sequence[int]) -> tuple:
+    """alpha as a tuple of ints, once places and alpha pass every check."""
+    try:
+        places, alpha = tuple(map(operator.index, places)), tuple(map(operator.index, alpha))
+    except TypeError:
+        raise ValueError(f"place indices and alpha entries must be integers, "
+                         f"got {tuple(places)} and {tuple(alpha)}") from None
     if len(set(places)) != len(places):
         raise ValueError("places must be distinct")
     for i in places:
-        curve.ramified_place(i)
+        if not 1 <= i <= curve.r:
+            raise ValueError(f"ramified index {i} out of range 1..{curve.r}")
     if len(alpha) != len(places):
         raise ValueError("alpha and places must have the same length")
     if any(a < 0 for a in alpha):
         raise ValueError("alpha entries must be nonnegative")
+    return alpha
 
 
 def semigroup_membership_oracle(curve: KummerCurve, places: Sequence[int],
                                 alpha: Sequence[int]) -> bool:
     """Dimension-jump membership test for alpha in H(P_i1, ..., P_il).
 
-    alpha belongs to the semigroup iff imposing the divisor's full pole order
-    at each chosen place is achieved by some function, i.e. dropping any one
-    place lowers the dimension by exactly one.
+    alpha belongs to the semigroup iff dropping any one chosen place from
+    A = sum_j alpha_j P_ij lowers ell by exactly one. Dropping P_ij changes
+    only the component t = -alpha_j mod m of L(A), whose size falls by one,
+    so ell falls exactly when that component is nonempty.
     """
-    _check_query(curve, places, alpha)
-    ram = [0] * curve.r
-    for i, a in zip(places, alpha):
-        ram[i - 1] = a
-    base = _ell_fast(curve, ram, 0)
-    for i in places:
-        ram[i - 1] -= 1
-        dropped = _ell_fast(curve, ram, 0)
-        ram[i - 1] += 1
-        if base != dropped + 1:
-            return False
-    return True
+    alpha = _check_query(curve, places, alpha)
+    sizes = _component_sizes(curve, alpha, 0)
+    return all(sizes[-a % curve.m] >= 1 for a in alpha)
 
 
 def _gamma_in_box(curve: KummerCurve, l: int, bound: int) -> list:
@@ -183,7 +187,7 @@ def _semigroup_box(curve: KummerCurve, l: int, bound: int) -> np.ndarray:
 def lub_closure_membership(curve: KummerCurve, places: Sequence[int],
                            alpha: Sequence[int]) -> bool:
     """Membership via least upper bounds of minimal generators."""
-    _check_query(curve, places, alpha)
+    alpha = _check_query(curve, places, alpha)
     l = len(places)
     if not 1 <= l < curve.field.order:
         raise ValueError("tuple size must be positive and below the field size")

@@ -1,15 +1,57 @@
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummer_lcd import (Divisor, FunctionElement, Place, ell, format_function,
                         index_of_specialty, is_nonspecial, parse_divisor,
                         parse_function, principal_divisor, riemann_roch_basis,
                         valuation_ok)
 from kummer_lcd.codes import evaluation_matrix
-from kummer_lcd.functions import _strip_root
+from kummer_lcd.functions import _component_sizes, _ell_fast, _strip_root, _term_bounds
 from kummer_lcd.gf import GF, _pdivmod, _pmul
 from kummer_lcd.codes import LinearCode
+
+
+def term_sum_ell(curve, ram, inf):
+    """ell(G) for G = sum_i ram[i] P_i + inf Pinf, term by term: the t-component
+    has size sum_i floor((g_i + t) / m) + floor((inf - r t) / m) + 1, summed
+    over all of ram for each t, and ell adds the positive sizes."""
+    m, r = curve.m, curve.r
+    sizes = (sum((g + t) // m for g in ram) + (inf - r * t) // m + 1 for t in range(m))
+    return sum(size for size in sizes if size > 0)
+
+
+# (r, m) coprime with r * m <= 400; the size profile reads only r and m
+COPRIME_SHAPES = [(r, m) for r in range(1, 201) for m in range(2, 400 // r + 1)
+                  if math.gcd(r, m) == 1]
+
+
+@st.composite
+def floor_sum_divisors(draw):
+    r, m = draw(st.sampled_from(COPRIME_SHAPES))
+    coefficient = st.one_of(st.just(0), st.integers(-3 * m, 3 * m))
+    ram = draw(st.lists(coefficient, min_size=r, max_size=r))
+    return SimpleNamespace(r=r, m=m), ram, draw(st.integers(-3 * r * m, 3 * r * m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(floor_sum_divisors(), st.randoms(use_true_random=False))
+def test_ell_fast_matches_the_term_sum(case, rnd):
+    curve, ram, inf = case
+    expected = term_sum_ell(curve, ram, inf)
+    assert _ell_fast(curve, ram, inf) == expected
+    # zero coefficients add nothing and the order of the places does not matter
+    nonzero = [g for g in ram if g]
+    rnd.shuffle(nonzero)
+    assert _component_sizes(curve, nonzero, inf) == _component_sizes(curve, ram, inf)
+    m, r = curve.m, curve.r
+    assert list(_term_bounds(curve, ram, inf)) == [
+        (t, [(g + t) // m for g in ram], size) for t in range(m)
+        if (size := sum((g + t) // m for g in ram) + (inf - r * t) // m + 1) > 0]
 
 
 def test_valuation_x2_over_y(h2):

@@ -19,7 +19,7 @@ from kummer_lcd import (GF, Divisor, FunctionElement, KummerCurve, Place,
                         lub_closure_membership, min_distance, parse_divisor,
                         parse_element, parse_function, principal_divisor,
                         semigroup_membership_oracle)
-from test_semigroup import box_matches_fold
+from test_semigroup import box_matches_fold, jump_count_oracle
 
 # field sizes up to 27 keep a drawn curve at a few hundred points
 FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
@@ -100,6 +100,17 @@ def test_lub_closure_agrees_with_the_oracle(curve, data):
     for alpha in data.draw(st.lists(point, min_size=1, max_size=6)):
         assert (lub_closure_membership(curve, places, alpha)
                 == semigroup_membership_oracle(curve, places, alpha))
+
+
+@SETTINGS
+@given(curves(), st.data())
+def test_membership_oracle_agrees_with_the_jump_count(curve, data):
+    for l in range(1, curve.r + 1):
+        places = tuple(data.draw(st.permutations(range(1, curve.r + 1)))[:l])
+        point = st.tuples(*[st.integers(0, 3 * curve.m)] * l)
+        for alpha in data.draw(st.lists(point, min_size=1, max_size=6)):
+            assert (semigroup_membership_oracle(curve, places, alpha)
+                    == jump_count_oracle(curve, places, alpha))
 
 
 @SETTINGS

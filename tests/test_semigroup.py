@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,23 @@ from kummer_lcd import (GF, Divisor, KummerCurve, Place, ell, enumerate_nonspeci
                         semigroup_membership_oracle, semigroup_multiplicity)
 from kummer_lcd.functions import _ell_fast
 from kummer_lcd.semigroup import MAX_BOX_CELLS, _gamma_in_box, _semigroup_box
+from test_functions import term_sum_ell
+
+
+def jump_count_oracle(curve, places, alpha):
+    """The dimension-jump criterion counted out: ell(A) for A = sum_j alpha_j P_ij,
+    then ell(A - P_ij) for each j, l + 1 term-sum counts in all."""
+    ram = [0] * curve.r
+    for i, a in zip(places, alpha):
+        ram[i - 1] = a
+    base = term_sum_ell(curve, ram, 0)
+    for i in places:
+        ram[i - 1] -= 1
+        dropped = term_sum_ell(curve, ram, 0)
+        ram[i - 1] += 1
+        if base != dropped + 1:
+            return False
+    return True
 
 
 def fold_box(curve, l, bound):
@@ -76,6 +94,36 @@ def test_membership_oracle_examples(h2):
     from kummer_lcd import FunctionElement, principal_divisor
     inv_x = FunctionElement.monomial(h2, -1)
     assert principal_divisor(inv_x) == parse_divisor(h2, "-1*P1-1*P2+2*Pinf")
+
+
+def test_membership_oracle_counts_the_dimension_jumps(family):
+    for curve in family:
+        for l in (1, 2):
+            for places in itertools.permutations(range(1, curve.r + 1), l):
+                for alpha in itertools.product(range(3 * curve.m + 1), repeat=l):
+                    assert (semigroup_membership_oracle(curve, places, alpha)
+                            == jump_count_oracle(curve, places, alpha)), (curve.label, places, alpha)
+
+
+@pytest.mark.parametrize("route", [semigroup_membership_oracle, lub_closure_membership])
+@pytest.mark.parametrize("places, alpha, message", [
+    ((0, 1), (1, 1), "ramified index 0 out of range 1..3"),
+    ((1, 4), (1, 1), "ramified index 4 out of range 1..3"),
+    ((2, 2), (1, 1), "places must be distinct"),
+    ((1, 2), (1,), "alpha and places must have the same length"),
+    ((1, 2), (1, -1), "alpha entries must be nonnegative"),
+    ((1, 2), (1.5, 2), "place indices and alpha entries must be integers, got (1, 2) and (1.5, 2)"),
+    ((1.0, 2), (1, 2), "place indices and alpha entries must be integers"),
+])
+def test_membership_routes_refuse_a_bad_query(h3, route, places, alpha, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        route(h3, places, alpha)
+
+
+def test_membership_routes_take_numpy_integers(h3):
+    places, alpha = np.array([1, 2]), np.array([2, 2])
+    assert semigroup_membership_oracle(h3, places, alpha) == lub_closure_membership(
+        h3, places, alpha) == jump_count_oracle(h3, (1, 2), (2, 2))
 
 
 def test_lub_closure_examples(h2, h3):
