@@ -35,12 +35,8 @@ def _resolve_curve(arg: str) -> KummerCurve:
     if os.path.exists(arg):
         return load_curve_spec(arg)
     spec_dir = os.environ.get("KUMMER_LCD_SPEC_DIR")
-    if spec_dir:
-        candidate = os.path.join(spec_dir, arg)
-        if os.path.exists(candidate):
-            return load_curve_spec(candidate)
-        candidate = os.path.join(spec_dir, arg + ".json")
-        if os.path.exists(candidate):
+    for name in (arg, arg + ".json") if spec_dir else ():
+        if os.path.exists(candidate := os.path.join(spec_dir, name)):
             return load_curve_spec(candidate)
     try:
         return builtin_curve(arg)
@@ -78,21 +74,20 @@ def _emit_pretty(report: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {value}")
 
 
+def _matrix_table(code: LinearCode, fmt, corner: str) -> list:
+    """The generator as text: a header of column points, then row i as "row<i>"."""
+    return ([[corner] + [f"({fmt(p.a)},{fmt(p.b)})" for p in code.column_labels]]
+            + [[f"row{i}"] + [fmt(x) for x in row] for i, row in enumerate(code.generator)])
+
+
 def _matrix_csv(path: str, code: LinearCode) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["function"] + [
-            f"({format_element(p.a)},{format_element(p.b)})" for p in code.column_labels])
-        for i, row in enumerate(code.generator):
-            writer.writerow([f"row{i}"] + [format_element(x) for x in row])
+        csv.writer(fh).writerows(_matrix_table(code, format_element, "function"))
 
 
 def _print_matrix_pretty(code: LinearCode) -> None:
-    table = [[""] + [f"({format_element_pretty(p.a)},{format_element_pretty(p.b)})"
-                     for p in code.column_labels]]
-    for i, row in enumerate(code.generator):
-        table.append([f"row{i}"] + [format_element_pretty(x) for x in row])
-    widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
+    table = _matrix_table(code, format_element_pretty, "")
+    widths = [max(map(len, column)) for column in zip(*table)]
     for r in table:
         print("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
 

@@ -348,7 +348,7 @@ def _basis_rows(curve: KummerCurve, G: Divisor, places: Sequence[Place] = ()):
     kern, n = _kernel(curve.field), len(places)
     values = kern.exp[_monomial_logs(curve, components, tuple(places) + tuple(zeros))]
     reduced, pivots = kern.rref(values[:, n:].T)
-    free = [f for f in range(len(values)) if f not in pivots]
+    free = np.delete(np.arange(len(values)), pivots)
     _check_dimension(curve, G, len(free))
     rows = values[free, :n]
     if pivots and n:

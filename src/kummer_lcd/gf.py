@@ -646,7 +646,7 @@ class _Kernel:
     def null_basis(self, reduced: np.ndarray, pivots) -> np.ndarray:
         """Unreduced basis e_f - sum_p R[p, f] e_p (f free) of { v : R . v = 0 }, R an RREF."""
         n = reduced.shape[1]
-        free = np.setdiff1d(np.arange(n), pivots)
+        free = np.delete(np.arange(n), pivots)
         basis = np.zeros((free.size, n), dtype=self.dtype)
         basis[np.arange(free.size), free] = 1
         basis[:, pivots] = self.neg[reduced[:, free]].T

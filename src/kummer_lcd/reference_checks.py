@@ -153,12 +153,11 @@ def check_example1() -> List[Tuple[str, bool, str]]:
     return checks
 
 
-def _construction_checks(kind: str, curve: KummerCurve, q: int, r=None,
-                         expect_dim: int = 0, expect_n=None):
+def _construction_checks(kind: str, curve: KummerCurve, expect_dim: int, expect_n=None):
     checks = []
     for variant, G in enumerate(construction_divisors(kind, curve)):
         code, cert = lcd_construct_maxcur(curve, G)
-        tag = f"{kind}-q{q}" + (f"-r{r}" if r else "") + (f"-v{variant}" if variant else "")
+        tag = curve.label + (f"-v{variant}" if variant else "")
         ok_dim = code is not None and code.k == expect_dim
         ok_n = expect_n is None or (code is not None and code.n == expect_n)
         checks.append((f"{tag}-dimension", ok_dim,
@@ -172,20 +171,18 @@ def _construction_checks(kind: str, curve: KummerCurve, q: int, r=None,
 
 
 def check_curve1_q4() -> List[Tuple[str, bool, str]]:
-    return _construction_checks("curve1", hermitian_quotient_curve(4), 4,
-                                expect_dim=16)
+    return _construction_checks("curve1", hermitian_quotient_curve(4), expect_dim=16)
 
 
 def check_curve2_q2_r3() -> List[Tuple[str, bool, str]]:
-    return _construction_checks("curve2", lifted_hermitian_curve(2, 3), 2, 3,
+    return _construction_checks("curve2", lifted_hermitian_curve(2, 3),
                                 expect_dim=10, expect_n=126)
 
 
 def check_hermitian_corollary() -> List[Tuple[str, bool, str]]:
     checks = []
     for q in (2, 3, 4):
-        checks.extend(_construction_checks("hermitian", hermitian_curve(q), q,
-                                           expect_dim=q * q))
+        checks.extend(_construction_checks("hermitian", hermitian_curve(q), expect_dim=q * q))
     return checks
 
 

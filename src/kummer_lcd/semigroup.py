@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curves import Divisor, KummerCurve, Place
+from .curves import AFFINE, RAMIFIED, Divisor, KummerCurve, Place
 from .functions import _component_sizes
 
 __all__ = [
@@ -140,17 +140,13 @@ def _gamma_in_box(curve: KummerCurve, l: int, bound: int) -> list:
     size one, and from the closed-form vectors for larger subsets; vectors
     with any entry beyond `bound` cannot sit below a queried box element.
     """
-    gaps = gap_set_single(curve)
-    singles = [v for v in range(1, bound + 1) if v not in gaps]
     gens = []
-    for i in range(l):
-        for v in singles:
-            vec = [0] * l
-            vec[i] = v
-            gens.append(tuple(vec))
-    for size in range(2, l + 1):
-        pieces = [vec for vec in gamma_plus_multi(curve, size)
-                  if max(vec) <= bound]
+    for size in range(1, l + 1):
+        if size == 1:
+            gaps = gap_set_single(curve)
+            pieces = [(v,) for v in range(1, bound + 1) if v not in gaps]
+        else:
+            pieces = [vec for vec in gamma_plus_multi(curve, size) if max(vec) <= bound]
         for positions in itertools.combinations(range(l), size):
             for vec in pieces:
                 out = [0] * l
@@ -209,7 +205,7 @@ def is_nonspecial_gns(curve: KummerCurve, A: Divisor) -> bool:
     if A.degree != curve.genus:
         raise ValueError(f"A must have degree g = {curve.genus}")
     support = A.support
-    if any(p.kind != "ramified" for p in support):
+    if any(p.kind != RAMIFIED for p in support):
         raise ValueError("A must be supported on ramified places")
     if len(support) > _max_tuple_size(curve):
         raise ValueError("support too large for the closed-form generators")
@@ -276,9 +272,9 @@ def nonspecial_degree_g_minus_1(curve: KummerCurve, P: Place,
     A = nonspecial_degree_g(curve, assignment)
     if A[P] != 0:
         raise ValueError(f"{P} lies in the support of the degree-g divisor")
-    if P.kind == "ramified":
+    if P.kind == RAMIFIED:
         curve.ramified_place(P.index)
-    elif P.kind == "affine" and not curve.is_on_curve(P.a, P.b):
+    elif P.kind == AFFINE and not curve.is_on_curve(P.a, P.b):
         raise ValueError(f"{P} does not lie on {curve.label}")
     return A - Divisor.of(P)
 

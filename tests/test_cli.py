@@ -56,6 +56,15 @@ def test_spec_dir_env(capsys, tmp_path, monkeypatch):
     assert report["results"]["label"] == "env-curve"
 
 
+def test_spec_dir_env_finds_a_name_without_its_json_suffix(capsys, tmp_path, monkeypatch):
+    (tmp_path / "mycurve.json").write_text(json.dumps({
+        "p": 2, "k": 2, "modulus": [1, 1, 1], "m": 3,
+        "alphas": [[0, 0], [1, 0]], "label": "env-curve"}))
+    monkeypatch.setenv("KUMMER_LCD_SPEC_DIR", str(tmp_path))
+    report = run_json(capsys, "curve", "info", "--curve", "mycurve")
+    assert report["results"]["label"] == "env-curve"
+
+
 def test_curve_points_roundtrip(capsys):
     curve = builtin_curve("hermitian-q2")
     report = run_json(capsys, "curve", "points", "--curve", "hermitian-q2")
@@ -880,3 +889,18 @@ def test_a_closed_stdout_exits_1_with_nothing_on_stderr(curve, head):
         reader.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (1, b"")
+
+
+def test_the_package_binds_exactly_the_names_its_modules_declare():
+    """kummer_lcd re-exports each module's __all__, bound to the same objects,
+    and binds no other public name besides its submodules."""
+    import kummer_lcd
+    from kummer_lcd import codes, functions, semigroup
+    modules = (gf, curves, functions, semigroup, codes)
+    missing = [f"{mod.__name__}.{name}" for mod in modules for name in mod.__all__
+               if getattr(kummer_lcd, name, None) is not getattr(mod, name)]
+    assert missing == []
+    declared = {name for mod in modules for name in mod.__all__}
+    undeclared = {name for name, value in vars(kummer_lcd).items()
+                  if not name.startswith("_") and not isinstance(value, type(kummer_lcd))}
+    assert undeclared - declared == set()
