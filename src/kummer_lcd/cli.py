@@ -4,9 +4,11 @@ Each command's handler returns a Report; ``main`` alone prints it to stdout
 as JSON (add --pretty for tables) and picks the exit code: 0 on success, 1
 when a check in the report fails, when a mathematical precondition or an
 internal self-check fails (the message names it) or, silently, when stdout
-closes early, 2 on parse or usage errors. KUMMER_LCD_SPEC_DIR sets
-a default directory for curve-spec lookups; builtin names like hermitian-q3
-work everywhere a spec path does.
+closes early, 2 on parse or usage errors, among them a --curve that is a
+directory or an unreadable, non-UTF-8 or too deeply nested JSON file and an
+--out that cannot be opened. KUMMER_LCD_SPEC_DIR sets a default directory
+for curve-spec lookups; builtin names like hermitian-q3 work everywhere a
+spec path does.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from .semigroup import (gamma_plus_multi, gap_set_single, nonspecial_degree_g,
 
 
 def _resolve_curve(arg: str) -> KummerCurve:
-    if os.path.exists(arg):
-        return load_curve_spec(arg)
+    """A spec file (as given, then under KUMMER_LCD_SPEC_DIR), else a builtin
+    name; a directory or other non-file is skipped."""
     spec_dir = os.environ.get("KUMMER_LCD_SPEC_DIR")
-    for name in (arg, arg + ".json") if spec_dir else ():
-        if os.path.exists(candidate := os.path.join(spec_dir, name)):
+    names = (arg, arg + ".json") if spec_dir else ()
+    for candidate in (arg, *(os.path.join(spec_dir, name) for name in names)):
+        if os.path.isfile(candidate):
             return load_curve_spec(candidate)
     try:
         return builtin_curve(arg)
@@ -51,13 +54,6 @@ class Report(NamedTuple):
     results: dict
     checks: Sequence[dict] = ()  # a failed check makes the exit code 1
     matrix: Optional[LinearCode] = None  # its generator follows a --pretty report
-
-
-def _emit(report: dict, pretty: bool) -> None:
-    if pretty:
-        _emit_pretty(report)
-    else:
-        print(json.dumps(report, indent=2))
 
 
 def _emit_pretty(report: dict, indent: str = "") -> None:
@@ -81,7 +77,11 @@ def _matrix_table(code: LinearCode, fmt, corner: str) -> list:
 
 
 def _matrix_csv(path: str, code: LinearCode) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:  # a path that cannot be written is a usage error
+        raise ParseError(f"--out {path}: {exc.strerror}") from exc
+    with fh:
         csv.writer(fh).writerows(_matrix_table(code, format_element, "function"))
 
 
@@ -265,94 +265,62 @@ def cmd_verify(args) -> Report:
 
 # ---------------------------------------------------------------------------
 
+_CURVE = ("--curve", {"required": True})
+_CODE = (_CURVE, ("--G", {"required": True}), ("--D", {"default": "standard"}))
+_PRETTY = ("--pretty", {"action": "store_true",
+                        "help": "human-readable tables instead of JSON"})
+
+# group, its help, subcommand (None: the group is the command), handler, options
+_COMMANDS = (
+    ("curve", "curve data", "info", "cmd_curve_info", (_CURVE,)),
+    ("curve", "curve data", "points", "cmd_curve_points", (_CURVE,)),
+    ("rr", "Riemann-Roch spaces", "basis", "cmd_rr_basis",
+     (_CURVE, ("--divisor", {"required": True}))),
+    ("semigroup", "gap sets and minimal generators", None, "cmd_semigroup",
+     (("what", {"choices": ["gaps", "gamma"]}), _CURVE,
+      ("--tuple", {"default": None,
+                   "help": "comma-separated ramified indices, e.g. 1,2,3"}))),
+    ("nonspecial", "explicit non-special divisors", None, "cmd_nonspecial",
+     (_CURVE, ("--degree", {"choices": ["g", "g-1"], "required": True}),
+      ("--minus", {"default": None,
+                   "help": "place to subtract for degree g-1 (default Pinf)"}))),
+    *(("code", "evaluation codes", name, "cmd_code",
+       _CODE + (("--out", {"default": None, "help": "write the matrix as CSV"}),))
+      for name in ("build", "dual", "hull")),
+    ("code", "evaluation codes", "lcd-check", "cmd_code_lcd_check",
+     (("--construction", {"required": True,
+                          "choices": ["maxcur", "curve1", "curve2", "hermitian"]}),
+      ("--q", {"type": int, "default": None}), ("--r", {"type": int, "default": None}),
+      ("--curve", {"default": None}), ("--G", {"default": None}),
+      ("--allow-remark-family", {"action": "store_true"}))),
+    ("code", "evaluation codes", "mindist", "cmd_code_mindist",
+     _CODE + (("--budget", {"type": int, "default": DEFAULT_MINDIST_BUDGET}),)),
+    ("verify", "bundled end-to-end checks", "paper-examples", "cmd_verify",
+     (("--which", {"default": "all"}),)),
+)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built on the first main() call and reused
-    (parse_args leaves it unchanged). Handlers are stored by name, and main
-    looks each up when its call runs, so a handler rebound later is reached."""
-    def add(subparsers, name, **kwargs):  # options are named in full
-        return subparsers.add_parser(name, allow_abbrev=False, **kwargs)
-
+    """The parser of every command in _COMMANDS, built on the first main() call
+    and reused (parse_args leaves it unchanged). Handlers are stored by name,
+    and main looks each up when its call runs, so a handler rebound later is
+    reached. Options are named in full: no parser takes a prefix."""
     parser = argparse.ArgumentParser(
         prog="kummer-lcd", allow_abbrev=False,
         description="Evaluation codes, hulls, and LCD constructions on "
                     "Kummer-type curves.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--pretty", action="store_true",
-                       help="human-readable tables instead of JSON")
-
-    curve = add(sub, "curve", help="curve data")
-    curve_sub = curve.add_subparsers(dest="what", required=True)
-    info = add(curve_sub, "info")
-    info.add_argument("--curve", required=True)
-    add_common(info)
-    info.set_defaults(handler="cmd_curve_info")
-    points = add(curve_sub, "points")
-    points.add_argument("--curve", required=True)
-    add_common(points)
-    points.set_defaults(handler="cmd_curve_points")
-
-    rr = add(sub, "rr", help="Riemann-Roch spaces")
-    rr_sub = rr.add_subparsers(dest="what", required=True)
-    basis = add(rr_sub, "basis")
-    basis.add_argument("--curve", required=True)
-    basis.add_argument("--divisor", required=True)
-    add_common(basis)
-    basis.set_defaults(handler="cmd_rr_basis")
-
-    semi = add(sub, "semigroup", help="gap sets and minimal generators")
-    semi.add_argument("what", choices=["gaps", "gamma"])
-    semi.add_argument("--curve", required=True)
-    semi.add_argument("--tuple", default=None,
-                      help="comma-separated ramified indices, e.g. 1,2,3")
-    add_common(semi)
-    semi.set_defaults(handler="cmd_semigroup")
-
-    nonspecial = add(sub, "nonspecial", help="explicit non-special divisors")
-    nonspecial.add_argument("--curve", required=True)
-    nonspecial.add_argument("--degree", choices=["g", "g-1"], required=True)
-    nonspecial.add_argument("--minus", default=None,
-                            help="place to subtract for degree g-1 (default Pinf)")
-    add_common(nonspecial)
-    nonspecial.set_defaults(handler="cmd_nonspecial")
-
-    code = add(sub, "code", help="evaluation codes")
-    code_sub = code.add_subparsers(dest="what", required=True)
-    for name in ("build", "dual", "hull"):
-        p = add(code_sub, name)
-        p.add_argument("--curve", required=True)
-        p.add_argument("--G", required=True)
-        p.add_argument("--D", default="standard")
-        p.add_argument("--out", default=None, help="write the matrix as CSV")
-        add_common(p)
-        p.set_defaults(handler="cmd_code")
-    lcd = add(code_sub, "lcd-check")
-    lcd.add_argument("--construction", required=True,
-                     choices=["maxcur", "curve1", "curve2", "hermitian"])
-    lcd.add_argument("--q", type=int, default=None)
-    lcd.add_argument("--r", type=int, default=None)
-    lcd.add_argument("--curve", default=None)
-    lcd.add_argument("--G", default=None)
-    lcd.add_argument("--allow-remark-family", action="store_true")
-    add_common(lcd)
-    lcd.set_defaults(handler="cmd_code_lcd_check")
-    mindist = add(code_sub, "mindist")
-    mindist.add_argument("--curve", required=True)
-    mindist.add_argument("--G", required=True)
-    mindist.add_argument("--D", default="standard")
-    mindist.add_argument("--budget", type=int, default=DEFAULT_MINDIST_BUDGET)
-    add_common(mindist)
-    mindist.set_defaults(handler="cmd_code_mindist")
-
-    verify = add(sub, "verify", help="bundled end-to-end checks")
-    verify_sub = verify.add_subparsers(dest="what", required=True)
-    pe = add(verify_sub, "paper-examples")
-    pe.add_argument("--which", default="all")
-    add_common(pe)
-    pe.set_defaults(handler="cmd_verify")
-
+    groups: dict = {}
+    for group, group_help, name, handler, options in _COMMANDS:
+        if group not in groups:
+            command = sub.add_parser(group, allow_abbrev=False, help=group_help)
+            groups[group] = command.add_subparsers(dest="what", required=True) if name else None
+        if name:
+            command = groups[group].add_parser(name, allow_abbrev=False)
+        for option, kwargs in options + (_PRETTY,):
+            command.add_argument(option, **kwargs)
+        command.set_defaults(handler=handler)
     return parser
 
 
@@ -365,8 +333,12 @@ def main(argv=None) -> int:
     command = " ".join(filter(None, (args.command, getattr(args, "what", None))))
     try:
         report = globals()[args.handler](args)
-        _emit({"command": command, "inputs": report.inputs, "results": report.results,
-               "checks": list(report.checks)}, args.pretty)
+        output = {"command": command, "inputs": report.inputs, "results": report.results,
+                  "checks": list(report.checks)}
+        if args.pretty:
+            _emit_pretty(output)
+        else:
+            print(json.dumps(output, indent=2))
         if args.pretty and report.matrix is not None:
             _print_matrix_pretty(report.matrix)
         sys.stdout.flush()

@@ -387,6 +387,8 @@ def lcd_construct_maxcur(curve: KummerCurve, G: Divisor,
     recomputed; a failing hypothesis comes back as a False flag rather than
     an exception, with no LCD claim. C(D, G) and C(D, H) are built only when
     deg G, and then deg H, lie in [0, n); otherwise duality is not verified.
+    On a supported family, a G with an affine place in its support raises
+    ValueError (from dual_partner_divisor): it is invalid input, not a flag.
     """
     family = maxcur_family_check(curve, allow_remark_family)
     checks = {"family_supported": family is not None}

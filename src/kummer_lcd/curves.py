@@ -451,11 +451,13 @@ def curve_from_spec(spec: Mapping) -> KummerCurve:
 
 
 def load_curve_spec(path: str) -> KummerCurve:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The curve of a JSON spec file; a file that cannot be opened, decoded as
+    UTF-8 or parsed (nesting too deep included) raises ParseError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return curve_from_spec(data)
 
 

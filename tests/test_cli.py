@@ -234,6 +234,33 @@ def test_curve_spec_that_fails_mathematically_exits_1(capsys, tmp_path, change, 
     assert (code, out, err) == (1, "", f"precondition violated: {message}\n")
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "no such file and not a builtin curve name"),  # a directory
+    (b'{"p": 2, "label": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+], ids=["directory", "not-utf-8", "nested-too-deep"])
+def test_a_curve_path_that_is_no_readable_spec_is_a_parse_error(
+        capsys, tmp_path, content, message):
+    """A directory is skipped as a --curve candidate; a file that cannot be
+    decoded or parsed is a parse error naming it."""
+    path = tmp_path / "spec"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, "curve", "info", "--curve", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and message in err and str(path) in err
+    assert err.count("\n") == 1
+
+
+def test_an_out_path_that_cannot_be_opened_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "code", "build", "--curve", "hermitian-q2",
+                             "--G", "3*Pinf", "--out", str(path))
+    assert (code, out, err) == (2, "", f"parse error: --out {path}: No such file or directory\n")
+
+
 def _child(argv):
     """Exit code, stdout and stderr of the CLI run in a child process under a
     5 s timeout."""
@@ -479,6 +506,76 @@ def test_option_prefixes_are_not_options(capsys, argv, missing):
     code, out, err = _call(capsys, argv)
     assert code == 2 and out == ""
     assert missing in err
+
+
+# option rows: (name, default, required, choices, type, nargs, help)
+CURVE = ("--curve", None, True, None, None, None, None)
+G = ("--G", None, True, None, None, None, None)
+D = ("--D", "standard", False, None, None, None, None)
+OUT = ("--out", None, False, None, None, None, "write the matrix as CSV")
+PRETTY = ("--pretty", False, False, None, None, 0, "human-readable tables instead of JSON")
+GROUP_HELP = [("curve", "curve data"), ("rr", "Riemann-Roch spaces"),
+              ("semigroup", "gap sets and minimal generators"),
+              ("nonspecial", "explicit non-special divisors"),
+              ("code", "evaluation codes"), ("verify", "bundled end-to-end checks")]
+# every command, in the order --help lists them: its handler's name and options
+PARSER_INVENTORY = {
+    ("curve", "info"): ("cmd_curve_info", [CURVE, PRETTY]),
+    ("curve", "points"): ("cmd_curve_points", [CURVE, PRETTY]),
+    ("rr", "basis"): ("cmd_rr_basis", [
+        CURVE, ("--divisor", None, True, None, None, None, None), PRETTY]),
+    ("semigroup",): ("cmd_semigroup", [
+        ("what", None, True, ["gaps", "gamma"], None, None, None), CURVE,
+        ("--tuple", None, False, None, None, None,
+         "comma-separated ramified indices, e.g. 1,2,3"), PRETTY]),
+    ("nonspecial",): ("cmd_nonspecial", [
+        CURVE, ("--degree", None, True, ["g", "g-1"], None, None, None),
+        ("--minus", None, False, None, None, None,
+         "place to subtract for degree g-1 (default Pinf)"), PRETTY]),
+    ("code", "build"): ("cmd_code", [CURVE, G, D, OUT, PRETTY]),
+    ("code", "dual"): ("cmd_code", [CURVE, G, D, OUT, PRETTY]),
+    ("code", "hull"): ("cmd_code", [CURVE, G, D, OUT, PRETTY]),
+    ("code", "lcd-check"): ("cmd_code_lcd_check", [
+        ("--construction", None, True, ["maxcur", "curve1", "curve2", "hermitian"],
+         None, None, None),
+        ("--q", None, False, None, int, None, None),
+        ("--r", None, False, None, int, None, None),
+        ("--curve", None, False, None, None, None, None),
+        ("--G", None, False, None, None, None, None),
+        ("--allow-remark-family", False, False, None, None, 0, None), PRETTY]),
+    ("code", "mindist"): ("cmd_code_mindist", [
+        CURVE, G, D, ("--budget", DEFAULT_MINDIST_BUDGET, False, None, int, None, None),
+        PRETTY]),
+    ("verify", "paper-examples"): ("cmd_verify", [
+        ("--which", "all", False, None, None, None, None), PRETTY]),
+}
+
+
+def _subparsers(parser):
+    return [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+
+def _commands(parser, words=()):
+    """(words, parser) of each command below parser, in the order --help lists them."""
+    if not _subparsers(parser):
+        yield words, parser
+    for action in _subparsers(parser):
+        for name, child in action.choices.items():
+            yield from _commands(child, words + (name,))
+
+
+def test_the_parser_declares_every_command_and_option():
+    """The groups, commands, handlers and options, in order, with each
+    option's default, requirement, choices, type, arity and help."""
+    parser = cli._build_parser.__wrapped__()
+    assert [(a.dest, a.help) for a in _subparsers(parser)[0]._choices_actions] == GROUP_HELP
+    built = {words: (command.get_default("handler"), [
+        ((a.option_strings or [a.dest])[0], a.default, a.required, a.choices, a.type,
+         a.nargs, a.help) for a in command._actions if not isinstance(a, argparse._HelpAction)])
+        for words, command in _commands(parser)}
+    assert list(built) == list(PARSER_INVENTORY)
+    assert built == PARSER_INVENTORY
+    assert not any(command.allow_abbrev for _, command in _commands(parser))
 
 
 def test_each_call_parses_as_the_parser_of_every_command(capsys, tmp_path, monkeypatch):
