@@ -6,9 +6,9 @@ when a check in the report fails, when a mathematical precondition or an
 internal self-check fails (the message names it) or, silently, when stdout
 closes early, 2 on parse or usage errors, among them a --curve that is a
 directory or an unreadable, non-UTF-8 or too deeply nested JSON file and an
---out that cannot be opened. KUMMER_LCD_SPEC_DIR sets a default directory
-for curve-spec lookups; builtin names like hermitian-q3 work everywhere a
-spec path does.
+--out that cannot be opened or written. KUMMER_LCD_SPEC_DIR sets a default
+directory for curve-spec lookups; builtin names like hermitian-q3 work
+everywhere a spec path does.
 """
 
 from __future__ import annotations
@@ -78,11 +78,10 @@ def _matrix_table(code: LinearCode, fmt, corner: str) -> list:
 
 def _matrix_csv(path: str, code: LinearCode) -> None:
     try:
-        fh = open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:  # a path that cannot be written is a usage error
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(_matrix_table(code, format_element, "function"))
+    except OSError as exc:  # a path that cannot be opened or written is a usage error
         raise ParseError(f"--out {path}: {exc.strerror}") from exc
-    with fh:
-        csv.writer(fh).writerows(_matrix_table(code, format_element, "function"))
 
 
 def _print_matrix_pretty(code: LinearCode) -> None:

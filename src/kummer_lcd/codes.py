@@ -7,8 +7,9 @@ exponents, and ``evaluation_matrix`` evaluates any functions through the same
 evaluator. A ``LinearCode`` is its packed RREF array, and
 ``evaluation_matrix`` and ``LinearCode.from_rows`` speak packed arrays too;
 ``FieldElement`` rows appear only when ``LinearCode.generator`` is read, for
-printing. Duality is always established numerically, by orthogonality plus
-the dimension count, never assumed from a formula.
+printing. ``build_code`` tests D with ``curve.is_on_curve``. Duality is
+always established numerically, by orthogonality plus the dimension count,
+never assumed from a formula.
 
 The hull comes from the k x k Gram matrix G * G^T (Massey's criterion): for
 a full-rank generator G, Hull(C) = { xG : x G G^T = 0 }. The route through
@@ -28,7 +29,7 @@ import numpy as np
 
 from .curves import (AFFINE, Divisor, KummerCurve, Place, format_divisor,
                      gcd_divisor)
-from .functions import _basis_rows, _coords, _monomial_logs, is_nonspecial
+from .functions import _basis_rows, _monomial_logs, is_nonspecial
 from .gf import FieldSpec, _kernel
 from .semigroup import nonspecial_degree_g
 
@@ -174,14 +175,6 @@ def evaluation_matrix(curve: KummerCurve, functions: Sequence,
     return out
 
 
-def _off_curve(curve: KummerCurve, places: Sequence[Place]) -> np.ndarray:
-    """Indices of the affine places P(a, b) with a = 0 or prod_i (b - alpha_i) != a^m."""
-    kern = _kernel(curve.field)
-    a, b = _coords(places, kern.dtype)
-    lhs = functools.reduce(kern.mul, [kern.add(b, kern.neg[c.n]) for c in curve.alphas])
-    return np.flatnonzero((a == 0) | (lhs != kern.exp[kern.log[a] * curve.m % kern.units]))
-
-
 def _resolve_D(curve: KummerCurve, D) -> Tuple[Divisor, tuple]:
     """Accept a Divisor (canonical column order) or an explicit place sequence."""
     if isinstance(D, Divisor):
@@ -211,13 +204,12 @@ def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
     if n > MAX_CODE_LENGTH:
         raise ValueError(f"code length n = {n} is above the cap "
                          f"MAX_CODE_LENGTH = {MAX_CODE_LENGTH}")
-    # the first failing place decides the message, as a check place by place would
-    off = _off_curve(curve, places)
-    shared = min((places.index(p) for p in G.support if D[p]), default=n)
-    if off.size and off[0] <= shared:
-        raise ValueError(f"{places[off[0]]} does not lie on {curve.label}")
-    if shared < n:
-        raise ValueError("supports of G and D must be disjoint")
+    # the first failing place of D decides the message
+    for place in places:
+        if not curve.is_on_curve(place.a, place.b):
+            raise ValueError(f"{place} does not lie on {curve.label}")
+        if G[place]:
+            raise ValueError("supports of G and D must be disjoint")
     if G.degree >= n:
         raise ValueError(f"deg G = {G.degree} must be below n = {n}")
     rows = _basis_rows(curve, G, places)[-1]

@@ -5,11 +5,14 @@ Places are rational only: the r totally ramified places P_i over y = alpha_i,
 the unique place Pinf over y = infinity, and the affine points P_(a,b) with
 a != 0. Ramified indexing follows the order of the alphas sequence; affine
 points are ordered by the field enumeration order of a, then b, and
-generator-matrix columns inherit that order.
+generator-matrix columns inherit that order. The defining product is formed
+in one place, a table of prod_i (b - alpha_i) at every packed b, built on
+first need: the point list and ``is_on_curve`` (so ``build_code``) read it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -37,8 +40,9 @@ __all__ = [
 ]
 
 # largest r * N of a curve, with r roots over GF(N): it bounds the root
-# search of the additive families and the point listing, which evaluates the
-# defining product at every y and finds at most r places above each x
+# search of the additive families, the table of the defining product at every
+# y (r * N products, built by the point listing or the first on-curve check)
+# and the point listing, which finds at most r places above each x
 # (hermitian q <= 64). It caps r * m too, as the gap set, the degree-g
 # recipe and the L(G) components loop over m; every family has m < N.
 MAX_CURVE_WORK = 1 << 18
@@ -250,31 +254,35 @@ class KummerCurve:
     def infinity(self) -> Place:
         return Place.infinity()
 
-    def lhs_at(self, b: FieldElement) -> FieldElement:
-        out = self.field.one
-        for alpha in self.alphas:
-            out = out * (b - alpha)
-        return out
+    @functools.cached_property
+    def _lhs(self) -> list:
+        """_lhs[b] = prod_i (b - alpha_i), packed, for every packed b."""
+        return [math.prod(b - alpha for alpha in self.alphas).n
+                for b in map(self.field.unpack, range(self.field.order))]
 
     def is_on_curve(self, a: FieldElement, b: FieldElement) -> bool:
-        return not a.is_zero() and self.lhs_at(b) == a ** self.m
+        """a != 0 and _lhs[b] = a^m; an element of another field raises ValueError."""
+        spec = self.field
+        if a.spec is not spec or b.spec is not spec:
+            a, b = spec.element(a), spec.element(b)
+        return a.n != 0 and self._lhs[b.n] == spec.exp[spec.log[a.n] * self.m % spec.units]
 
     def rational_points(self) -> tuple:
         """All rational places: Pinf, P_1..P_r, then affine by (a, b) order."""
         if self._points is None:
             points = [Place.infinity()]
             points.extend(self.ramified_places())
-            # the b with prod (b - alpha_i) = c, for each value c, in field order
+            # the b with prod (b - alpha_i) = c, for each packed c, in field order
             fibers: dict = {}
             for b in self.field.elements():
-                fibers.setdefault(self.lhs_at(b), []).append(b)
+                fibers.setdefault(self._lhs[b.n], []).append(b)
             for a in self.field.elements()[1:]:
-                points.extend(Place.affine(a, b) for b in fibers.get(a ** self.m, ()))
+                points.extend(Place.affine(a, b) for b in fibers.get((a ** self.m).n, ()))
             self._points = tuple(points)
         return self._points
 
     def affine_places(self) -> tuple:
-        return tuple(p for p in self.rational_points() if p.kind == AFFINE)
+        return self.rational_points()[self.r + 1:]
 
     def divisor_of_x(self) -> Divisor:
         """(x) = sum_i P_i - r * Pinf."""

@@ -49,8 +49,9 @@ __all__ = [
 ]
 
 
-# largest basis riemann_roch_basis builds, codes.MAX_CODE_LENGTH; it bounds the
-# polynomial arithmetic, quadratic in the y-degree, of building each basis element
+# largest basis riemann_roch_basis builds, codes.MAX_CODE_LENGTH, and largest
+# numerator degree of its functions; it bounds the polynomial arithmetic,
+# quadratic in the y-degree, of building each basis element
 MAX_RR_DIMENSION = 1 << 10
 
 
@@ -307,11 +308,6 @@ def _term_bounds(curve: KummerCurve, ram: Sequence[int], inf: int):
             yield t, [(g + t) // m for g in ram], size
 
 
-def _coords(places: Sequence[Place], dtype) -> np.ndarray:
-    """The packed coordinates a and b of affine places, as the rows of one array."""
-    return np.array([(p.a.n, p.b.n) for p in places], dtype=dtype).reshape(-1, 2).T
-
-
 def _monomial_logs(curve: KummerCurve, components, places: Sequence[Place]) -> np.ndarray:
     """Logs of x^t y^k / prod_i (y - alpha_i)^(d_i) at affine places P(a, b),
     one row per (t, d, size) in components and k < size: (t log a + k log b
@@ -324,11 +320,15 @@ def _monomial_logs(curve: KummerCurve, components, places: Sequence[Place]) -> n
     if not components or not places:
         return np.zeros((sum(size for *_, size in components), len(places)), dtype=np.intp)
     kern, units = _kernel(curve.field), curve.field.units
-    a, b = _coords(places, kern.dtype)
+    a, b = np.array([(p.a.n, p.b.n) for p in places], dtype=kern.dtype).T
     diffs = kern.add(b, kern.neg[[alpha.n for alpha in curve.alphas]][:, None])
-    t, d, size = (np.array(column, dtype=np.intp) for column in zip(*components))
-    if not diffs.all() and (d[:, ~diffs.all(axis=1)] > 0).any():
+    t, d, size = zip(*components)
+    if not diffs.all() and any(row[i] > 0 for i in np.flatnonzero(~diffs.all(axis=1))
+                               for row in d):
         raise ZeroDivisionError("denominator vanishes; the place is not on the curve")
+    # exponents are reduced mod q - 1 as Python ints: an n_t,i past 2^63 fits
+    t, size = np.array(t, dtype=np.intp), np.array(size, dtype=np.intp)
+    d = np.array([[e % units for e in row] for row in d], dtype=np.intp)
     k = np.arange(size.sum()) - (size.cumsum() - size).repeat(size)
     logs = ((t[:, None] * kern.log[a] - d @ kern.log[diffs]).repeat(size, axis=0)
             + k[:, None] * kern.log[b]) % units
@@ -363,10 +363,18 @@ def riemann_roch_basis(curve: KummerCurve, G: Divisor) -> RRBasis:
     affine places (a required simple zero, imposed as a linear constraint).
     The construction is validated on the spot against the exact dimension
     count deg G + 1 - genus whenever deg G > 2g - 2. More than
-    ``MAX_RR_DIMENSION`` functions raise ValueError before any is built.
+    ``MAX_RR_DIMENSION`` functions, or a component whose numerators reach a
+    degree above it, raise ValueError before any function is built.
     """
-    if (count := _ell_fast(curve, *_split_divisor(curve, G)[:2])) > MAX_RR_DIMENSION:
+    ram, inf, _ = _split_divisor(curve, G)
+    if (count := _ell_fast(curve, ram, inf)) > MAX_RR_DIMENSION:
         raise ValueError(f"ell = {count} basis functions is above the cap "
+                         f"MAX_RR_DIMENSION = {MAX_RR_DIMENSION}")
+    # the numerator of a t-component takes the factor (y - alpha_i) -n_t,i times
+    degree = max((size - 1 + sum(max(0, -n) for n in n_t)
+                  for _, n_t, size in _term_bounds(curve, ram, inf)), default=0)
+    if degree > MAX_RR_DIMENSION:
+        raise ValueError(f"a numerator of degree {degree} is above the cap "
                          f"MAX_RR_DIMENSION = {MAX_RR_DIMENSION}")
     components, reduced, pivots, free, _ = _basis_rows(curve, G)
     spec = curve.field

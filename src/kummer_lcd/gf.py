@@ -13,8 +13,9 @@ only in the text forms.
 A polynomial is a little-endian list of ``FieldElement``, and this module has
 the one set of helpers for it (``_ptrim``, ``_pmul``, ``_pdivmod``,
 ``_peval``), each reading the field from its operands: the irreducibility
-test of a modulus divides over GF(p)'s elements, ``solve_additive``
-evaluates with them, and ``functions`` keeps its numerators in them.
+test of a modulus divides over GF(p)'s elements, ``solve_additive`` and
+``FunctionElement.evaluate`` call ``_peval``, and ``functions`` keeps its
+numerators in them; ``curves`` forms its defining product once, in a table.
 
 All matrix work goes through one kernel, ``_Kernel``: numpy arrays of field
 elements packed as base-p integers (``FieldElement.n``), uint8 while

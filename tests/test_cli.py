@@ -261,6 +261,31 @@ def test_an_out_path_that_cannot_be_opened_is_a_parse_error(capsys, tmp_path):
     assert (code, out, err) == (2, "", f"parse error: --out {path}: No such file or directory\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_an_out_path_that_cannot_be_written_is_a_parse_error(capsys):
+    # /dev/full opens, and the write fails when the file is flushed at close
+    code, out, err = run_cli(capsys, "code", "build", "--curve", "hermitian-q2",
+                             "--G", "3*Pinf", "--out", "/dev/full")
+    assert (code, out, err) == (2, "", "parse error: --out /dev/full: No space left on device\n")
+
+
+def test_huge_coefficients_build_the_code_of_their_residues(capsys, tmp_path):
+    # 99999999999999999999 = 3N with 3 | N: the divisor of h^N, h = (y - alpha_1)
+    # / (y - alpha_2), which is 1 on the affine places of hermitian-q2
+    huge, zero = tmp_path / "huge.csv", tmp_path / "zero.csv"
+    for G, path in (("99999999999999999999*P1-99999999999999999999*P2", huge), ("0", zero)):
+        run_json(capsys, "code", "build", "--curve", "hermitian-q2", "--G", G, "--out", str(path))
+    assert huge.read_bytes() == zero.read_bytes()
+
+
+def test_huge_coefficients_are_refused_before_any_function_is_built(capsys):
+    code, out, err = run_cli(capsys, "rr", "basis", "--curve", "hermitian-q2", "--divisor",
+                             "99999999999999999999*P1-99999999999999999999*P2")
+    assert (code, out) == (1, "")
+    assert err == ("precondition violated: a numerator of degree 33333333333333333333 "
+                   "is above the cap MAX_RR_DIMENSION = 1024\n")
+
+
 def _child(argv):
     """Exit code, stdout and stderr of the CLI run in a child process under a
     5 s timeout."""

@@ -288,13 +288,38 @@ def test_build_code_refuses_g_overlapping_d(h2):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_off_curve_indices_match_is_on_curve(q):
-    # every (a, b) of the field, a = 0 included, against the FieldElement check
+    # every (a, b) of the field, a = 0 included, against prod_i (b - alpha_i)
+    # formed in FieldElement arithmetic
     curve = hermitian_curve(q)
     elements = curve.field.elements()
-    places = [Place(AFFINE, a=a, b=b) for a in elements for b in elements]
-    want = [i for i, p in enumerate(places) if not curve.is_on_curve(p.a, p.b)]
-    assert codes._off_curve(curve, places).tolist() == want
-    assert len(places) - len(want) == len(curve.affine_places())
+    on = [(a, b) for a in elements for b in elements if curve.is_on_curve(a, b)]
+    want = [(a, b) for a in elements for b in elements
+            if a and math.prod(b - alpha for alpha in curve.alphas) == a ** curve.m]
+    assert on == want
+    assert on == [(p.a, p.b) for p in curve.affine_places()]
+
+
+def test_exponents_past_int64_give_the_code_of_their_residues(h4):
+    # 5N*P1 - 5N*P2 is the divisor of h^N, h = (y - alpha_1) / (y - alpha_2),
+    # and h^15 = 1 on D, so N and N mod 15 give the same code
+    D = h4.standard_D()
+    for N in (2 ** 61 + 7, 2 ** 59 + 3, 2 ** 64 + 1):
+        G, residue = (parse_divisor(h4, f"{5 * e}*P1-{5 * e}*P2+10*Pinf")
+                      for e in (N, N % 15))
+        assert build_code(h4, D, G) == build_code(h4, D, residue)
+
+
+@SETTINGS
+@given(curves_with_divisor(), st.integers(0, 2 ** 70))
+def test_a_principal_shift_past_int64_leaves_the_code(case, extra):
+    # N m (P1 - P2) is the divisor of h^N, h = (y - alpha_1) / (y - alpha_2),
+    # and h^N is 1 at every affine place once (q - 1) | N
+    curve, G = case
+    assume(curve.r >= 2)
+    shift = (curve.field.units * (2 ** 63 + extra)) * curve.m
+    shifted = G + Divisor({Place.ramified(1): shift, Place.ramified(2): -shift})
+    D = curve.standard_D()
+    assert build_code(curve, D, shifted) == build_code(curve, D, G)
 
 
 def test_build_code_length_cap(h2, monkeypatch):

@@ -3,11 +3,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given
 
 from kummer_lcd import (Divisor, GF, KummerCurve, Place, builtin_curve,
                         curve_from_spec, format_divisor, gcd_divisor,
                         lmd_divisor, load_curve_spec, parse_divisor,
                         parse_place, solve_additive)
+from kummer_lcd.gf import FieldSpec
+from test_properties import SETTINGS, curves
 
 
 def test_make_curve_examples(h2, c1):
@@ -39,12 +42,20 @@ def test_rational_point_counts(h2, h3, h4, c1, c2, nt):
         assert len(curve.rational_points()) == q ** 3 + 1
 
 
+def lhs(curve, b):
+    """prod_i (b - alpha_i) in FieldElement arithmetic, apart from the curve's table."""
+    out = curve.field.one
+    for alpha in curve.alphas:
+        out = out * (b - alpha)
+    return out
+
+
 def test_rational_points_match_a_scan_over_all_pairs(family):
     # the O(q^2) scan the fiber lookup replaced, as the second route
     for curve in family:
         elements = curve.field.elements()
         scan = [Place.affine(a, b) for a in elements[1:] for b in elements
-                if curve.lhs_at(b) == a ** curve.m]
+                if lhs(curve, b) == a ** curve.m]
         want = (Place.infinity(),) + curve.ramified_places() + tuple(scan)
         assert curve.rational_points() == want, curve.label
 
@@ -53,6 +64,30 @@ def test_affine_points_satisfy_equation(family):
     for curve in family:
         for p in curve.affine_places():
             assert curve.is_on_curve(p.a, p.b)
+
+
+@SETTINGS
+@given(curves())
+def test_drawn_curves_test_every_pair_against_the_product(curve):
+    elements = curve.field.elements()
+    on = [(a, b) for a in elements for b in elements if curve.is_on_curve(a, b)]
+    assert on == [(a, b) for a in elements for b in elements
+                  if a and lhs(curve, b) == a ** curve.m]
+    assert curve.rational_points() == ((Place.infinity(),) + curve.ramified_places()
+                                       + tuple(Place.affine(a, b) for a, b in on))
+    zero = elements[0]
+    assert curve.is_on_curve(zero, zero) is False
+    assert all(curve.is_on_curve(a, b) is True for a, b in on)
+
+
+def test_is_on_curve_refuses_an_element_of_another_field(h2):
+    point, other = h2.affine_places()[0], GF(8).one
+    for a, b in ((other, point.b), (point.a, other), (other, other)):
+        with pytest.raises(ValueError, match="different field"):
+            h2.is_on_curve(a, b)
+    # an equal field built apart is the same field
+    twin = KummerCurve(FieldSpec(2, 2), h2.alphas, h2.m)
+    assert twin.is_on_curve(point.a, point.b)
 
 
 def test_point_order_is_deterministic(h2):

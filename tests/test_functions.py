@@ -228,6 +228,24 @@ def test_basis_size_cap(h2, monkeypatch):
         ell(h2, G + Divisor.of(Place.infinity()))
 
 
+def test_numerator_degree_cap(h2, monkeypatch):
+    from kummer_lcd import functions
+    # on hermitian-q2 (m = 3), g*P1 - g*P2 with 3 | g has one nonempty
+    # component, t = 0, of size 1 and numerator degree g / 3
+    assert riemann_roch_basis(h2, parse_divisor(h2, "3072*P1-3072*P2")).dimension == 1
+    for text, degree in (("3075*P1-3075*P2", 1025), ("6000*P1-6000*P2", 2000),
+                         ("99999999999999999999*P1-99999999999999999999*P2", 10 ** 20 // 3)):
+        with pytest.raises(ValueError) as err:
+            riemann_roch_basis(h2, parse_divisor(h2, text))
+        assert str(err.value) == (f"a numerator of degree {degree} is above the cap "
+                                  "MAX_RR_DIMENSION = 1024")
+    # the degree counts the component's own size as well
+    monkeypatch.setattr(functions, "MAX_RR_DIMENSION", 10)
+    assert riemann_roch_basis(h2, parse_divisor(h2, "24*P1-24*P2+8*Pinf")).dimension == 8
+    with pytest.raises(ValueError, match="numerator of degree 11 .* MAX_RR_DIMENSION = 10"):
+        riemann_roch_basis(h2, parse_divisor(h2, "27*P1-27*P2+8*Pinf"))
+
+
 def strip_by_division(poly, root, spec, limit):
     """Second route for _strip_root: one division by (y - root) at a time."""
     count = 0
