@@ -236,8 +236,6 @@ class KummerCurve:
                 "ramification would be wild and the genus formula fails")
         self.label = label or f"kummer-r{self.r}-m{self.m}-gf{field.order}"
         self._points = None
-        self._gap_set = None
-        self._semigroup_boxes: dict = {}
 
     @property
     def genus(self) -> int:
@@ -392,8 +390,10 @@ _BUILTIN_PATTERNS = (
 )
 
 
+@functools.cache
 def builtin_curve(name: str) -> KummerCurve:
-    """Construct a bundled curve from names like hermitian-q2, curve2-q2-r3.
+    """The bundled curve of a name like hermitian-q2 or curve2-q2-r3, one
+    instance per name; the family builders make a new curve on each call.
 
     A name that matches no family is a ParseError; parameters that a family
     refuses are a ValueError that gives the family's reason."""

@@ -72,6 +72,24 @@ def _strip_root(poly: Sequence[FieldElement], root: FieldElement,
     return count, poly
 
 
+def _check_degree(degree: int) -> None:
+    if degree > MAX_RR_DIMENSION:
+        raise ValueError(f"a numerator of degree {degree} is above the cap "
+                         f"MAX_RR_DIMENSION = {MAX_RR_DIMENSION}")
+
+
+def _times_roots(num: Sequence[FieldElement], alphas: Sequence[FieldElement],
+                 counts: Sequence[int]) -> Sequence[FieldElement]:
+    """num * prod_i (y - alpha_i)^counts[i]; a product whose degree would pass
+    MAX_RR_DIMENSION raises ValueError before any factor is multiplied in."""
+    if any(counts):
+        _check_degree(len(num) - 1 + sum(counts))
+    for alpha, count in zip(alphas, counts):
+        for _ in range(count):
+            num = _pmul(num, [-alpha, alpha.spec.one])
+    return num
+
+
 class FunctionElement:
     """A function in canonical x-power shape, tied to its curve."""
 
@@ -93,9 +111,8 @@ class FunctionElement:
             num = _ptrim([spec.element(c) for c in num])
             if not num:
                 continue
+            num = _times_roots(num, curve.alphas, [max(0, -d) for d in dens])
             for i, alpha in enumerate(curve.alphas):
-                for _ in range(-dens[i]):
-                    num = _pmul(num, [-alpha, spec.one])
                 dens[i] = max(dens[i], 0)
                 stripped, num = _strip_root(num, alpha, dens[i])
                 dens[i] -= stripped
@@ -142,12 +159,8 @@ class FunctionElement:
                 continue
             num1, dens1 = terms[t]
             dens = tuple(max(d1, d2) for d1, d2 in zip(dens1, dens2))
-            lifts = []
-            for num, own in ((num1, dens1), (num2, dens2)):
-                for alpha, e, d in zip(self.curve.alphas, own, dens):
-                    for _ in range(d - e):
-                        num = _pmul(num, [-alpha, spec.one])
-                lifts.append(num)
+            lifts = [_times_roots(num, self.curve.alphas, [d - e for e, d in zip(own, dens)])
+                     for num, own in ((num1, dens1), (num2, dens2))]
             num = zip_longest(*lifts, fillvalue=spec.zero)
             terms[t] = (tuple(x + y for x, y in num), dens)
         return FunctionElement(self.curve, terms)
@@ -371,11 +384,8 @@ def riemann_roch_basis(curve: KummerCurve, G: Divisor) -> RRBasis:
         raise ValueError(f"ell = {count} basis functions is above the cap "
                          f"MAX_RR_DIMENSION = {MAX_RR_DIMENSION}")
     # the numerator of a t-component takes the factor (y - alpha_i) -n_t,i times
-    degree = max((size - 1 + sum(max(0, -n) for n in n_t)
-                  for _, n_t, size in _term_bounds(curve, ram, inf)), default=0)
-    if degree > MAX_RR_DIMENSION:
-        raise ValueError(f"a numerator of degree {degree} is above the cap "
-                         f"MAX_RR_DIMENSION = {MAX_RR_DIMENSION}")
+    _check_degree(max((size - 1 + sum(max(0, -n) for n in n_t)
+                       for _, n_t, size in _term_bounds(curve, ram, inf)), default=0))
     components, reduced, pivots, free, _ = _basis_rows(curve, G)
     spec = curve.field
     monomials = [(t, n_t, size, k) for t, n_t, size in components for k in range(size)]

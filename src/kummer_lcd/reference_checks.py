@@ -13,9 +13,7 @@ from typing import Callable, Dict, List, Tuple
 from .codes import (LinearCode, build_code, construction_divisors, dual,
                     evaluation_matrix, hull, lcd_construct_maxcur, min_distance,
                     verify_hull_theorem)
-from .curves import (KummerCurve, Place, hermitian_curve,
-                     hermitian_quotient_curve, lifted_hermitian_curve,
-                     parse_divisor)
+from .curves import KummerCurve, Place, builtin_curve, parse_divisor
 from .functions import FunctionElement, valuation_ok
 from .gf import ParseError, format_element_pretty, parse_element
 
@@ -56,7 +54,7 @@ def _golden_places(curve: KummerCurve, columns) -> list:
 
 
 def check_hermitian_q2() -> List[Tuple[str, bool, str]]:
-    curve = hermitian_curve(2)
+    curve = builtin_curve("hermitian-q2")
     checks: List[Tuple[str, bool, str]] = []
     points = curve.rational_points()
     checks.append(("rational-point-count", len(points) == 9, f"{len(points)}"))
@@ -118,7 +116,7 @@ EXAMPLE1_H_FUNCTIONS = [
 
 
 def check_example1() -> List[Tuple[str, bool, str]]:
-    curve = hermitian_quotient_curve(4)
+    curve = builtin_curve("curve1-q4")
     checks: List[Tuple[str, bool, str]] = []
     checks.append(("rational-point-count", len(curve.rational_points()) == 33,
                    f"{len(curve.rational_points())}"))
@@ -171,18 +169,19 @@ def _construction_checks(kind: str, curve: KummerCurve, expect_dim: int, expect_
 
 
 def check_curve1_q4() -> List[Tuple[str, bool, str]]:
-    return _construction_checks("curve1", hermitian_quotient_curve(4), expect_dim=16)
+    return _construction_checks("curve1", builtin_curve("curve1-q4"), expect_dim=16)
 
 
 def check_curve2_q2_r3() -> List[Tuple[str, bool, str]]:
-    return _construction_checks("curve2", lifted_hermitian_curve(2, 3),
+    return _construction_checks("curve2", builtin_curve("curve2-q2-r3"),
                                 expect_dim=10, expect_n=126)
 
 
 def check_hermitian_corollary() -> List[Tuple[str, bool, str]]:
     checks = []
     for q in (2, 3, 4):
-        checks.extend(_construction_checks("hermitian", hermitian_curve(q), expect_dim=q * q))
+        curve = builtin_curve(f"hermitian-q{q}")
+        checks.extend(_construction_checks("hermitian", curve, expect_dim=q * q))
     return checks
 
 

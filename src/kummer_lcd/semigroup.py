@@ -16,6 +16,7 @@ iff each alpha_i > 0 is attained by a generator gamma <= alpha, gamma_i = alpha_
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -43,27 +44,25 @@ __all__ = [
 MAX_BOX_CELLS = 1 << 24
 # gamma_plus_multi refuses generating sets with more vectors, counted first
 MAX_GENERATORS = 1 << 18
+# H(P_1..P_l) on a box, by (r, m, l): the semigroups depend on r and m alone
+_BOXES: dict = {}
 
 
 def gap_set_single(curve: KummerCurve) -> frozenset:
     """Gap set of any single ramified place; its size equals the genus."""
-    if curve._gap_set is None:
-        m, r = curve.m, curve.r
-        gaps = set()
-        for j in range(1, m - m // r):
-            for k in range(0, r - 1 - (r * j) // m):
-                gaps.add(m * k + j)
-        curve._gap_set = frozenset(gaps)
-    return curve._gap_set
+    return _gaps(curve.r, curve.m)
+
+
+@functools.cache
+def _gaps(r: int, m: int) -> frozenset:
+    return frozenset(m * k + j for j in range(1, m - m // r)
+                     for k in range(r - 1 - (r * j) // m))
 
 
 def semigroup_multiplicity(curve: KummerCurve) -> int:
     """Least nonzero pole number at a ramified place."""
     gaps = gap_set_single(curve)
-    v = 1
-    while v in gaps:
-        v += 1
-    return v
+    return next(v for v in itertools.count(1) if v not in gaps)
 
 
 def _max_tuple_size(curve: KummerCurve) -> int:
@@ -162,7 +161,8 @@ def _semigroup_box(curve: KummerCurve, l: int, bound: int) -> np.ndarray:
     is attained (module docstring): axis i keeps alpha_i = 0 and the generators'
     prefix ORs along every other axis.
     """
-    grid = curve._semigroup_boxes.get(l)
+    key = (curve.r, curve.m, l)
+    grid = _BOXES.get(key)
     if grid is not None and grid.shape[0] > bound:
         return grid
     gens = np.array(_gamma_in_box(curve, l, bound), dtype=np.intp).reshape(-1, l)
@@ -176,7 +176,7 @@ def _semigroup_box(curve: KummerCurve, l: int, bound: int) -> np.ndarray:
         attained[(slice(None),) * i + (0,)] = True
         grid &= attained
     grid.flags.writeable = False
-    curve._semigroup_boxes[l] = grid
+    _BOXES[key] = grid
     return grid
 
 
@@ -210,14 +210,10 @@ def is_nonspecial_gns(curve: KummerCurve, A: Divisor) -> bool:
     if len(support) > _max_tuple_size(curve):
         raise ValueError("support too large for the closed-form generators")
     alpha = tuple(A[p] for p in support)
-    l = len(alpha)
-    if l == 0:
+    if not alpha:
         return curve.genus == 0
-    bound = max(alpha)
-    for gen in _gamma_in_box(curve, l, bound):
-        if all(gv <= av for gv, av in zip(gen, alpha)):
-            return False
-    return True
+    return not any(all(gv <= av for gv, av in zip(gen, alpha))
+                   for gen in _gamma_in_box(curve, len(alpha), max(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +288,6 @@ def floor_identity_checks(r: int, m: int) -> bool:
         raise ValueError("r and m must be coprime")
     t = r % m
     jump_set = {(k * m) // t for k in range(1, t)} if t else set()
-    for j in range(1, m - 1):
-        diff = (r * (j + 1)) // m - (r * j) // m
-        expected = r // m + (1 if j in jump_set else 0)
-        if diff != expected:
-            return False
-    if t and sum((k * m) // t for k in range(1, t)) != (m - 1) * (t - 1) // 2:
-        return False
-    return True
+    return (all((r * (j + 1)) // m - (r * j) // m == r // m + (j in jump_set)
+                for j in range(1, m - 1))
+            and (not t or sum((k * m) // t for k in range(1, t)) == (m - 1) * (t - 1) // 2))

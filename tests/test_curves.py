@@ -192,6 +192,13 @@ def test_builtin_names(h3, nt):
         builtin_curve("nope")
 
 
+def test_builtin_curve_is_one_instance_per_name(h3):
+    for name in ("hermitian-q2", "hermitian-q3", "curve1-q4", "curve2-q2-r3", "norm-trace-q2-r3"):
+        assert builtin_curve(name) is builtin_curve(name)
+    # the family builders still make a new, equal curve on each call
+    assert builtin_curve("hermitian-q3") == h3 and builtin_curve("hermitian-q3") is not h3
+
+
 # the families' additive polynomials written out by hand, the second route to
 # the one builder that derives them from exponents
 def _hermitian_poly(q):

@@ -1,12 +1,13 @@
 import math
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummer_lcd import (Divisor, FunctionElement, Place, ell, format_function,
+from kummer_lcd import (Divisor, FunctionElement, Place, builtin_curve, ell, format_function,
                         index_of_specialty, is_nonspecial, parse_divisor,
                         parse_function, principal_divisor, riemann_roch_basis,
                         valuation_ok)
@@ -244,6 +245,24 @@ def test_numerator_degree_cap(h2, monkeypatch):
     assert riemann_roch_basis(h2, parse_divisor(h2, "24*P1-24*P2+8*Pinf")).dimension == 8
     with pytest.raises(ValueError, match="numerator of degree 11 .* MAX_RR_DIMENSION = 10"):
         riemann_roch_basis(h2, parse_divisor(h2, "27*P1-27*P2+8*Pinf"))
+
+
+def test_a_numerator_past_the_cap_is_refused_before_any_product(h2):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        FunctionElement.monomial(builtin_curve("hermitian-q2"), 0, [10**9, 0])
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == ("a numerator of degree 1000000000 is above the cap "
+                              "MAX_RR_DIMENSION = 1024")
+    # a sum lifts both numerators to the common denominator, under the same cap
+    f, g = (FunctionElement.monomial(h2, 0, exps) for exps in ([-1100, 0], [0, -1100]))
+    with pytest.raises(ValueError, match="numerator of degree 1100 .* MAX_RR_DIMENSION = 1024"):
+        f + g
+    # at the cap the products are formed: in characteristic 2 the lifted
+    # numerators add up to (alpha_1 - alpha_2)^1024, a constant, so f + g is
+    # that over ((y - alpha_1)(y - alpha_2))^1024, of valuation m * 2048 at Pinf
+    f, g = (FunctionElement.monomial(h2, 0, exps) for exps in ([-1024, 0], [0, -1024]))
+    assert (f + g).valuation(Place.infinity()) == 3 * 2048
 
 
 def strip_by_division(poly, root, spec, limit):

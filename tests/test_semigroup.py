@@ -5,12 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from kummer_lcd import (GF, Divisor, KummerCurve, Place, ell, enumerate_nonspecial_degree_g,
+from kummer_lcd import (GF, Divisor, KummerCurve, Place, builtin_curve, ell,
+                        enumerate_nonspecial_degree_g,
                         floor_identity_checks, gamma_plus_multi,
                         gap_set_single, hermitian_curve, is_nonspecial_gns,
                         lub_closure_membership, nonspecial_degree_g,
                         nonspecial_degree_g_minus_1, parse_divisor,
                         semigroup_membership_oracle, semigroup_multiplicity)
+from kummer_lcd import semigroup
 from kummer_lcd.functions import _ell_fast
 from kummer_lcd.semigroup import MAX_BOX_CELLS, _gamma_in_box, _semigroup_box
 from test_functions import term_sum_ell
@@ -144,51 +146,80 @@ def test_lub_oracle_agree_small_boxes(h2, h3):
                         == semigroup_membership_oracle(curve, places, alpha))
 
 
-def test_lub_closure_refuses_boxes_above_the_cap():
+def test_lub_closure_refuses_boxes_above_the_cap(monkeypatch):
+    monkeypatch.setattr(semigroup, "_BOXES", {})
     curve = hermitian_curve(3)
     cells = (10**4 + 1) ** 3
     with pytest.raises(ValueError, match=f"{cells} cells, above the cap of {MAX_BOX_CELLS}"):
         lub_closure_membership(curve, (1, 2, 3), (10**4,) * 3)
-    assert not curve._semigroup_boxes  # refused before any grid is built
+    assert not semigroup._BOXES  # refused before any grid is built
     assert lub_closure_membership(curve, (1, 2, 3), (2, 2, 2))
+    assert list(semigroup._BOXES) == [(3, 4, 3)]
 
 
-def test_lub_closure_answers_do_not_depend_on_query_order():
+def test_lub_closure_answers_do_not_depend_on_query_order(monkeypatch, h4):
     # bounds 2..12 on l = 3 make the cached grid grow, then serve restrictions
     points = [(4, 1, 0), (9, 5, 4), (12, 12, 12), (5, 5, 5), (8, 8, 1), (10, 2, 6),
               (2, 2, 2), (12, 0, 3), (6, 6, 6), (11, 7, 9), (1, 1, 2), (7, 4, 12)]
     places = (1, 2, 3)
 
-    def answers(order, curve_for):
-        return {alpha: lub_closure_membership(curve_for(), places, alpha)
-                for alpha in order}
+    def answers(order, empty_each_time):
+        # each order starts from an empty cache; a fresh build empties it per query
+        boxes = {}
+        monkeypatch.setattr(semigroup, "_BOXES", boxes)
+        result = {}
+        for alpha in order:
+            if empty_each_time:
+                boxes.clear()
+            result[alpha] = lub_closure_membership(h4, places, alpha)
+        return result
 
     ascending = sorted(points, key=max)
-    shared_up, shared_down = hermitian_curve(4), hermitian_curve(4)
-    up = answers(ascending, lambda: shared_up)
-    down = answers(ascending[::-1], lambda: shared_down)
-    fresh = answers(points, lambda: hermitian_curve(4))
+    up = answers(ascending, False)
+    down = answers(ascending[::-1], False)
+    grid = _semigroup_box(h4, 3, 12)  # the grid the descending order built first
+    fresh = answers(points, True)
     assert up == down == fresh
     assert any(up.values()) and not all(up.values())
-    grid = _semigroup_box(shared_down, 3, 12)
     assert grid.shape == (13, 13, 13)
     assert not grid.flags.writeable
     with pytest.raises(ValueError):
         grid[0, 0, 1] = True
 
 
-def test_attained_coordinates_grid_equals_the_fold(family):
+def test_attained_coordinates_grid_equals_the_fold(family, monkeypatch):
     boxes = 0
     for curve in family:
+        # an empty cache, bounds ascending: each box is built, not restricted
+        monkeypatch.setattr(semigroup, "_BOXES", {})
         for l in range(1, curve.r - curve.r // curve.m + 1):
-            # a fresh copy, bounds ascending: each box is built, not restricted
-            fresh = KummerCurve(curve.field, curve.alphas, curve.m, label=curve.label)
             for bound in range(curve.m, 2 * curve.m + 1):
                 if (bound + 1) ** l <= 1 << 16:
-                    assert box_matches_fold(fresh, l, bound), (curve.label, l, bound)
-                    assert fresh._semigroup_boxes[l].shape == (bound + 1,) * l
+                    assert box_matches_fold(curve, l, bound), (curve.label, l, bound)
+                    grid = semigroup._BOXES[(curve.r, curve.m, l)]
+                    assert grid.shape == (bound + 1,) * l
                     boxes += 1
     assert boxes == 111
+
+
+def test_curves_with_equal_r_and_m_share_the_semigroup_caches(monkeypatch, h2):
+    monkeypatch.setattr(semigroup, "_BOXES", {})
+    # y^3 + y = x^4 over GF(9) and y(y - 1)(y - 2) = x^4 over GF(5): r = 3, m = 4
+    h3, other = builtin_curve("hermitian-q3"), KummerCurve(GF(5), [0, 1, 2], 4)
+    assert h3.field != other.field and (h3.r, h3.m) == (other.r, other.m)
+    assert gap_set_single(h3) is gap_set_single(other)
+    for l in (1, 2, 3):
+        places = tuple(range(1, l + 1))
+        for curve in (h3, other):
+            for alpha in itertools.product(range(9), repeat=l):
+                assert (lub_closure_membership(curve, places, alpha)
+                        == semigroup_membership_oracle(curve, places, alpha))
+        assert _semigroup_box(h3, l, 8) is _semigroup_box(other, l, 8)
+    assert sorted(semigroup._BOXES) == [(3, 4, 1), (3, 4, 2), (3, 4, 3)]
+    # another (r, m) gets its own grid
+    grid = _semigroup_box(h2, 2, 8)
+    assert sorted(semigroup._BOXES) == [(2, 3, 2), (3, 4, 1), (3, 4, 2), (3, 4, 3)]
+    assert grid is not _semigroup_box(h3, 2, 8) and gap_set_single(h2) != gap_set_single(h3)
 
 
 def test_gns_examples(h3):
