@@ -235,7 +235,6 @@ class KummerCurve:
                 "the exponent m must be coprime to the characteristic; "
                 "ramification would be wild and the genus formula fails")
         self.label = label or f"kummer-r{self.r}-m{self.m}-gf{field.order}"
-        self._points = None
 
     @property
     def genus(self) -> int:
@@ -265,18 +264,20 @@ class KummerCurve:
             a, b = spec.element(a), spec.element(b)
         return a.n != 0 and self._lhs[b.n] == spec.exp[spec.log[a.n] * self.m % spec.units]
 
+    @functools.cached_property
+    def _points(self) -> tuple:
+        points = [Place.infinity()]
+        points.extend(self.ramified_places())
+        # the b with prod (b - alpha_i) = c, for each packed c, in field order
+        fibers: dict = {}
+        for b in self.field.elements():
+            fibers.setdefault(self._lhs[b.n], []).append(b)
+        for a in self.field.elements()[1:]:
+            points.extend(Place.affine(a, b) for b in fibers.get((a ** self.m).n, ()))
+        return tuple(points)
+
     def rational_points(self) -> tuple:
         """All rational places: Pinf, P_1..P_r, then affine by (a, b) order."""
-        if self._points is None:
-            points = [Place.infinity()]
-            points.extend(self.ramified_places())
-            # the b with prod (b - alpha_i) = c, for each packed c, in field order
-            fibers: dict = {}
-            for b in self.field.elements():
-                fibers.setdefault(self._lhs[b.n], []).append(b)
-            for a in self.field.elements()[1:]:
-                points.extend(Place.affine(a, b) for b in fibers.get((a ** self.m).n, ()))
-            self._points = tuple(points)
         return self._points
 
     def affine_places(self) -> tuple:

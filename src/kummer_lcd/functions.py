@@ -17,9 +17,9 @@ t = 0..m-1, so a sum lies in L(G) exactly when every term does. That turns
 L(G) for G supported on ramified places and Pinf into a direct sum of spaces
 of bounded-degree polynomials in y over fixed denominators, computed below by
 floor formulas. This module is the one place that knows that basis shape:
-``_monomial_logs`` evaluates its monomials at affine places, and one row
-reduction of their values at G's simple zeros (affine coefficient -1) gives
-both ``riemann_roch_basis`` and the rows of ``codes.build_code``.
+``_monomial_logs`` evaluates its monomials at affine places, and
+``_basis_rows`` row-reduces their values at G's simple zeros (affine
+coefficient -1) for ``ell``, ``riemann_roch_basis`` and ``codes.build_code``.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ __all__ = [
 ]
 
 
-# largest basis riemann_roch_basis builds, codes.MAX_CODE_LENGTH, and largest
-# numerator degree of its functions; it bounds the polynomial arithmetic,
-# quadratic in the y-degree, of building each basis element
+# most monomials _basis_rows evaluates, codes.MAX_CODE_LENGTH, and largest
+# numerator degree of a basis function; it bounds the polynomial arithmetic,
+# quadratic in the y-degree, of building the basis
 MAX_RR_DIMENSION = 1 << 10
 
 
@@ -59,9 +59,11 @@ def _strip_root(poly: Sequence[FieldElement], root: FieldElement,
                 limit: Optional[int] = None) -> Tuple[int, Sequence[FieldElement]]:
     """Divide poly by (y - root) while it divides, at most limit times:
     (count, quotient)."""
-    # a trimmed monomial c * y^k is divisible k times by y, by no other y - root
-    if poly and poly[-1] and not any(poly[:-1]):
-        count = min(0 if root else len(poly) - 1, len(poly) if limit is None else limit)
+    # y divides a trimmed poly once per low zero coefficient, and no other
+    # y - root divides a trimmed monomial c * y^k
+    if poly and poly[-1] and (not root or not any(poly[:-1])):
+        low = 0 if root else next(k for k, c in enumerate(poly) if c)
+        count = min(low, len(poly) if limit is None else limit)
         return count, (list(poly[count:]) if count else poly)
     count = 0
     while poly and (limit is None or count < limit):
@@ -223,20 +225,13 @@ class FunctionElement:
         curve = self.curve
         m, r = curve.m, curve.r
         if place.kind == RAMIFIED:
-            alpha = curve.alphas[place.index - 1]
-            best = None
-            for t, (num, dens) in self.terms.items():
-                ord_alpha = _strip_root(num, alpha)[0] - dens[place.index - 1]
-                v = t + m * ord_alpha
-                best = v if best is None else min(best, v)
-            return best
+            # the order of the t-term at P_i is t + m * ord_(y - alpha_i)
+            i = curve.ramified_place(place.index).index - 1
+            return min(t + m * (_strip_root(num, curve.alphas[i])[0] - dens[i])
+                       for t, (num, dens) in self.terms.items())
         if place.kind == INFINITY:
-            best = None
-            for t, (num, dens) in self.terms.items():
-                ord_inf = sum(dens) - (len(num) - 1)
-                v = -r * t + m * ord_inf
-                best = v if best is None else min(best, v)
-            return best
+            return min(-r * t + m * (sum(dens) - (len(num) - 1))
+                       for t, (num, dens) in self.terms.items())
         return 0 if not self.evaluate(place).is_zero() else 1
 
 
@@ -276,9 +271,7 @@ def _split_divisor(curve: KummerCurve, G: Divisor):
     simple_zeros = []
     for place, c in G.items():
         if place.kind == RAMIFIED:
-            if place.index > curve.r:
-                raise ValueError(f"{place} is not a place of {curve.label}")
-            ram[place.index - 1] = c
+            ram[curve.ramified_place(place.index).index - 1] = c
         elif place.kind == INFINITY:
             inf = c
         else:
@@ -354,10 +347,14 @@ def _basis_rows(curve: KummerCurve, G: Divisor, places: Sequence[Place] = ()):
     """(components, R, pivots, free, rows): with m_0, m_1, ... the monomials of
     the ``_term_bounds`` components of G off its simple zeros and (R, pivots)
     the RREF of their values there, L(G) has the basis m_f - sum_p R[p, f] m_p
-    over the free columns f, whose values at places are the rows. The
-    dimension self-test runs on the number of free columns."""
+    over the free columns f, whose values at places are the rows. More than
+    ``MAX_RR_DIMENSION`` monomials raise ValueError before any is evaluated;
+    the dimension self-test runs on the number of free columns."""
     ram, inf, zeros = _split_divisor(curve, G)
     components = list(_term_bounds(curve, ram, inf))
+    if (count := sum(size for *_, size in components)) > MAX_RR_DIMENSION:
+        raise ValueError(f"ell = {count} basis functions is above the cap "
+                         f"MAX_RR_DIMENSION = {MAX_RR_DIMENSION}")
     kern, n = _kernel(curve.field), len(places)
     values = kern.exp[_monomial_logs(curve, components, tuple(places) + tuple(zeros))]
     reduced, pivots = kern.rref(values[:, n:].T)
@@ -376,28 +373,25 @@ def riemann_roch_basis(curve: KummerCurve, G: Divisor) -> RRBasis:
     affine places (a required simple zero, imposed as a linear constraint).
     The construction is validated on the spot against the exact dimension
     count deg G + 1 - genus whenever deg G > 2g - 2. More than
-    ``MAX_RR_DIMENSION`` functions, or a component whose numerators reach a
+    ``MAX_RR_DIMENSION`` monomials, or a component whose numerators reach a
     degree above it, raise ValueError before any function is built.
     """
-    ram, inf, _ = _split_divisor(curve, G)
-    if (count := _ell_fast(curve, ram, inf)) > MAX_RR_DIMENSION:
-        raise ValueError(f"ell = {count} basis functions is above the cap "
-                         f"MAX_RR_DIMENSION = {MAX_RR_DIMENSION}")
+    components, reduced, pivots, _, _ = _basis_rows(curve, G)
     # the numerator of a t-component takes the factor (y - alpha_i) -n_t,i times
     _check_degree(max((size - 1 + sum(max(0, -n) for n in n_t)
-                       for _, n_t, size in _term_bounds(curve, ram, inf)), default=0))
-    components, reduced, pivots, free, _ = _basis_rows(curve, G)
+                       for _, n_t, size in components), default=0))
     spec = curve.field
-    monomials = [(t, n_t, size, k) for t, n_t, size in components for k in range(size)]
-    functions = []
-    for f in free:
-        terms: Dict[int, tuple] = {}
-        for i, c in [(f, spec.one)] + [(p, -spec.unpack(c)) for p, c
-                                       in zip(pivots, reduced[:, f].tolist()) if c]:
-            t, n_t, size, k = monomials[i]
-            terms.setdefault(t, ([spec.zero] * size, n_t))[0][k] = c
-        functions.append(FunctionElement(curve, terms))
-    return RRBasis(divisor=G, functions=tuple(functions), dimension=len(functions))
+    coeffs = _kernel(spec).null_basis(reduced, pivots)
+    terms = [{} for _ in coeffs]
+    for (t, n_t, size), block in zip(components, np.split(
+            coeffs, list(accumulate(size for *_, size in components))[:-1], axis=1)):
+        lift = _times_roots([spec.one], curve.alphas, [max(0, -n) for n in n_t])
+        dens = [max(0, n) for n in n_t]
+        for function, row in zip(terms, block.tolist()):
+            if num := _ptrim([spec.unpack(c) for c in row]):
+                function[t] = (_pmul(num, lift), dens)
+    functions = tuple(FunctionElement(curve, function) for function in terms)
+    return RRBasis(divisor=G, functions=functions, dimension=len(functions))
 
 
 def _check_dimension(curve: KummerCurve, G: Divisor, dim: int) -> None:
@@ -418,7 +412,7 @@ def ell(curve: KummerCurve, G: Divisor) -> int:
     ram, inf, simple_zeros = _split_divisor(curve, G)
     if not simple_zeros:
         return _ell_fast(curve, ram, inf)
-    return riemann_roch_basis(curve, G).dimension
+    return len(_basis_rows(curve, G)[3])
 
 
 def index_of_specialty(curve: KummerCurve, G: Divisor) -> int:

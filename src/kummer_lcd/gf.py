@@ -241,15 +241,15 @@ class FieldSpec:
         self.k = k
         self.order = p ** k
         self.units = self.order - 1
-        if modulus is None:
-            modulus = _default_modulus(p, k)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if not _is_irreducible(modulus, p):
-            raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
-        self.modulus = modulus
-        self._hash = hash((p, k, modulus))
+        # a default modulus is irreducible: pinned, or found by the same test
+        if modulus is not None:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != k + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree k")
+            if not _is_irreducible(modulus, p):
+                raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
+        self.modulus = _default_modulus(p, k) if modulus is None else modulus
+        self._hash = hash((p, k, self.modulus))
         self._build_tables(self._generator_matrix())
 
     # -- construction helpers ------------------------------------------------
@@ -483,14 +483,18 @@ def GF(q: int) -> FieldSpec:
 
 
 def solve_additive(spec: FieldSpec, poly_coeffs: Sequence, c=None) -> set:
-    """All y with F(y) = c, by exhaustive scan over the field.
+    """All y with F(y) = c, by a scan over the field that sums, at each
+    y = g^i, only the nonzero terms c_e y^e of F, as exp[log c_e + e i].
 
     F is any univariate polynomial given by little-endian coefficients; the
-    intended use is linearized F, whose fibers are kernel cosets.
-    """
+    intended use is linearized F, whose fibers are kernel cosets."""
     coeffs = [spec.element(v) for v in poly_coeffs]
-    target = spec.zero if c is None else spec.element(c)
-    return {y for y in spec.elements() if _peval(coeffs, y) == target}
+    target = (spec.zero if c is None else spec.element(c)).n
+    log, exp, units = spec.log, spec.exp, spec.units
+    terms = [(e, log[a.n]) for e, a in enumerate(coeffs) if a]
+    roots = {spec.unpack(exp[i]) for i in range(units) if functools.reduce(
+        spec._add, [exp[lc + e * i % units] for e, lc in terms], 0) == target}
+    return roots | ({spec.zero} if (coeffs[0].n if coeffs else 0) == target else set())
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummer_lcd import (Divisor, FunctionElement, Place, builtin_curve, ell, format_function,
-                        index_of_specialty, is_nonspecial, parse_divisor,
+from kummer_lcd import (Divisor, FunctionElement, Place, build_code, builtin_curve, ell,
+                        format_function, index_of_specialty, is_nonspecial, parse_divisor,
                         parse_function, principal_divisor, riemann_roch_basis,
                         valuation_ok)
 from kummer_lcd.codes import evaluation_matrix
-from kummer_lcd.functions import _component_sizes, _ell_fast, _strip_root, _term_bounds
+from kummer_lcd.curves import RAMIFIED
+from kummer_lcd.functions import (_basis_rows, _component_sizes, _ell_fast, _strip_root,
+                                  _term_bounds)
 from kummer_lcd.gf import GF, _pdivmod, _pmul
 from kummer_lcd.codes import LinearCode
 
@@ -227,6 +229,68 @@ def test_basis_size_cap(h2, monkeypatch):
     assert riemann_roch_basis(h2, G).dimension == 9
     with pytest.raises(ValueError, match="MAX_RR_DIMENSION"):
         ell(h2, G + Divisor.of(Place.infinity()))
+
+
+def test_ell_with_simple_zeros_meets_only_the_count_cap(h2, monkeypatch):
+    from kummer_lcd import functions
+    # the t = 0 numerators reach degree 1025 + 3 (a component of size 4), but
+    # ell builds no numerator: it counts the free columns of the row reduction
+    zero = Divisor.of(h2.affine_places()[0])
+    G = parse_divisor(h2, "3075*P1-3075*P2+10*Pinf") - zero
+    with pytest.raises(ValueError, match="numerator of degree 1028 "):
+        riemann_roch_basis(h2, G)
+    assert ell(h2, G) == G.degree + 1 - h2.genus == 9
+    assert is_nonspecial(h2, G)
+    monkeypatch.setattr(functions, "MAX_RR_DIMENSION", 10)
+    assert ell(h2, parse_divisor(h2, "10*Pinf") - zero) == 9
+    with pytest.raises(ValueError, match="ell = 11 basis functions .* MAX_RR_DIMENSION = 10"):
+        ell(h2, parse_divisor(h2, "11*Pinf") - zero)
+
+
+def test_build_code_with_simple_zeros_meets_the_count_cap(h3, monkeypatch):
+    from kummer_lcd import functions
+    monkeypatch.setattr(functions, "MAX_RR_DIMENSION", 10)
+    affine = h3.affine_places()
+    zeros, places = affine[:2], affine[2:14]
+    # 13*Pinf has ell = 11 monomials before the two zeros cut it to 9
+    G = parse_divisor(h3, "13*Pinf") - Divisor({p: 1 for p in zeros})
+    assert G.degree < len(places)
+    with pytest.raises(ValueError, match="ell = 11 basis functions .* MAX_RR_DIMENSION = 10"):
+        build_code(h3, places, G)
+    assert build_code(h3, places, parse_divisor(h3, "12*Pinf") - Divisor.of(zeros[0])).k == 9
+
+
+@pytest.mark.parametrize("index", [0, -1, 3])
+def test_a_ramified_index_out_of_range_is_refused(h2, index):
+    # a place built without the factory, so Place.ramified's own check is skipped
+    place = Place(RAMIFIED, index)
+    message = f"ramified index {index} out of range 1..2"
+    with pytest.raises(ValueError, match=message):
+        ell(h2, Divisor.of(place, 5))
+    with pytest.raises(ValueError, match=message):
+        riemann_roch_basis(h2, Divisor.of(place, 5))
+    with pytest.raises(ValueError, match=message):
+        build_code(h2, h2.standard_D(), Divisor({place: 4, Place.infinity(): 1}))
+    with pytest.raises(ValueError, match=message):
+        FunctionElement.monomial(h2, 1).valuation(place)
+
+
+def basis_by_monomials(curve, G):
+    """Second route for riemann_roch_basis: each function is assembled
+    monomial by monomial from the RREF of the values at the simple zeros, and
+    FunctionElement lifts each numerator by one (y - alpha_i) at a time."""
+    components, reduced, pivots, free, _ = _basis_rows(curve, G)
+    spec = curve.field
+    monomials = [(t, n_t, size, k) for t, n_t, size in components for k in range(size)]
+    functions = []
+    for f in free:
+        terms = {}
+        for i, c in [(f, spec.one)] + [(p, -spec.unpack(c)) for p, c
+                                       in zip(pivots, reduced[:, f].tolist()) if c]:
+            t, n_t, size, k = monomials[i]
+            terms.setdefault(t, ([spec.zero] * size, n_t))[0][k] = c
+        functions.append(FunctionElement(curve, terms))
+    return tuple(functions)
 
 
 def test_numerator_degree_cap(h2, monkeypatch):

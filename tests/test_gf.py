@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kummer_lcd import (GF, FieldSpec, ParseError, format_element,
                         format_element_pretty, parse_element, solve_additive)
-from kummer_lcd.gf import DEFAULT_MODULI, _is_irreducible, _pdivmod, _pmul, _ptrim
+from kummer_lcd.gf import DEFAULT_MODULI, _is_irreducible, _pdivmod, _peval, _pmul, _ptrim
 
 
 def test_gf4_pinned_convention():
@@ -189,6 +189,33 @@ def test_solve_additive_examples():
     assert len(solve_additive(F8, [0, 1, 1, 0, 1])) == 4
     with pytest.raises(ValueError, match="different field"):
         solve_additive(F4, [0, F8.one])
+    # a zero coefficient is coerced, and refused, before it is dropped
+    with pytest.raises(ValueError, match="different field"):
+        solve_additive(F4, [1, F8.zero, 1])
+    with pytest.raises(ValueError, match="different field"):
+        solve_additive(F4, [0, 1], F8.zero)
+
+
+@st.composite
+def polynomials_with_target(draw):
+    """A field, a dense or sparse polynomial over it and an optional target c."""
+    spec = GF(draw(st.sampled_from([4, 9, 16, 27, 121])))
+    element = st.integers(0, spec.order - 1).map(spec.unpack)
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(element, max_size=8))
+    else:
+        terms = draw(st.dictionaries(st.integers(0, 2 * spec.order), element, max_size=4))
+        coeffs = [terms.get(e, spec.zero) for e in range(max(terms, default=-1) + 1)]
+    return spec, coeffs, draw(st.none() | element)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials_with_target())
+def test_solve_additive_matches_the_horner_scan(case):
+    spec, coeffs, c = case
+    target = spec.zero if c is None else c
+    assert solve_additive(spec, coeffs, c) == {
+        y for y in spec.elements() if _peval(coeffs, y) == target}
 
 
 def test_text_form_roundtrip_and_aliases():
@@ -399,6 +426,10 @@ def test_tables_match_coefficient_tuples_for_drawn_moduli(field):
 def test_equal_fields_built_apart_give_equal_elements():
     F, G = FieldSpec(3, 2), FieldSpec(3, 2)
     assert F is not G and F == G and hash(F) == hash(G)
+    # a default modulus, pinned or searched, spelled out gives an equal field
+    for p, k in ((3, 2), (2, 9)):
+        default, spelled = FieldSpec(p, k), FieldSpec(p, k, list(FieldSpec(p, k).modulus))
+        assert default == spelled and hash(default) == hash(spelled)
     for x, y in zip(F.elements(), G.elements()):
         assert x is not y and x == y and hash(x) == hash(y)
         assert F.element(y) is x

@@ -5,7 +5,8 @@ GF(p^k), and an exponent m coprime to r and to p. The divisor G lives on the
 ramified places and Pinf, with degree in the window 2g - 2 < deg G < n.
 Semigroup points lie in a box [0, b]^l with b <= 2m, and the text forms of
 elements, divisors and functions must parse back to equal objects. An exact
-minimum distance lies between the Goppa and Singleton bounds.
+minimum distance lies between the Goppa and Singleton bounds. An L(G) basis
+with simple zeros matches the monomial-by-monomial route of test_functions.
 """
 
 import math
@@ -17,8 +18,9 @@ from kummer_lcd import (GF, Divisor, FunctionElement, KummerCurve, Place,
                         build_code, dual, ell, format_divisor, format_element,
                         format_function, hull, hull_dimension_by_rank,
                         lub_closure_membership, min_distance, parse_divisor,
-                        parse_element, parse_function, principal_divisor,
+                        parse_element, parse_function, principal_divisor, riemann_roch_basis,
                         semigroup_membership_oracle)
+from test_functions import basis_by_monomials
 from test_semigroup import box_matches_fold, jump_count_oracle
 
 # field sizes up to 27 keep a drawn curve at a few hundred points
@@ -169,3 +171,26 @@ def test_function_text_round_trip(curve, data):
     assert parse_function(curve, format_function(f)) == f
     zero = FunctionElement.zero(curve)
     assert parse_function(curve, format_function(zero)) == zero
+
+
+@st.composite
+def divisors_with_simple_zeros(draw):
+    """A drawn curve and G with coefficients in [-3m, 3m] at the P_i, so
+    some n_t,i are negative, and 1-3 simple zeros."""
+    curve = draw(curves())
+    m, affine = curve.m, curve.affine_places()
+    assume(affine)
+    coeffs = {Place.ramified(i): draw(st.integers(-3 * m, 3 * m))
+              for i in range(1, curve.r + 1)}
+    coeffs[Place.infinity()] = draw(st.integers(-m, 4 * m))
+    zeros = draw(st.lists(st.sampled_from(affine), min_size=1, max_size=3, unique=True))
+    return curve, Divisor(coeffs) - Divisor({p: 1 for p in zeros})
+
+
+@SETTINGS
+@given(divisors_with_simple_zeros())
+def test_basis_matches_the_monomial_by_monomial_route(case):
+    curve, G = case
+    basis = riemann_roch_basis(curve, G)
+    assert basis.functions == basis_by_monomials(curve, G)
+    assert ell(curve, G) == basis.dimension
