@@ -159,8 +159,7 @@ def cmd_semigroup(args) -> Report:
         if len(set(indices)) != len(indices):
             raise ParseError("--tuple repeats a place index")
         for i in indices:
-            if not 1 <= i <= curve.r:
-                raise ParseError(f"ramified index {i} out of range 1..{curve.r}")
+            curve.ramified_index(i, ParseError)
         results["tuple"] = indices
         results["gamma"] = sorted(gamma_plus_multi(curve, len(indices)))
     return Report({"curve": args.curve, "tuple": args.tuple}, results)

@@ -240,10 +240,12 @@ class KummerCurve:
     def genus(self) -> int:
         return (self.m - 1) * (self.r - 1) // 2
 
-    def ramified_place(self, i: int) -> Place:
+    def ramified_index(self, i: int, error: type = ValueError) -> int:
+        """i, the index of P_i; outside 1..r it raises error, which the
+        parsers set to ParseError so that the CLI exits 2."""
         if not 1 <= i <= self.r:
-            raise ValueError(f"ramified index {i} out of range 1..{self.r}")
-        return Place.ramified(i)
+            raise error(f"ramified index {i} out of range 1..{self.r}")
+        return i
 
     def ramified_places(self) -> tuple:
         return tuple(Place.ramified(i) for i in range(1, self.r + 1))
@@ -291,7 +293,7 @@ class KummerCurve:
 
     def divisor_of_y_minus_alpha(self, i: int) -> Divisor:
         """(y - alpha_i) = m * P_i - m * Pinf."""
-        self.ramified_place(i)
+        self.ramified_index(i)
         return Divisor({Place.ramified(i): self.m, Place.infinity(): -self.m})
 
     def standard_D(self) -> Divisor:
@@ -493,10 +495,7 @@ def parse_place(curve: KummerCurve, text: str) -> Place:
         return Place.infinity()
     match = re.match(r"^P(\d+)$", s)
     if match:
-        index = int(match.group(1))
-        if not 1 <= index <= curve.r:
-            raise ParseError(f"ramified index {index} out of range 1..{curve.r}")
-        return Place.ramified(index)
+        return Place.ramified(curve.ramified_index(int(match.group(1)), ParseError))
     match = re.match(r"^P\((.+)\)$", s)
     if not match:
         raise ParseError(f"bad place {text!r}")

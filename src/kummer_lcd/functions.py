@@ -24,6 +24,7 @@ coefficient -1) for ``ell``, ``riemann_roch_basis`` and ``codes.build_code``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import accumulate, zip_longest
@@ -80,15 +81,27 @@ def _check_degree(degree: int) -> None:
                          f"MAX_RR_DIMENSION = {MAX_RR_DIMENSION}")
 
 
+def _binomial_mod(n: int, k: int, p: int) -> int:
+    """C(n, k) mod p, digit by base-p digit (Lucas's theorem)."""
+    out = 1
+    while out and k:
+        out = out * math.comb(n % p, k % p) % p
+        n, k = n // p, k // p
+    return out
+
+
 def _times_roots(num: Sequence[FieldElement], alphas: Sequence[FieldElement],
                  counts: Sequence[int]) -> Sequence[FieldElement]:
-    """num * prod_i (y - alpha_i)^counts[i]; a product whose degree would pass
+    """num * prod_i (y - alpha_i)^counts[i], each power expanded at once from
+    its binomial coefficients mod p; a product whose degree would pass
     MAX_RR_DIMENSION raises ValueError before any factor is multiplied in."""
     if any(counts):
         _check_degree(len(num) - 1 + sum(counts))
-    for alpha, count in zip(alphas, counts):
-        for _ in range(count):
-            num = _pmul(num, [-alpha, alpha.spec.one])
+    for alpha, e in zip(alphas, counts):
+        if e:
+            # the power comes first: _pmul skips its zero coefficients
+            num = _pmul([(-alpha) ** (e - j) * _binomial_mod(e, j, alpha.spec.p)
+                         for j in range(e + 1)], num)
     return num
 
 
@@ -226,7 +239,7 @@ class FunctionElement:
         m, r = curve.m, curve.r
         if place.kind == RAMIFIED:
             # the order of the t-term at P_i is t + m * ord_(y - alpha_i)
-            i = curve.ramified_place(place.index).index - 1
+            i = curve.ramified_index(place.index) - 1
             return min(t + m * (_strip_root(num, curve.alphas[i])[0] - dens[i])
                        for t, (num, dens) in self.terms.items())
         if place.kind == INFINITY:
@@ -271,7 +284,7 @@ def _split_divisor(curve: KummerCurve, G: Divisor):
     simple_zeros = []
     for place, c in G.items():
         if place.kind == RAMIFIED:
-            ram[curve.ramified_place(place.index).index - 1] = c
+            ram[curve.ramified_index(place.index) - 1] = c
         elif place.kind == INFINITY:
             inf = c
         else:

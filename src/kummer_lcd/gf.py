@@ -25,9 +25,10 @@ exp/log tables. A sum is XOR when p = 2; for odd p it is one gather in a
 q x q sum table while q^2 <= 2^21, and digit-wise addition mod p above
 that. A long odd-p sum (``total``) adds the digits in carry-free bit lanes
 of an int64 and reduces mod p once per lane and segment. Row reduction is
-one elimination pass per pivot. The kernel row reduces, takes nullspaces
-and forms G * H^T; it reads only the ``FieldSpec`` tables, so
-``functions`` and ``codes`` share it.
+one fused pass per pivot, which eliminates the pivot column and scales the
+pivot row together, and a nullspace is one row reduction. The kernel row
+reduces, takes nullspaces and forms G * H^T; it reads only the
+``FieldSpec`` tables, so ``functions`` and ``codes`` share it.
 """
 
 from __future__ import annotations
@@ -557,8 +558,9 @@ class _Kernel:
     ``log``, ``exp`` and ``neg`` are the field's own tables as arrays, so
     ``exp[log[a] + log[b]]`` is a * b for every pair, zero included, with no
     reduction mod q - 1 and no mask. While q^2 <= ``_ADD_TABLE_CELLS``,
-    ``prod[a, b]`` is a * b, and ``rref`` gathers every multiple of a pivot
-    row from it at once; above the cap ``prod`` is None. ``add`` is XOR for
+    ``prod[a, b]`` is a * b, and ``rref`` gathers a pivot's factors and
+    every multiple of its row from it; above the cap ``prod`` is None.
+    ``rref`` reads its scalars from the lists of ``spec``. ``add`` is XOR for
     p = 2, a gather in the q^2-cell table of sums for odd p under the same
     cap, and the digit-wise sum above it. For odd p, the int64 ``spread[n]``
     has digit i of n at bit ``bits * i``: a sum of up to ``seg`` of them adds
@@ -567,7 +569,7 @@ class _Kernel:
 
     def __init__(self, spec: FieldSpec):
         p, q = spec.p, spec.order
-        self.p = p
+        self.spec, self.p = spec, p
         self.units = spec.units
         self.dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
         self.log = np.array(spec.log, dtype=np.intp)
@@ -615,38 +617,46 @@ class _Kernel:
 
     def rref(self, mat) -> Tuple[np.ndarray, list]:
         """Reduced row echelon form of a copy of mat: (rank x n rows, pivots),
-        one pass over m[:, col:] per pivot (the pivot row's own factor is 0).
-        With ``prod`` and at least q / 2 rows, the pass gathers each row's
-        multiple of the pivot row from the q multiples ``prod`` gives."""
+        one pass per pivot: with inv the inverse of the pivot entry, row i gains
+        -m[i, col] * inv times the pivot row, and the pivot row inv - 1 times
+        itself (a lead of 1). It XORs whole rows for p = 2, adds m[:, col:] for odd p.
+        With ``prod`` and at least q / 2 rows, the factors come from its row
+        -inv and the multiples of the pivot row from its q rows; otherwise
+        both from the logs. A swap copies two rows after the pass."""
         m = np.array(mat, dtype=self.dtype)
         rows, n = m.shape
+        spec = self.spec
         # the q multiples cost q rows of gathers, the logs about two per row of m
         table = self.prod if 2 * rows > self.units else None
         pivots = []
-        rank = 0
         for col in range(n):
+            rank = len(pivots)
             if rank == rows:
                 break
-            found = m[rank:, col].nonzero()[0]
+            column = m[:, col]
+            found = column[rank:].nonzero()[0]
             if not found.size:
                 continue
             pivot = rank + int(found[0])
-            if pivot != rank:
-                m[[rank, pivot]] = m[[pivot, rank]]
-            row = m[rank, col:]
-            if row[0] != 1:
-                row_log = self.log[row]
-                m[rank, col:] = row = self.exp[row_log + (self.units - row_log[0])]
-            factors = self.neg[m[:, col]]
-            factors[rank] = 0
+            inv = spec.exp[self.units - spec.log[column[pivot]]]
             if table is None:
-                products = self.mul(factors[:, None], row)
+                factors = self.exp[self.log[column] + spec.log[spec.neg[inv]]]
             else:
-                products = table.take(row, axis=1).take(factors, axis=0)
-            m[:, col:] = self.add(m[:, col:], products)
+                factors = table[spec.neg[inv]].take(column)
+            factors[pivot] = spec._add(inv, spec.neg[1])
+            row = m[pivot, 0 if self.p == 2 else col:]
+            # prod is symmetric: its rows at the entries of row are its columns there
+            products = (self.mul(factors[:, None], row) if table is None
+                        else table.take(row, axis=0).T.take(factors, axis=0))
+            if self.p == 2:
+                m ^= products
+            else:
+                m[:, col:] = self.add(m[:, col:], products)
+            if pivot != rank:
+                held = m[rank, col:].copy()
+                m[rank, col:], m[pivot, col:] = m[pivot, col:], held
             pivots.append(col)
-            rank += 1
-        return m[:rank], pivots
+        return m[:len(pivots)], pivots
 
     def null_basis(self, reduced: np.ndarray, pivots) -> np.ndarray:
         """Unreduced basis e_f - sum_p R[p, f] e_p (f free) of { v : R . v = 0 }, R an RREF."""
@@ -658,8 +668,11 @@ class _Kernel:
         return basis
 
     def nullspace(self, mat) -> np.ndarray:
-        """Canonical (row reduced) basis of { v : mat . v = 0 }."""
-        return self.rref(self.null_basis(*self.rref(mat)))[0]
+        """Canonical (row reduced) basis of { v : mat . v = 0 }: the null basis
+        of mat's RREF with its columns reversed, reversed on both axes, leads
+        with a 1 at a free column and is nonzero elsewhere on pivots only."""
+        reduced, pivots = self.rref(np.asarray(mat)[:, ::-1])
+        return self.null_basis(reduced, pivots)[::-1, ::-1]
 
     def dot_t(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The matrix a . b^T, from the logs of a and b gathered once."""

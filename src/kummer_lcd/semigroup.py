@@ -109,8 +109,7 @@ def _check_query(curve: KummerCurve, places: Sequence[int], alpha: Sequence[int]
     if len(set(places)) != len(places):
         raise ValueError("places must be distinct")
     for i in places:
-        if not 1 <= i <= curve.r:
-            raise ValueError(f"ramified index {i} out of range 1..{curve.r}")
+        curve.ramified_index(i)
     if len(alpha) != len(places):
         raise ValueError("alpha and places must have the same length")
     if any(a < 0 for a in alpha):
@@ -248,7 +247,7 @@ def nonspecial_degree_g(curve: KummerCurve,
     if len(set(assignment)) != len(assignment):
         raise ValueError("assignment repeats a place")
     for i in assignment:
-        curve.ramified_place(i)
+        curve.ramified_index(i)
     if sum(slots) != curve.genus:
         raise AssertionError("multiplicity pattern does not sum to the genus")
     return Divisor({Place.ramified(i): j for j, i in zip(slots, assignment)})
@@ -269,7 +268,7 @@ def nonspecial_degree_g_minus_1(curve: KummerCurve, P: Place,
     if A[P] != 0:
         raise ValueError(f"{P} lies in the support of the degree-g divisor")
     if P.kind == RAMIFIED:
-        curve.ramified_place(P.index)
+        curve.ramified_index(P.index)
     elif P.kind == AFFINE and not curve.is_on_curve(P.a, P.b):
         raise ValueError(f"{P} does not lie on {curve.label}")
     return A - Divisor.of(P)

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from kummer_lcd import builtin_curve, load_curve_spec, parse_divisor, parse_function
+from kummer_lcd import (builtin_curve, load_curve_spec, lub_closure_membership, parse_divisor,
+                        parse_function)
 from kummer_lcd import cli, curves, gf
 from kummer_lcd.cli import main
 from kummer_lcd.codes import DEFAULT_MINDIST_BUDGET
@@ -197,6 +198,27 @@ def test_exit_codes(capsys):
     code, out, err = run_cli(capsys, "nonspecial", "--curve", "hermitian-q3",
                              "--degree", "g-1", "--minus", "P0")
     assert (code, out, err) == (2, "", "parse error: ramified index 0 out of range 1..3\n")
+
+
+@pytest.mark.parametrize("index", [0, 4])
+@pytest.mark.parametrize("entry", ["parse_place", "cmd_semigroup", "ramified_index",
+                                   "semigroup._check_query"])
+def test_each_entry_point_refuses_a_ramified_index_out_of_range(capsys, entry, index):
+    # one check, in KummerCurve.ramified_index: the two parsers pass
+    # ParseError (exit 2), and the API keeps ValueError (exit 1 in the CLI)
+    message = f"ramified index {index} out of range 1..3"
+    argv = {"parse_place": ["code", "build", "--curve", "hermitian-q3", "--G", f"3*P{index}"],
+            "cmd_semigroup": ["semigroup", "gamma", "--curve", "hermitian-q3",
+                              "--tuple", f"1,{index}"]}
+    if entry in argv:
+        assert run_cli(capsys, *argv[entry]) == (2, "", f"parse error: {message}\n")
+        return
+    h3 = builtin_curve("hermitian-q3")
+    call = {"ramified_index": lambda: h3.ramified_index(index),
+            "semigroup._check_query": lambda: lub_closure_membership(h3, (1, index), (1, 1))}
+    with pytest.raises(ValueError) as err:
+        call[entry]()
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 GOOD_SPEC = {"p": 2, "k": 2, "modulus": [1, 1, 1], "m": 3,

@@ -14,7 +14,7 @@ from kummer_lcd import (Divisor, FunctionElement, Place, build_code, builtin_cur
 from kummer_lcd.codes import evaluation_matrix
 from kummer_lcd.curves import RAMIFIED
 from kummer_lcd.functions import (_basis_rows, _component_sizes, _ell_fast, _strip_root,
-                                  _term_bounds)
+                                  _term_bounds, _times_roots)
 from kummer_lcd.gf import GF, _pdivmod, _pmul
 from kummer_lcd.codes import LinearCode
 
@@ -275,10 +275,33 @@ def test_a_ramified_index_out_of_range_is_refused(h2, index):
         FunctionElement.monomial(h2, 1).valuation(place)
 
 
+def times_roots_by_factors(num, alphas, counts):
+    """Second route for _times_roots: num times one (y - alpha_i) at a time."""
+    num = list(num)
+    for alpha, count in zip(alphas, counts):
+        for _ in range(count):
+            num = _pmul(num, [-alpha, alpha.spec.one])
+    return num
+
+
+def test_lift_matches_the_factor_by_factor_route(family):
+    # every exponent 0..3p^2 of every root of the bundled curves, alone and
+    # after a numerator with a zero coefficient
+    for curve in family:
+        spec = curve.field
+        p = spec.p
+        for alpha in curve.alphas:
+            for num in ([spec.one], [spec.generator, spec.zero, spec.one]):
+                for e in range(3 * p * p + 1):
+                    assert (list(_times_roots(num, [alpha], [e]))
+                            == times_roots_by_factors(num, [alpha], [e])), (curve.label, e)
+
+
 def basis_by_monomials(curve, G):
     """Second route for riemann_roch_basis: each function is assembled
     monomial by monomial from the RREF of the values at the simple zeros, and
-    FunctionElement lifts each numerator by one (y - alpha_i) at a time."""
+    each numerator is lifted by one (y - alpha_i) at a time before
+    FunctionElement sees it."""
     components, reduced, pivots, free, _ = _basis_rows(curve, G)
     spec = curve.field
     monomials = [(t, n_t, size, k) for t, n_t, size in components for k in range(size)]
@@ -289,7 +312,9 @@ def basis_by_monomials(curve, G):
                                        in zip(pivots, reduced[:, f].tolist()) if c]:
             t, n_t, size, k = monomials[i]
             terms.setdefault(t, ([spec.zero] * size, n_t))[0][k] = c
-        functions.append(FunctionElement(curve, terms))
+        functions.append(FunctionElement(curve, {
+            t: (times_roots_by_factors(num, curve.alphas, [max(0, -n) for n in n_t]),
+                [max(0, n) for n in n_t]) for t, (num, n_t) in terms.items()}))
     return tuple(functions)
 
 

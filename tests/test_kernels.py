@@ -5,7 +5,9 @@ replaced, kept here as the oracle. Its arithmetic goes through the
 coefficient-tuple field of ``test_gf``, so it shares no table with the kernel
 or with ``FieldElement``, which both read the field's exp/log tables.
 ``log_rref`` is the kernel's per-pivot elimination before the product table,
-kept as a second vectorised route.
+and ``trailing_rref`` the one before the fused pass: it swaps and rescales
+the pivot row first, then adds each row's multiple of it over m[:, col:].
+Both are kept as vectorised second routes.
 """
 
 import functools
@@ -94,6 +96,41 @@ def log_rref(kern, mat):
         factors = kern.neg[m[:, col]]
         factors[rank] = 0
         m[:, col:] = kern.add(m[:, col:], kern.mul(factors[:, None], row))
+        pivots.append(col)
+        rank += 1
+    return m[:rank], pivots
+
+
+def trailing_rref(kern, mat):
+    """Reduced row echelon form of a copy of mat: the pivot row is swapped up
+    and scaled to a lead of 1, then one pass over m[:, col:] adds each row's
+    multiple of it (the pivot row's own factor is 0), from ``prod`` on the
+    same rule as ``rref``."""
+    m = np.array(mat, dtype=kern.dtype)
+    rows, n = m.shape
+    table = kern.prod if 2 * rows > kern.units else None
+    pivots = []
+    rank = 0
+    for col in range(n):
+        if rank == rows:
+            break
+        found = m[rank:, col].nonzero()[0]
+        if not found.size:
+            continue
+        pivot = rank + int(found[0])
+        if pivot != rank:
+            m[[rank, pivot]] = m[[pivot, rank]]
+        row = m[rank, col:]
+        if row[0] != 1:
+            row_log = kern.log[row]
+            m[rank, col:] = row = kern.exp[row_log + (kern.units - row_log[0])]
+        factors = kern.neg[m[:, col]]
+        factors[rank] = 0
+        if table is None:
+            products = kern.mul(factors[:, None], row)
+        else:
+            products = table.take(row, axis=1).take(factors, axis=0)
+        m[:, col:] = kern.add(m[:, col:], products)
         pivots.append(col)
         rank += 1
     return m[:rank], pivots
@@ -498,3 +535,99 @@ def test_dual_reads_pivots_off_the_stored_rref(q):
         assert np.array_equal(dual(code).matrix, want), label
         assert dual(code).k == n - code.k, label
         assert codes.hull_dimension_by_rank(code) == codes.hull(code).k, label
+
+
+def two_elimination_nullspace(kern, mat):
+    """The kernel of mat as the RREF of the null basis of its RREF."""
+    return kern.rref(kern.null_basis(*kern.rref(mat)))[0]
+
+
+def fused_cases(q, rng):
+    """rref_inputs plus a matrix with no columns and, above GF(2), rank-deficient
+    matrices with 2 * rows on each side of q - 1, the switch between the logs
+    and ``prod``: zero and late columns, a swap at column 1 whose lead is 2."""
+    half = (q - 1) // 2
+    shapes = [(rows, rows + 6) for rows in sorted({max(2, half), half + 1})]
+    deficient = (deficient_matrices(q, rng, shapes, max(1, half - 2)) if q > 2 else [])
+    return rref_inputs(q, rng) + [("no-columns", [[]] * 3, 0)] + deficient
+
+
+def assert_fused_matches_trailing(kern, mat, label):
+    got, got_pivots = kern.rref(mat)
+    want, want_pivots = trailing_rref(kern, mat)
+    assert got.dtype == want.dtype and got.shape == want.shape, label
+    assert got_pivots == want_pivots and np.array_equal(got, want), label
+    null = kern.nullspace(mat)
+    assert null.dtype == kern.dtype, label
+    assert np.array_equal(null, two_elimination_nullspace(kern, mat)), label
+
+
+@pytest.mark.parametrize("route", ["table", "logs"])
+@pytest.mark.parametrize("q", FIELD_SIZES + [256])
+def test_fused_rref_matches_the_trailing_block_route(q, route, monkeypatch):
+    # the cached kernel takes the factors and products from prod once
+    # 2 * rows > q - 1; under a zero table cap both go through the logs
+    spec = GF(q)
+    if route == "logs":
+        monkeypatch.setattr(gf, "_ADD_TABLE_CELLS", 0)
+    kern = gf._Kernel(spec) if route == "logs" else _kernel(spec)
+    assert (kern.prod is None) == (route == "logs")
+    rng = random.Random(11000 + q)
+    cases = fused_cases(q, rng)
+    if q > 4:
+        # the last two: column 0 zero, then a swap to a lead of 2 at column 1,
+        # one on each side of the switch
+        assert all(rows[0][:2] == [0, 0] and rows[1][1] == 2 for _, rows, _ in cases[-2:])
+        assert {2 * len(rows) > q - 1 for _, rows, _ in cases[-2:]} == {False, True}
+    for label, rows, n in cases:
+        assert_fused_matches_trailing(kern, as_array(rows, n), label)
+
+
+@st.composite
+def ranked_matrices(draw):
+    """(q, matrix): a field, a shape of up to 40 x 30, and a rank, with some
+    columns cleared and the rows shuffled, so leads, swaps and late pivots vary."""
+    q = draw(st.sampled_from(FIELD_SIZES + [256]))
+    rows, n = draw(st.integers(0, 40)), draw(st.integers(0, 30))
+    rank = draw(st.integers(0, min(rows, n)))
+
+    def draw_array(shape):
+        cells = draw(st.lists(st.integers(0, q - 1), min_size=shape[0] * shape[1],
+                              max_size=shape[0] * shape[1]))
+        return np.array(cells, dtype=np.int64).reshape(shape)
+
+    mat = _kernel(GF(q)).dot_t(draw_array((rows, rank)), draw_array((n, rank)))
+    mat[:, draw(st.lists(st.integers(0, max(0, n - 1)), max_size=n // 2))] = 0
+    return q, mat[draw(st.permutations(range(rows)))]
+
+
+@SETTINGS
+@given(ranked_matrices(), st.booleans())
+def test_fused_rref_matches_the_trailing_block_route_on_drawn_matrices(case, logs):
+    q, mat = case
+    if logs:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gf, "_ADD_TABLE_CELLS", 0)
+            kern = gf._Kernel(GF(q))
+    else:
+        kern = _kernel(GF(q))
+    assert_fused_matches_trailing(kern, mat, (q, mat.shape, logs))
+
+
+def test_nullspace_runs_one_elimination(monkeypatch):
+    kern = _kernel(GF(16))
+    shapes = []
+    rref = gf._Kernel.rref
+
+    def counted(self, mat):
+        shapes.append(np.shape(mat))
+        return rref(self, mat)
+
+    monkeypatch.setattr(gf._Kernel, "rref", counted)
+    mat = as_array(deficient_matrices(16, random.Random(16), [(12, 20)], 7)[0][1], 20)
+    null = kern.nullspace(mat)
+    assert shapes == [(12, 20)] and null.shape == (20 - len(rref(kern, mat)[1]), 20)
+    # the two-elimination route reduces the null basis a second time
+    shapes.clear()
+    assert np.array_equal(two_elimination_nullspace(kern, mat), null)
+    assert len(shapes) == 2

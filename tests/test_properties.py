@@ -20,7 +20,8 @@ from kummer_lcd import (GF, Divisor, FunctionElement, KummerCurve, Place,
                         lub_closure_membership, min_distance, parse_divisor,
                         parse_element, parse_function, principal_divisor, riemann_roch_basis,
                         semigroup_membership_oracle)
-from test_functions import basis_by_monomials
+from kummer_lcd.functions import _times_roots
+from test_functions import basis_by_monomials, times_roots_by_factors
 from test_semigroup import box_matches_fold, jump_count_oracle
 
 # field sizes up to 27 keep a drawn curve at a few hundred points
@@ -194,3 +195,14 @@ def test_basis_matches_the_monomial_by_monomial_route(case):
     basis = riemann_roch_basis(curve, G)
     assert basis.functions == basis_by_monomials(curve, G)
     assert ell(curve, G) == basis.dimension
+
+
+@SETTINGS
+@given(curves(), st.data())
+def test_lift_matches_the_factor_by_factor_route_on_drawn_curves(curve, data):
+    # exponents 0..3p^2 at every root, times a drawn numerator
+    p, elements = curve.field.p, curve.field.elements()
+    counts = data.draw(st.lists(st.integers(0, 3 * p * p), min_size=curve.r, max_size=curve.r))
+    num = data.draw(st.lists(st.sampled_from(elements[1:]), min_size=1, max_size=3))
+    assert list(_times_roots(num, curve.alphas, counts)) == times_roots_by_factors(
+        num, curve.alphas, counts)
