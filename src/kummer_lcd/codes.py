@@ -7,7 +7,8 @@ exponents, and ``evaluation_matrix`` evaluates any functions through the same
 evaluator. A ``LinearCode`` is its packed RREF array, and
 ``evaluation_matrix`` and ``LinearCode.from_rows`` speak packed arrays too;
 ``FieldElement`` rows appear only when ``LinearCode.generator`` is read, for
-printing. ``build_code`` tests D with ``curve.is_on_curve``. Duality is
+printing. ``build_code`` tests an explicit D with ``curve.is_on_curve``;
+the standard D (one per curve) is the curve's own point list. Duality is
 always established numerically, by orthogonality plus the dimension count,
 never assumed from a formula.
 
@@ -176,7 +177,11 @@ def evaluation_matrix(curve: KummerCurve, functions: Sequence,
 
 
 def _resolve_D(curve: KummerCurve, D) -> Tuple[Divisor, tuple]:
-    """Accept a Divisor (canonical column order) or an explicit place sequence."""
+    """Accept a Divisor (canonical column order) or an explicit place sequence.
+    The curve's standard D, or its own tuple of affine places, is taken as it
+    stands: the standard D with ``affine_places()`` as its columns."""
+    if curve.is_standard_D(D):
+        return curve.standard_D(), curve.affine_places()
     if isinstance(D, Divisor):
         places = D.support
         if any(D[p] != 1 for p in places):
@@ -204,12 +209,17 @@ def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
     if n > MAX_CODE_LENGTH:
         raise ValueError(f"code length n = {n} is above the cap "
                          f"MAX_CODE_LENGTH = {MAX_CODE_LENGTH}")
-    # the first failing place of D decides the message
-    for place in places:
-        if not curve.is_on_curve(place.a, place.b):
-            raise ValueError(f"{place} does not lie on {curve.label}")
-        if G[place]:
+    if curve.is_standard_D(places):
+        # the curve's own points, found on it once; only G's affine places can meet them
+        if any(D[place] for place in G.support if place.kind == AFFINE):
             raise ValueError("supports of G and D must be disjoint")
+    else:
+        # the first failing place of D decides the message
+        for place in places:
+            if not curve.is_on_curve(place.a, place.b):
+                raise ValueError(f"{place} does not lie on {curve.label}")
+            if G[place]:
+                raise ValueError("supports of G and D must be disjoint")
     if G.degree >= n:
         raise ValueError(f"deg G = {G.degree} must be below n = {n}")
     rows = _basis_rows(curve, G, places)[-1]
@@ -346,10 +356,14 @@ def dual_partner_divisor(curve: KummerCurve, G: Divisor,
     Valid on the maximal family (and, behind the flag, the Lewittes remark
     family); C(D, H) is then the Euclidean dual of C(D, G) for the standard D.
     """
-    family = maxcur_family_check(curve, allow_remark_family)
-    if family is None:
+    if maxcur_family_check(curve, allow_remark_family) is None:
         raise ValueError(
             f"{curve.label} is outside the supported dual-partner families")
+    return _partner(curve, G)
+
+
+def _partner(curve: KummerCurve, G: Divisor) -> Divisor:
+    """K - G for a curve already in a supported family."""
     for place in G.support:
         if place.kind == AFFINE:
             raise ValueError("G must be supported on ramified places and Pinf")
@@ -380,14 +394,14 @@ def lcd_construct_maxcur(curve: KummerCurve, G: Divisor,
     an exception, with no LCD claim. C(D, G) and C(D, H) are built only when
     deg G, and then deg H, lie in [0, n); otherwise duality is not verified.
     On a supported family, a G with an affine place in its support raises
-    ValueError (from dual_partner_divisor): it is invalid input, not a flag.
+    ValueError, as in dual_partner_divisor: it is invalid input, not a flag.
     """
     family = maxcur_family_check(curve, allow_remark_family)
     checks = {"family_supported": family is not None}
     if family is None:
         return None, LcdCertificate(G=G, H=None, gcdGH=None, checks=checks,
                                     family=None)
-    H = dual_partner_divisor(curve, G, allow_remark_family)
+    H = _partner(curve, G)
     A = gcd_divisor(G, H)
     g = curve.genus
     D = curve.standard_D()

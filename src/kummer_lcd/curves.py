@@ -18,8 +18,10 @@ import math
 import re
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Union
 
-from .gf import (MAX_FIELD_SIZE, FieldElement, FieldSpec, GF, ParseError, _parse_int,
-                 _split_top, format_element, parse_element, solve_additive)
+import numpy as np
+
+from .gf import (MAX_FIELD_SIZE, FieldElement, FieldSpec, GF, ParseError, _kernel,
+                 _parse_int, _split_top, format_element, parse_element, solve_additive)
 
 __all__ = [
     "Divisor",
@@ -283,7 +285,12 @@ class KummerCurve:
         return self._points
 
     def affine_places(self) -> tuple:
-        return self.rational_points()[self.r + 1:]
+        """The affine places in point-list order: one tuple per curve."""
+        return self._affine_places
+
+    @functools.cached_property
+    def _affine_places(self) -> tuple:
+        return self._points[self.r + 1:]
 
     def divisor_of_x(self) -> Divisor:
         """(x) = sum_i P_i - r * Pinf."""
@@ -297,8 +304,36 @@ class KummerCurve:
         return Divisor({Place.ramified(i): self.m, Place.infinity(): -self.m})
 
     def standard_D(self) -> Divisor:
-        """The sum of every affine place, the evaluation divisor throughout."""
+        """The sum of every affine place, the evaluation divisor throughout:
+        one instance per curve, whose support is ``affine_places()``."""
+        return self._standard_D
+
+    @functools.cached_property
+    def _standard_D(self) -> Divisor:
         return Divisor({p: 1 for p in self.affine_places()})
+
+    def is_standard_D(self, D) -> bool:
+        """Whether D is this curve's ``standard_D()`` or its ``affine_places()``
+        tuple, by identity; neither is built, so the points are not listed."""
+        cached = vars(self)
+        return D is cached.get("_standard_D") or D is cached.get("_affine_places")
+
+    def place_logs(self, places: Sequence[Place]) -> tuple:
+        """(log a, log b, log(b - alpha_i)) at affine places P(a, b): np.intp
+        arrays of shapes (n,), (n,) and (r, n) in the kernel's log table, where
+        2(q - 1) is the log of 0."""
+        kern = _kernel(self.field)
+        a, b = np.array([(p.a.n, p.b.n) for p in places], dtype=kern.dtype).reshape(-1, 2).T
+        diffs = kern.add(b, kern.neg[[alpha.n for alpha in self.alphas]][:, None])
+        return kern.log[a], kern.log[b], kern.log[diffs]
+
+    @functools.cached_property
+    def affine_logs(self) -> tuple:
+        """``place_logs`` of ``affine_places()``, kept with the curve, read-only."""
+        logs = self.place_logs(self.affine_places())
+        for array in logs:
+            array.setflags(write=False)
+        return logs
 
     def _key(self):
         return (self.field, self.alphas, self.m)

@@ -334,25 +334,27 @@ def _monomial_logs(curve: KummerCurve, components, places: Sequence[Place]) -> n
     where b = 0 < k. A d_i < 0 needs b != alpha_i, as on the curve; a d_i > 0
     there raises ZeroDivisionError, and a place that is not affine ValueError.
     """
-    if any(p.kind != AFFINE for p in places):
+    standard = curve.is_standard_D(places)
+    if not standard and any(p.kind != AFFINE for p in places):
         raise ValueError("evaluation is defined at affine places only")
     if not components or not places:
         return np.zeros((sum(size for *_, size in components), len(places)), dtype=np.intp)
-    kern, units = _kernel(curve.field), curve.field.units
-    a, b = np.array([(p.a.n, p.b.n) for p in places], dtype=kern.dtype).T
-    diffs = kern.add(b, kern.neg[[alpha.n for alpha in curve.alphas]][:, None])
+    units = curve.field.units
+    log_a, log_b, log_diffs = curve.affine_logs if standard else curve.place_logs(places)
     t, d, size = zip(*components)
-    if not diffs.all() and any(row[i] > 0 for i in np.flatnonzero(~diffs.all(axis=1))
+    vanishing = log_diffs == 2 * units
+    if vanishing.any() and any(row[i] > 0 for i in np.flatnonzero(vanishing.any(axis=1))
                                for row in d):
         raise ZeroDivisionError("denominator vanishes; the place is not on the curve")
     # exponents are reduced mod q - 1 as Python ints: an n_t,i past 2^63 fits
     t, size = np.array(t, dtype=np.intp), np.array(size, dtype=np.intp)
     d = np.array([[e % units for e in row] for row in d], dtype=np.intp)
     k = np.arange(size.sum()) - (size.cumsum() - size).repeat(size)
-    logs = ((t[:, None] * kern.log[a] - d @ kern.log[diffs]).repeat(size, axis=0)
-            + k[:, None] * kern.log[b]) % units
-    if not b.all():
-        logs[np.ix_(k > 0, b == 0)] = 2 * units
+    logs = ((t[:, None] * log_a - d @ log_diffs).repeat(size, axis=0)
+            + k[:, None] * log_b) % units
+    b_zero = log_b == 2 * units
+    if b_zero.any():
+        logs[np.ix_(k > 0, b_zero)] = 2 * units
     return logs
 
 
@@ -369,7 +371,8 @@ def _basis_rows(curve: KummerCurve, G: Divisor, places: Sequence[Place] = ()):
         raise ValueError(f"ell = {count} basis functions is above the cap "
                          f"MAX_RR_DIMENSION = {MAX_RR_DIMENSION}")
     kern, n = _kernel(curve.field), len(places)
-    values = kern.exp[_monomial_logs(curve, components, tuple(places) + tuple(zeros))]
+    values = kern.exp[_monomial_logs(curve, components,
+                                     tuple(places) + tuple(zeros) if zeros else places)]
     reduced, pivots = kern.rref(values[:, n:].T)
     free = np.delete(np.arange(len(values)), pivots)
     _check_dimension(curve, G, len(free))

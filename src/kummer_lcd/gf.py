@@ -26,8 +26,12 @@ q x q sum table while q^2 <= 2^21, and digit-wise addition mod p above
 that. A long odd-p sum (``total``) adds the digits in carry-free bit lanes
 of an int64 and reduces mod p once per lane and segment. Row reduction is
 one fused pass per pivot, which eliminates the pivot column and scales the
-pivot row together, and a nullspace is one row reduction. The kernel row
-reduces, takes nullspaces and forms G * H^T; it reads only the
+pivot row together, and a nullspace is one row reduction. Under the table
+cap an odd field row reduces in narrow lanes (uint16, or uint32 for
+GF(3^6)), adding encoded multiples with one integer add and renormalising
+every (2^bits - p) // (p - 1) pivots; for odd p, G * H^T is one float64
+product of digit planes, exact while k * n * (p - 1)^2 < 2^53. The kernel
+row reduces, takes nullspaces and forms G * H^T; it reads only the
 ``FieldSpec`` tables, so ``functions`` and ``codes`` share it.
 """
 
@@ -37,7 +41,7 @@ import functools
 import math
 import operator
 import re
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -541,11 +545,32 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
 # ---------------------------------------------------------------------------
 # the matrix kernel: exact arithmetic on numpy arrays of packed elements
 
-# cells of the largest intermediate array G * H^T builds at once
+# cells of the largest intermediate array G * H^T builds at once: the cube
+# of products for p = 2, and the float64 digit planes of one block for odd p
 _DOT_CHUNK_CELLS = 1 << 16
-# largest q^2-cell table the kernel builds, for products and odd-p sums;
-# larger fields multiply through the logs and add digit by digit
+_PLANE_CELLS = 1 << 18
+# largest q^2-cell table the kernel builds, for products, odd-p sums and
+# lane products; larger fields multiply through the logs and add digit by digit
 _ADD_TABLE_CELLS = 1 << 21
+# float64 holds every integer below 2^53, so a product of digit planes is
+# exact while its sums stay below it
+_EXACT_FLOAT = 1 << 53
+
+
+class _Lanes(NamedTuple):
+    """Narrow lanes for odd p: ``enc[n]`` holds digit i of n in bits
+    [bits * i, bits * (i + 1)) of a uint16, or of a uint32 when 16 bits leave
+    no room for one add. ``dec`` sends every word to the packed element whose
+    digit i is lane i mod p, and ``norm`` is enc of dec. ``prod`` and ``exp``
+    are the kernel's product tables encoded. A lane holds at most p - 1 after
+    ``norm`` and gains at most p - 1 per added element, so ``every`` adds fit
+    between two renormalisations: (2^bits - p) // (p - 1) of them."""
+    enc: np.ndarray
+    dec: np.ndarray
+    norm: np.ndarray
+    prod: np.ndarray
+    exp: np.ndarray
+    every: int
 
 
 class _Kernel:
@@ -564,7 +589,11 @@ class _Kernel:
     p = 2, a gather in the q^2-cell table of sums for odd p under the same
     cap, and the digit-wise sum above it. For odd p, the int64 ``spread[n]``
     has digit i of n at bit ``bits * i``: a sum of up to ``seg`` of them adds
-    each digit in its own lane with no carry, and shift, mask and mod p read it.
+    each digit in its own lane with no carry, and shift, mask and mod p read
+    it. An odd field under the cap also has ``lanes`` (see ``_Lanes``): 8
+    bits a digit for k = 2 (every 126 adds for GF(9), 62 for GF(25), 41 for
+    GF(49)), 4 for GF(81) (every 6), and 3 in a uint32 for GF(3^6) (every 2);
+    every other kernel has None. ``planes[i, n]`` is digit i of n as a float64.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -579,31 +608,48 @@ class _Kernel:
         values = np.arange(q, dtype=np.int64)
         tabled = q * q <= _ADD_TABLE_CELLS
         self.prod = self.mul(values[:, None], values[None, :]) if tabled else None
+        self.lanes = None
         if p == 2:
             self.add = np.bitwise_xor
             return
         self.bits = min(62, 63 // spec.k)
         self.seg = ((1 << self.bits) - 1) // (p - 1)
-        self.spread = sum(values // w % p << self.bits * i
-                          for i, w in enumerate(self.weights))
+        self.spread = self._encode(values, self.bits)
+        self.planes = (values // np.reshape(self.weights, (-1, 1)) % p).astype(np.float64)
         if tabled:
             sums = self._digit_add(values[:, None], values[None, :]).ravel()
             # a narrow a times q would wrap: the index is formed in np.intp
             self.add = lambda a, b: sums[np.multiply(a, q, dtype=np.intp) + b]
+            self.lanes = self._lane_tables(values)
         else:
             self.add = self._digit_add
+
+    def _lane_tables(self, values) -> _Lanes:
+        p, k = self.p, len(self.weights)
+        bits, dtype = 16 // k, np.uint16
+        if (1 << bits) - p < p - 1:
+            # GF(3^6): 2 bits a digit hold no add; the decode table has 2^18 words
+            bits, dtype = 21 // k, np.uint32
+        enc = self._encode(values, bits).astype(dtype)
+        dec = self._digits(np.arange(1 << bits * k, dtype=dtype), bits)
+        return _Lanes(enc, dec, enc[dec], enc[self.prod], enc[self.exp],
+                      ((1 << bits) - p) // (p - 1))
 
     def mul(self, a, b):
         return self.exp[self.log[a] + self.log[b]]
 
-    def _digits(self, lanes):
+    def _encode(self, values, bits: int):
+        """Each packed value with its digit i at bit bits * i."""
+        return sum(values // w % self.p << bits * i for i, w in enumerate(self.weights))
+
+    def _digits(self, lanes, bits: int):
         """The packed element whose digit i is lane i of lanes, mod p."""
-        mask = (1 << self.bits) - 1
-        return sum((lanes >> self.bits * i & mask) % self.p * w
+        mask = (1 << bits) - 1
+        return sum((lanes >> bits * i & mask) % self.p * w
                    for i, w in enumerate(self.weights)).astype(self.dtype)
 
     def _digit_add(self, a, b):
-        return self._digits(self.spread[a] + self.spread[b])
+        return self._digits(self.spread[a] + self.spread[b], self.bits)
 
     def total(self, a, axis: int):
         """Field sum of a along one axis; for odd p, lane sums of ``seg`` terms
@@ -611,7 +657,7 @@ class _Kernel:
         if self.p == 2:
             return np.bitwise_xor.reduce(a, axis=axis)
         spread = np.moveaxis(self.spread[a], axis, -1)
-        parts = [self._digits(spread[..., i:i + self.seg].sum(axis=-1))
+        parts = [self._digits(spread[..., i:i + self.seg].sum(axis=-1), self.bits)
                  for i in range(0, max(1, spread.shape[-1]), self.seg)]
         return functools.reduce(self.add, parts)
 
@@ -619,21 +665,28 @@ class _Kernel:
         """Reduced row echelon form of a copy of mat: (rank x n rows, pivots),
         one pass per pivot: with inv the inverse of the pivot entry, row i gains
         -m[i, col] * inv times the pivot row, and the pivot row inv - 1 times
-        itself (a lead of 1). It XORs whole rows for p = 2, adds m[:, col:] for odd p.
-        With ``prod`` and at least q / 2 rows, the factors come from its row
-        -inv and the multiples of the pivot row from its q rows; otherwise
-        both from the logs. A swap copies two rows after the pass."""
+        itself (a lead of 1). It XORs whole rows for p = 2 and adds m[:, col:]
+        for odd p. With ``prod`` and at least q / 2 rows, the factors come from
+        its row -inv and the multiples of the pivot row from its q rows;
+        otherwise both from the logs. With ``lanes`` the matrix stays encoded:
+        each pivot decodes its column and row, adds the encoded multiples with
+        one integer add, and the columns right of it are renormalised after
+        every ``lanes.every`` pivots. A swap copies two rows after the pass."""
         m = np.array(mat, dtype=self.dtype)
         rows, n = m.shape
-        spec = self.spec
+        spec, lanes = self.spec, self.lanes
         # the q multiples cost q rows of gathers, the logs about two per row of m
         table = self.prod if 2 * rows > self.units else None
+        multiples, exp = table, self.exp
+        if lanes is not None:
+            m, exp, left = lanes.enc[m], lanes.exp, lanes.every
+            multiples = None if table is None else lanes.prod
         pivots = []
         for col in range(n):
             rank = len(pivots)
             if rank == rows:
                 break
-            column = m[:, col]
+            column = m[:, col] if lanes is None else lanes.dec.take(m[:, col])
             found = column[rank:].nonzero()[0]
             if not found.size:
                 continue
@@ -645,18 +698,27 @@ class _Kernel:
                 factors = table[spec.neg[inv]].take(column)
             factors[pivot] = spec._add(inv, spec.neg[1])
             row = m[pivot, 0 if self.p == 2 else col:]
+            if lanes is not None:
+                row = lanes.dec.take(row)
             # prod is symmetric: its rows at the entries of row are its columns there
-            products = (self.mul(factors[:, None], row) if table is None
-                        else table.take(row, axis=0).T.take(factors, axis=0))
+            products = (exp[self.log[factors][:, None] + self.log[row]] if table is None
+                        else multiples.take(row, axis=0).T.take(factors, axis=0))
             if self.p == 2:
                 m ^= products
-            else:
+            elif lanes is None:
                 m[:, col:] = self.add(m[:, col:], products)
+            else:
+                m[:, col:] += products
+                left -= 1
+                if not left:
+                    m[:, col + 1:] = lanes.norm.take(m[:, col + 1:])
+                    left = lanes.every
             if pivot != rank:
                 held = m[rank, col:].copy()
                 m[rank, col:], m[pivot, col:] = m[pivot, col:], held
             pivots.append(col)
-        return m[:len(pivots)], pivots
+        m = m[:len(pivots)]
+        return (m if lanes is None else lanes.dec.take(m)), pivots
 
     def null_basis(self, reduced: np.ndarray, pivots) -> np.ndarray:
         """Unreduced basis e_f - sum_p R[p, f] e_p (f free) of { v : R . v = 0 }, R an RREF."""
@@ -675,12 +737,35 @@ class _Kernel:
         return self.null_basis(reduced, pivots)[::-1, ::-1]
 
     def dot_t(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The matrix a . b^T, from the logs of a and b gathered once."""
+        """The matrix a . b^T. For p = 2, XOR sums of the products gathered
+        from the logs of a and b. For odd p, digit i of a . b^T is
+        sum_j A_ij . B_j^T mod p, with B_j digit j of b and A_ij digit i of
+        a * t^j: one float64 product of the stacked digit planes, exact while
+        k * n * (p - 1)^2 < 2^53, so longer rows are cut into pieces that keep
+        it. Rows of b are taken in blocks, and within each rows of a in
+        chunks, whose digit planes stay under ``_PLANE_CELLS`` cells."""
         out = np.zeros((len(a), len(b)), dtype=self.dtype)
-        log_a, log_b = self.log[a], self.log[b]
-        step = max(1, _DOT_CHUNK_CELLS // max(1, b.size))
-        for i in range(0, len(a), step):
-            out[i:i + step] = self.total(self.exp[log_a[i:i + step, None, :] + log_b], axis=2)
+        n, k = a.shape[1], len(self.weights)
+        if self.p == 2:
+            log_a, log_b = self.log[a], self.log[b]
+            step = max(1, _DOT_CHUNK_CELLS // max(1, b.size))
+            for i in range(0, len(a), step):
+                out[i:i + step] = self.total(self.exp[log_a[i:i + step, None, :] + log_b], axis=2)
+            return out
+        p = self.p
+        width = max(1, (_EXACT_FLOAT - 1) // (k * (p - 1) ** 2))
+        # t^j is the packed p^j
+        shifts = np.reshape(self.weights, (-1, 1))
+        block, step = (max(1, _PLANE_CELLS // (c * max(1, n))) for c in (k, k * k))
+        for j in range(0, len(b), block):
+            # digit j of b, as (j, column, row)
+            right = self.planes.take(b[j:j + block].T, axis=1)
+            for i in range(0, len(a), step):
+                # digit i of a * t^j, as (i, row, j, column)
+                left = self.planes.take(self.mul(a[i:i + step, None, :], shifts), axis=1)
+                digits = sum(np.tensordot(left[..., s:s + width], right[:, s:s + width])
+                             .astype(np.int64) % p for s in range(0, max(1, n), width)) % p
+                out[i:i + step, j:j + block] = sum(w * d for w, d in zip(self.weights, digits))
         return out
 
 

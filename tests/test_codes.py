@@ -286,6 +286,69 @@ def test_build_code_refuses_g_overlapping_d(h2):
         build_code(h2, (places[0], off_curve) + places[1:], G + Divisor.of(off_curve))
 
 
+def test_standard_D_is_one_divisor_on_the_curves_own_places(h3):
+    D, places = h3.standard_D(), h3.affine_places()
+    assert D is h3.standard_D() and places is h3.affine_places()
+    assert D.support == places == h3.rational_points()[h3.r + 1:]
+    assert all(D[p] == 1 for p in places) and D.degree == len(places)
+    # the logs kept with the curve are those of any sequence of the same places
+    kept, fresh = h3.affine_logs, h3.place_logs(list(places))
+    assert kept is h3.affine_logs and len(kept) == len(fresh) == 3
+    assert not any(x.flags.writeable for x in kept)
+    assert all(np.array_equal(x, y) for x, y in zip(kept, fresh))
+
+
+@pytest.mark.parametrize("name, G_text", [
+    ("hermitian-q3", "10*Pinf"), ("hermitian-q4", "8*P1+9*P2+7*P3+4*P4+2*Pinf"),
+    ("curve1-q4", "4*Pinf+12*P1-1*P2"), ("hermitian-q2", "0")])
+def test_a_place_sequence_equal_to_the_standard_D_gives_an_equal_code(name, G_text):
+    curve = builtin_curve(name)
+    G, places = parse_divisor(curve, G_text), curve.affine_places()
+    want = build_code(curve, curve.standard_D(), G)
+    for D in (places, list(places), Divisor({p: 1 for p in places})):
+        got = build_code(curve, D, G)
+        assert got == want and got.provenance.D == curve.standard_D()
+        assert got.column_labels == places
+
+
+def test_an_explicit_D_lists_no_points():
+    # the standard D is recognised by identity, so a curve whose points were
+    # never listed is not made to list them by a D of a few of its places
+    curve = hermitian_curve(3)
+    elements = curve.field.elements()
+    places = [Place.affine(a, b) for a in elements[1:3] for b in elements
+              if curve.is_on_curve(a, b)]
+    assert len(places) == 6
+    code = build_code(curve, places, parse_divisor(curve, "3*Pinf"))
+    rows = evaluation_matrix(curve, riemann_roch_basis(curve, Divisor.of(Place.infinity(), 3))
+                             .functions, places)
+    assert code == LinearCode.from_rows(curve.field, rows, places)
+    assert not curve.is_standard_D(places) and "_points" not in vars(curve)
+    assert curve.is_standard_D(curve.standard_D()) and curve.is_standard_D(curve.affine_places())
+
+
+def test_the_standard_D_refuses_what_a_place_sequence_refuses(h2):
+    D, G, places = h2.standard_D(), parse_divisor(h2, "3*Pinf"), h2.affine_places()
+    off_curve = Place.affine(h2.field.one, h2.field.one)
+    cases = [
+        # an overlap decides before the degree: deg G = 8 >= n = 6 here
+        (G + parse_divisor(h2, "6*Pinf") - Divisor.of(places[4]),
+         "supports of G and D must be disjoint"),
+        (G - Divisor.of(places[0]) - Divisor.of(places[5]), "supports of G and D must be disjoint"),
+        (G + Divisor.of(places[3], 2), "supports of G and D must be disjoint"),
+        # an off-curve simple zero meets no place of D: the basis refuses it
+        (G - Divisor.of(off_curve), "P([1,0],[1,0]) does not lie on hermitian-q2"),
+        (G + Divisor.of(off_curve, 2), "affine coefficients other than -1 are not supported "
+                                       "(got 2 at P([1,0],[1,0]))"),
+        (G + parse_divisor(h2, "3*Pinf"), "deg G = 6 must be below n = 6"),
+    ]
+    for bad, message in cases:
+        for same in (D, places, list(places), Divisor({p: 1 for p in places})):
+            with pytest.raises(ValueError) as err:
+                build_code(h2, same, bad)
+            assert str(err.value) == message, (bad, same)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_off_curve_indices_match_is_on_curve(q):
     # every (a, b) of the field, a = 0 included, against prod_i (b - alpha_i)
@@ -553,6 +616,28 @@ def test_dual_partner_family_check(nt, h2):
     assert maxcur_family_check(nt) is None  # GF(8) is not a square order
     with pytest.raises(ValueError):
         dual_partner_divisor(nt, Divisor.zero())
+
+
+def test_a_certificate_runs_the_family_check_once(h3, monkeypatch):
+    calls = []
+    check = codes.maxcur_family_check
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(codes, "maxcur_family_check", counted)
+    G = construction_divisors("hermitian", h3)[0]
+    code, cert = lcd_construct_maxcur(h3, G)
+    assert cert.lcd and len(calls) == 1
+    # the public partner keeps its own check
+    assert codes.dual_partner_divisor(h3, G) == cert.H and len(calls) == 2
+    # an affine place in G is refused with the same message on both routes
+    affine = G + Divisor.of(h3.affine_places()[0])
+    for route in (lcd_construct_maxcur, codes.dual_partner_divisor):
+        with pytest.raises(ValueError) as err:
+            route(h3, affine)
+        assert str(err.value) == "G must be supported on ramified places and Pinf"
 
 
 def test_lcd_construct_curve1(c1):

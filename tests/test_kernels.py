@@ -7,7 +7,9 @@ or with ``FieldElement``, which both read the field's exp/log tables.
 ``log_rref`` is the kernel's per-pivot elimination before the product table,
 and ``trailing_rref`` the one before the fused pass: it swaps and rescales
 the pivot row first, then adds each row's multiple of it over m[:, col:].
-Both are kept as vectorised second routes.
+``added_rref`` is the fused pass on packed rows, which odd fields ran before
+lanes, and ``gather_dot_t`` the product they formed before digit planes.
+All four are kept as vectorised second routes.
 """
 
 import functools
@@ -134,6 +136,53 @@ def trailing_rref(kern, mat):
         pivots.append(col)
         rank += 1
     return m[:rank], pivots
+
+
+def added_rref(kern, mat):
+    """Reduced row echelon form of a copy of mat, kept packed: the fused pass
+    of ``rref`` with each pivot's multiples added by ``kern.add`` over
+    m[:, col:], for an odd field under the table cap a gather in its q^2-cell
+    sum table; the factors and multiples come from ``prod`` on the same rule."""
+    m = np.array(mat, dtype=kern.dtype)
+    rows, n = m.shape
+    spec = kern.spec
+    table = kern.prod if 2 * rows > kern.units else None
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        if rank == rows:
+            break
+        column = m[:, col]
+        found = column[rank:].nonzero()[0]
+        if not found.size:
+            continue
+        pivot = rank + int(found[0])
+        inv = spec.exp[kern.units - spec.log[column[pivot]]]
+        if table is None:
+            factors = kern.exp[kern.log[column] + spec.log[spec.neg[inv]]]
+        else:
+            factors = table[spec.neg[inv]].take(column)
+        factors[pivot] = spec._add(inv, spec.neg[1])
+        row = m[pivot, col:]
+        products = (kern.mul(factors[:, None], row) if table is None
+                    else table.take(row, axis=0).T.take(factors, axis=0))
+        m[:, col:] = kern.add(m[:, col:], products)
+        if pivot != rank:
+            held = m[rank, col:].copy()
+            m[rank, col:], m[pivot, col:] = m[pivot, col:], held
+        pivots.append(col)
+    return m[:len(pivots)], pivots
+
+
+def gather_dot_t(kern, a, b):
+    """a . b^T: every product exp[log a + log b] gathered, rows of a in chunks
+    under ``_DOT_CHUNK_CELLS``, and summed by ``kern.total``."""
+    out = np.zeros((len(a), len(b)), dtype=kern.dtype)
+    log_a, log_b = kern.log[a], kern.log[b]
+    step = max(1, gf._DOT_CHUNK_CELLS // max(1, b.size))
+    for i in range(0, len(a), step):
+        out[i:i + step] = kern.total(kern.exp[log_a[i:i + step, None, :] + log_b], axis=2)
+    return out
 
 
 def scalar_nullspace(ops, rows, n):
@@ -584,10 +633,10 @@ def test_fused_rref_matches_the_trailing_block_route(q, route, monkeypatch):
 
 
 @st.composite
-def ranked_matrices(draw):
+def ranked_matrices(draw, fields=tuple(FIELD_SIZES + [256])):
     """(q, matrix): a field, a shape of up to 40 x 30, and a rank, with some
     columns cleared and the rows shuffled, so leads, swaps and late pivots vary."""
-    q = draw(st.sampled_from(FIELD_SIZES + [256]))
+    q = draw(st.sampled_from(fields))
     rows, n = draw(st.integers(0, 40)), draw(st.integers(0, 30))
     rank = draw(st.integers(0, min(rows, n)))
 
@@ -631,3 +680,126 @@ def test_nullspace_runs_one_elimination(monkeypatch):
     shapes.clear()
     assert np.array_equal(two_elimination_nullspace(kern, mat), null)
     assert len(shapes) == 2
+
+
+# every odd field of FIELD_SIZES, and five more layouts: GF(121) and
+# GF(169) 8 bits a digit, GF(125) 5, GF(243) 3 in a uint16 and GF(729) 3 in
+# a uint32
+LANE_FIELDS = [q for q in FIELD_SIZES if q % 2] + [121, 125, 169, 243, 729]
+# (lane bits, word dtype, pivots between two renormalisations)
+LANE_LAYOUTS = {7: (16, np.uint16, 10921), 9: (8, np.uint16, 126), 25: (8, np.uint16, 62),
+                27: (5, np.uint16, 14), 49: (8, np.uint16, 41), 81: (4, np.uint16, 6),
+                121: (8, np.uint16, 24), 125: (5, np.uint16, 6), 169: (8, np.uint16, 20),
+                243: (3, np.uint16, 2), 729: (3, np.uint32, 2)}
+
+
+@pytest.mark.parametrize("q", LANE_FIELDS)
+def test_lane_layouts_follow_p_and_k(q):
+    spec = GF(q)
+    lanes = _kernel(spec).lanes
+    bits, dtype, every = LANE_LAYOUTS[q]
+    p, k = spec.p, spec.k
+    assert lanes.enc.dtype == lanes.norm.dtype == lanes.prod.dtype == lanes.exp.dtype == dtype
+    assert lanes.every == every and len(lanes.dec) == 1 << bits * k
+    # every + 1 elements fill a lane with digits p - 1 to at most 2^bits - 1; one more passes it
+    assert (every + 1) * (p - 1) <= (1 << bits) - 1 < (every + 2) * (p - 1)
+    values = np.arange(q)
+    digits = [values // p ** i % p for i in range(k)]
+    assert lanes.enc.tolist() == sum(d << bits * i for i, d in enumerate(digits)).tolist()
+    # the fullest word: every lane at 2^bits - 1
+    full = sum(((1 << bits) - 1) << bits * i for i in range(k))
+    assert lanes.dec[full] == sum(((1 << bits) - 1) % p * p ** i for i in range(k))
+    assert np.array_equal(lanes.dec[lanes.enc], values)
+    assert np.array_equal(lanes.norm, lanes.enc[lanes.dec])
+
+
+def test_fields_without_a_product_table_have_no_lanes():
+    assert _kernel(GF(3 ** 7)).lanes is None and _kernel(GF(3 ** 7)).prod is None
+    assert all(_kernel(GF(q)).lanes is None for q in (2, 4, 16, 256))
+
+
+def lane_cases(q, rng):
+    """rref_inputs, a matrix with no columns, and rank-deficient matrices with
+    more pivots than the lane layout has adds between two renormalisations:
+    one with 2 * rows > q - 1 (factors and multiples from ``prod``), and,
+    where a shape under half of q still crosses, one from the logs. GF(7)
+    renormalises every 10921 pivots."""
+    every, half = LANE_LAYOUTS[q][2], (q - 1) // 2
+    crossing = []
+    if every < 150:
+        rows = max(every + 8, half + 2)
+        crossing.append(((rows, rows + 10), every + 5))
+    if every + 4 <= half:
+        crossing.append(((every + 4, every + 14), every + 2))
+    return rref_inputs(q, rng) + [("no-columns", [[]] * 3, 0)] + [
+        case for shape, rank in crossing for case in deficient_matrices(q, rng, [shape], rank)]
+
+
+def assert_lanes_match_packed(kern, mat, label):
+    got, got_pivots = kern.rref(mat)
+    for want, want_pivots in (added_rref(kern, mat), trailing_rref(kern, mat)):
+        assert got.dtype == want.dtype == kern.dtype and got.shape == want.shape, label
+        assert got_pivots == want_pivots and np.array_equal(got, want), label
+    return got_pivots
+
+
+@pytest.mark.parametrize("route", ["lanes", "digits"])
+@pytest.mark.parametrize("q", LANE_FIELDS)
+def test_lane_rref_matches_the_packed_routes(q, route, monkeypatch):
+    # the cached kernel reduces in lanes; under a zero table cap the kernel
+    # has neither prod nor lanes, multiplies through the logs and adds digit
+    # by digit, as every odd field above the cap does
+    spec = GF(q)
+    if route == "digits":
+        monkeypatch.setattr(gf, "_ADD_TABLE_CELLS", 0)
+    kern = gf._Kernel(spec) if route == "digits" else _kernel(spec)
+    assert (kern.lanes is None) == (kern.prod is None) == (route == "digits")
+    rng = random.Random(12000 + q)
+    every = LANE_LAYOUTS[q][2]
+    routes = set()
+    for label, rows, n in lane_cases(q, rng):
+        mat = as_array(rows, n)
+        pivots = assert_lanes_match_packed(kern, mat, label)
+        if len(pivots) > every:
+            routes.add(2 * len(rows) > q - 1)
+        assert np.array_equal(kern.nullspace(mat), two_elimination_nullspace(kern, mat)), label
+    # renormalisation is crossed from prod, and from the logs where a shape allows it
+    want = set() if every >= 150 else {True} if every + 4 > (q - 1) // 2 else {True, False}
+    assert routes == want
+
+
+@SETTINGS
+@given(ranked_matrices(tuple(LANE_FIELDS)))
+def test_lane_rref_matches_the_packed_route_on_drawn_matrices(case):
+    q, mat = case
+    assert_lanes_match_packed(_kernel(GF(q)), mat, (q, mat.shape))
+
+
+DOT_SHAPES = [(3, 5, 7), (1, 1, 1), (0, 4, 3), (4, 0, 3), (3, 4, 0), (0, 0, 0),
+              (6, 2, 13), (9, 11, 40)]
+
+
+@pytest.mark.parametrize("q", LANE_FIELDS + [3 ** 7])
+def test_plane_dot_t_matches_the_gather_product(q, monkeypatch):
+    # GF(3^7) has no product table; digit planes need none
+    spec = GF(q)
+    kern, k, p = _kernel(spec), spec.k, spec.p
+    rng = np.random.default_rng(13000 + q)
+    cases = [(rng.integers(0, q, (ra, n)), rng.integers(0, q, (rb, n))) for ra, rb, n in DOT_SHAPES]
+    # digits p - 1 everywhere: the largest sums a product of planes forms
+    cases.append((np.full((5, 40), q - 1), np.full((7, 40), q - 1)))
+    want = [gather_dot_t(kern, a, b) for a, b in cases]
+    # default blocks; then, at n = 40, rows of a two at a time in blocks of
+    # 2k rows of b, and the inner dimension in pieces of 3, as for rows too
+    # long to sum exactly
+    for cells, exact in ((None, None), (2 * k * k * 40, None), (None, 3 * k * (p - 1) ** 2 + 1)):
+        with monkeypatch.context() as patch:
+            if cells:
+                patch.setattr(gf, "_PLANE_CELLS", cells)
+            if exact:
+                patch.setattr(gf, "_EXACT_FLOAT", exact)
+            for (a, b), product in zip(cases, want):
+                got = kern.dot_t(a, b)
+                assert got.dtype == kern.dtype and np.array_equal(got, product), (a.shape, b.shape)
+                # a transposed view, as the hull passes it
+                assert np.array_equal(kern.dot_t(b, np.ascontiguousarray(a.T).T), product.T)
