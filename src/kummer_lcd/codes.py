@@ -8,9 +8,10 @@ evaluator. A ``LinearCode`` is its packed RREF array, and
 ``evaluation_matrix`` and ``LinearCode.from_rows`` speak packed arrays too;
 ``FieldElement`` rows appear only when ``LinearCode.generator`` is read, for
 printing. ``build_code`` tests an explicit D with ``curve.is_on_curve``;
-the standard D (one per curve) is the curve's own point list. Duality is
-always established numerically, by orthogonality plus the dimension count,
-never assumed from a formula.
+the standard D (one per curve) is the curve's own point list. The dual is
+the ``nullspace`` of the generator, one elimination on its k rows. Duality
+is always established numerically, by orthogonality plus the dimension
+count, never assumed from a formula.
 
 The hull comes from the k x k Gram matrix G * G^T (Massey's criterion): for
 a full-rank generator G, Hull(C) = { xG : x G G^T = 0 }. The route through
@@ -159,20 +160,19 @@ def evaluation_matrix(curve: KummerCurve, functions: Sequence,
     dtype (``spec.unpack`` gives each ``FieldElement``). Each term
     x^t * N(y) / prod_i (y - alpha_i)^(d_i) of a function contributes
     sum_j c_j exp(L_j), with L_j the ``functions`` log of x^t y^j / prod_i
-    (y - alpha_i)^(d_i) at the place and c_j the coefficients of N. Raises
-    ValueError at a place that is not affine and ZeroDivisionError where a
-    denominator vanishes.
+    (y - alpha_i)^(d_i) at the place and c_j the coefficients of N, so a
+    function's row is one ``dot_t`` of its coefficients with its monomial
+    values. Raises ValueError at a place that is not affine and
+    ZeroDivisionError where a denominator vanishes.
     """
-    terms = [list(f.terms.values()) for f in functions]
     logs = _monomial_logs(curve, [(t, dens, len(num)) for f in functions
                                   for t, (num, dens) in f.terms.items()], places)
     kern = _kernel(curve.field)
-    coeffs = kern.log[[c.n for f_terms in terms for num, _ in f_terms for c in num]]
-    values = kern.exp[logs + coeffs[:, None]]
-    ends = list(itertools.accumulate(sum(len(num) for num, _ in f_terms) for f_terms in terms))
+    coeffs = [[c.n for num, _ in f.terms.values() for c in num] for f in functions]
+    values = np.split(kern.exp[logs], list(itertools.accumulate(map(len, coeffs)))[:-1])
     out = np.zeros((len(functions), len(places)), dtype=kern.dtype)
-    for row, start, end in zip(out, [0] + ends, ends):
-        row[:] = kern.total(values[start:end], axis=0)
+    for row, c, v in zip(out, coeffs, values):
+        row[:] = kern.dot_t(np.array([c], dtype=kern.dtype), v.T)[0]
     return out
 
 
@@ -232,10 +232,10 @@ def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
 
 
 def dual(code: LinearCode) -> LinearCode:
-    """Euclidean dual: the canonical basis of the right kernel of the stored RREF."""
-    kern, gen = _kernel(code.field), code.matrix
-    basis = kern.rref(kern.null_basis(gen, (gen != 0).argmax(axis=1)))[0]
-    return _code_from_packed(code.field, basis, code.column_labels)
+    """Euclidean dual: the canonical basis of the right kernel of the
+    generator, from ``nullspace``, one elimination on the code's k rows."""
+    return _code_from_packed(code.field, _kernel(code.field).nullspace(code.matrix),
+                             code.column_labels)
 
 
 def hull(code: LinearCode) -> LinearCode:

@@ -314,23 +314,33 @@ class KummerCurve:
 
     def is_standard_D(self, D) -> bool:
         """Whether D is this curve's ``standard_D()`` or its ``affine_places()``
-        tuple, by identity; neither is built, so the points are not listed."""
+        tuple, by identity with the ones already built; neither is built here,
+        so the points are not listed."""
         cached = vars(self)
-        return D is cached.get("_standard_D") or D is cached.get("_affine_places")
+        return any(D is cached[key] for key in ("_standard_D", "_affine_places")
+                   if key in cached)
 
     def place_logs(self, places: Sequence[Place]) -> tuple:
         """(log a, log b, log(b - alpha_i)) at affine places P(a, b): np.intp
         arrays of shapes (n,), (n,) and (r, n) in the kernel's log table, where
-        2(q - 1) is the log of 0."""
+        2(q - 1) is the log of 0. For the curve's own ``affine_places()``
+        tuple, the logs kept with the curve, read-only. Raises ValueError at a
+        place that is not affine."""
+        if self.is_standard_D(places):
+            return self._affine_logs
+        if any(p.kind != AFFINE for p in places):
+            raise ValueError("evaluation is defined at affine places only")
+        return self._logs(places)
+
+    def _logs(self, places: Sequence[Place]) -> tuple:
         kern = _kernel(self.field)
         a, b = np.array([(p.a.n, p.b.n) for p in places], dtype=kern.dtype).reshape(-1, 2).T
         diffs = kern.add(b, kern.neg[[alpha.n for alpha in self.alphas]][:, None])
         return kern.log[a], kern.log[b], kern.log[diffs]
 
     @functools.cached_property
-    def affine_logs(self) -> tuple:
-        """``place_logs`` of ``affine_places()``, kept with the curve, read-only."""
-        logs = self.place_logs(self.affine_places())
+    def _affine_logs(self) -> tuple:
+        logs = self._logs(self.affine_places())
         for array in logs:
             array.setflags(write=False)
         return logs

@@ -334,13 +334,10 @@ def _monomial_logs(curve: KummerCurve, components, places: Sequence[Place]) -> n
     where b = 0 < k. A d_i < 0 needs b != alpha_i, as on the curve; a d_i > 0
     there raises ZeroDivisionError, and a place that is not affine ValueError.
     """
-    standard = curve.is_standard_D(places)
-    if not standard and any(p.kind != AFFINE for p in places):
-        raise ValueError("evaluation is defined at affine places only")
+    log_a, log_b, log_diffs = curve.place_logs(places)
     if not components or not places:
         return np.zeros((sum(size for *_, size in components), len(places)), dtype=np.intp)
     units = curve.field.units
-    log_a, log_b, log_diffs = curve.affine_logs if standard else curve.place_logs(places)
     t, d, size = zip(*components)
     vanishing = log_diffs == 2 * units
     if vanishing.any() and any(row[i] > 0 for i in np.flatnonzero(vanishing.any(axis=1))

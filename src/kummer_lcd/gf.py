@@ -23,16 +23,16 @@ q <= 256 and uint16 above; an index formed from them is widened to np.intp
 before it can overflow. A product is one gather in the field's extended
 exp/log tables. A sum is XOR when p = 2; for odd p it is one gather in a
 q x q sum table while q^2 <= 2^21, and digit-wise addition mod p above
-that. A long odd-p sum (``total``) adds the digits in carry-free bit lanes
-of an int64 and reduces mod p once per lane and segment. Row reduction is
-one fused pass per pivot, which eliminates the pivot column and scales the
-pivot row together, and a nullspace is one row reduction. Under the table
-cap an odd field row reduces in narrow lanes (uint16, or uint32 for
-GF(3^6)), adding encoded multiples with one integer add and renormalising
-every (2^bits - p) // (p - 1) pivots; for odd p, G * H^T is one float64
-product of digit planes, exact while k * n * (p - 1)^2 < 2^53. The kernel
-row reduces, takes nullspaces and forms G * H^T; it reads only the
-``FieldSpec`` tables, so ``functions`` and ``codes`` share it.
+that. Row reduction is one fused pass per pivot, which eliminates the pivot
+column and scales the pivot row together, and a nullspace is one row
+reduction. Under the table cap an odd field row reduces in narrow lanes
+(uint16, or uint32 for GF(3^6)), adding encoded multiples with one integer
+add and renormalising every (2^bits - p) // (p - 1) pivots. Every field sum
+along an axis is a product G * H^T (``dot_t``): an XOR reduction of the
+gathered products for p = 2, and for odd p one float64 product of digit
+planes, exact while k * n * (p - 1)^2 < 2^53. The kernel row reduces, takes
+nullspaces and forms G * H^T; it reads only the ``FieldSpec`` tables, so
+``functions`` and ``codes`` share it.
 """
 
 from __future__ import annotations
@@ -587,13 +587,13 @@ class _Kernel:
     every multiple of its row from it; above the cap ``prod`` is None.
     ``rref`` reads its scalars from the lists of ``spec``. ``add`` is XOR for
     p = 2, a gather in the q^2-cell table of sums for odd p under the same
-    cap, and the digit-wise sum above it. For odd p, the int64 ``spread[n]``
-    has digit i of n at bit ``bits * i``: a sum of up to ``seg`` of them adds
-    each digit in its own lane with no carry, and shift, mask and mod p read
-    it. An odd field under the cap also has ``lanes`` (see ``_Lanes``): 8
-    bits a digit for k = 2 (every 126 adds for GF(9), 62 for GF(25), 41 for
-    GF(49)), 4 for GF(81) (every 6), and 3 in a uint32 for GF(3^6) (every 2);
-    every other kernel has None. ``planes[i, n]`` is digit i of n as a float64.
+    cap, and the digit-wise sum above it: the int64 ``spread[n]`` has digit i
+    of n at bit ``bits * i``, so two of them add each digit in its own lane
+    with no carry, and shift, mask and mod p read it. An odd field under the
+    cap also has ``lanes`` (see ``_Lanes``): 8 bits a digit for k = 2 (every
+    126 adds for GF(9), 62 for GF(25), 41 for GF(49)), 4 for GF(81) (every
+    6), and 3 in a uint32 for GF(3^6) (every 2); every other kernel has None.
+    ``planes[i, n]`` is digit i of n as a float64, which ``dot_t`` reads.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -613,7 +613,6 @@ class _Kernel:
             self.add = np.bitwise_xor
             return
         self.bits = min(62, 63 // spec.k)
-        self.seg = ((1 << self.bits) - 1) // (p - 1)
         self.spread = self._encode(values, self.bits)
         self.planes = (values // np.reshape(self.weights, (-1, 1)) % p).astype(np.float64)
         if tabled:
@@ -650,16 +649,6 @@ class _Kernel:
 
     def _digit_add(self, a, b):
         return self._digits(self.spread[a] + self.spread[b], self.bits)
-
-    def total(self, a, axis: int):
-        """Field sum of a along one axis; for odd p, lane sums of ``seg`` terms
-        folded together with ``add``."""
-        if self.p == 2:
-            return np.bitwise_xor.reduce(a, axis=axis)
-        spread = np.moveaxis(self.spread[a], axis, -1)
-        parts = [self._digits(spread[..., i:i + self.seg].sum(axis=-1), self.bits)
-                 for i in range(0, max(1, spread.shape[-1]), self.seg)]
-        return functools.reduce(self.add, parts)
 
     def rref(self, mat) -> Tuple[np.ndarray, list]:
         """Reduced row echelon form of a copy of mat: (rank x n rows, pivots),
@@ -737,20 +726,23 @@ class _Kernel:
         return self.null_basis(reduced, pivots)[::-1, ::-1]
 
     def dot_t(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The matrix a . b^T. For p = 2, XOR sums of the products gathered
-        from the logs of a and b. For odd p, digit i of a . b^T is
-        sum_j A_ij . B_j^T mod p, with B_j digit j of b and A_ij digit i of
-        a * t^j: one float64 product of the stacked digit planes, exact while
-        k * n * (p - 1)^2 < 2^53, so longer rows are cut into pieces that keep
-        it. Rows of b are taken in blocks, and within each rows of a in
-        chunks, whose digit planes stay under ``_PLANE_CELLS`` cells."""
+        """The matrix a . b^T, the kernel's one route for sums along an axis.
+        For p = 2, the XOR reduction of the products gathered from the logs
+        of a and b, rows of a in chunks under ``_DOT_CHUNK_CELLS``. For odd p,
+        digit i of a . b^T is sum_j A_ij . B_j^T mod p, with B_j digit j of b
+        and A_ij digit i of a * t^j: one float64 product of the stacked digit
+        planes, exact while k * n * (p - 1)^2 < 2^53, so longer rows are cut
+        into pieces that keep it. Rows of b are taken in blocks, and within
+        each rows of a in chunks, whose digit planes stay under
+        ``_PLANE_CELLS`` cells."""
         out = np.zeros((len(a), len(b)), dtype=self.dtype)
         n, k = a.shape[1], len(self.weights)
         if self.p == 2:
             log_a, log_b = self.log[a], self.log[b]
             step = max(1, _DOT_CHUNK_CELLS // max(1, b.size))
             for i in range(0, len(a), step):
-                out[i:i + step] = self.total(self.exp[log_a[i:i + step, None, :] + log_b], axis=2)
+                products = self.exp[log_a[i:i + step, None, :] + log_b]
+                out[i:i + step] = np.bitwise_xor.reduce(products, axis=2)
             return out
         p = self.p
         width = max(1, (_EXACT_FLOAT - 1) // (k * (p - 1) ** 2))

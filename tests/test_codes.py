@@ -292,8 +292,8 @@ def test_standard_D_is_one_divisor_on_the_curves_own_places(h3):
     assert D.support == places == h3.rational_points()[h3.r + 1:]
     assert all(D[p] == 1 for p in places) and D.degree == len(places)
     # the logs kept with the curve are those of any sequence of the same places
-    kept, fresh = h3.affine_logs, h3.place_logs(list(places))
-    assert kept is h3.affine_logs and len(kept) == len(fresh) == 3
+    kept, fresh = h3.place_logs(places), h3.place_logs(list(places))
+    assert kept is h3.place_logs(places) and len(kept) == len(fresh) == 3
     assert not any(x.flags.writeable for x in kept)
     assert all(np.array_equal(x, y) for x, y in zip(kept, fresh))
 
@@ -325,6 +325,29 @@ def test_an_explicit_D_lists_no_points():
     assert code == LinearCode.from_rows(curve.field, rows, places)
     assert not curve.is_standard_D(places) and "_points" not in vars(curve)
     assert curve.is_standard_D(curve.standard_D()) and curve.is_standard_D(curve.affine_places())
+
+
+def test_no_D_is_refused_whether_or_not_the_standard_D_was_built():
+    # before the standard D is built, its cache is absent: None is not taken for it
+    G = Divisor.of(Place.infinity(), 5)
+    for build_first in (False, True):
+        curve = hermitian_curve(3)
+        if build_first:
+            curve.standard_D()
+        assert not curve.is_standard_D(None)
+        functions = riemann_roch_basis(curve, G).functions
+        with pytest.raises(TypeError):
+            build_code(curve, None, G)
+        with pytest.raises(TypeError):
+            evaluation_matrix(curve, functions, None)
+        assert ("_points" in vars(curve)) == build_first
+
+
+def test_place_logs_refuse_a_place_that_is_not_affine(h2):
+    affine = h2.affine_places()
+    for places in ([Place.infinity()], [affine[0], Place.ramified(1)]):
+        with pytest.raises(ValueError, match="evaluation is defined at affine places only"):
+            h2.place_logs(places)
 
 
 def test_the_standard_D_refuses_what_a_place_sequence_refuses(h2):

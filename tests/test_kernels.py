@@ -28,6 +28,7 @@ from kummer_lcd import (GF, Divisor, FunctionElement, KummerCurve, LinearCode,
                         riemann_roch_basis)
 from kummer_lcd import codes, gf
 from kummer_lcd.codes import _kernel, _orthogonal, evaluation_matrix
+from kummer_lcd.curves import hermitian_curve
 from test_gf import TupleField
 from test_properties import SETTINGS, curves_with_divisor
 
@@ -176,12 +177,13 @@ def added_rref(kern, mat):
 
 def gather_dot_t(kern, a, b):
     """a . b^T: every product exp[log a + log b] gathered, rows of a in chunks
-    under ``_DOT_CHUNK_CELLS``, and summed by ``kern.total``."""
+    under ``_DOT_CHUNK_CELLS``, and summed one term at a time by ``kern.add``."""
     out = np.zeros((len(a), len(b)), dtype=kern.dtype)
     log_a, log_b = kern.log[a], kern.log[b]
     step = max(1, gf._DOT_CHUNK_CELLS // max(1, b.size))
     for i in range(0, len(a), step):
-        out[i:i + step] = kern.total(kern.exp[log_a[i:i + step, None, :] + log_b], axis=2)
+        products = kern.exp[log_a[i:i + step, None, :] + log_b]
+        out[i:i + step] = functools.reduce(kern.add, np.moveaxis(products, 2, 0), out[i:i + step])
     return out
 
 
@@ -499,6 +501,26 @@ def test_evaluation_matrix_at_places_with_b_zero():
         assert all((x == zero.n) == (len(num) > 1) for x in row)
 
 
+@pytest.mark.parametrize("q", [3 ** 7, 2 ** 11])
+def test_evaluation_matrix_matches_evaluate_above_the_table_cap(q):
+    # neither field has a product table: dot_t sums from the logs alone
+    spec = GF(q)
+    assert _kernel(spec).prod is None
+    curve = KummerCurve(spec, [0, 1], 5, label=f"gf{q}-roots-0-1")
+    G = Divisor({Place.ramified(1): 7, Place.infinity(): 2 * curve.genus + 3})
+    functions = riemann_roch_basis(curve, G).functions
+    rng = random.Random(q)
+    elements = spec.elements()
+    functions = list(functions) + [sum((FunctionElement.monomial(
+        curve, rng.randint(-10, 10), [rng.randint(-2, 2), rng.randint(-2, 2)],
+        [rng.choice(elements) for _ in range(4)]) for _ in range(3)), FunctionElement.zero(curve))
+        for _ in range(4)]
+    places = curve.affine_places()[:40]
+    got = evaluation_matrix(curve, functions, places)
+    assert got.dtype == _kernel(spec).dtype
+    assert got.tolist() == [[f.evaluate(p).n for p in places] for f in functions]
+
+
 def test_evaluation_matrix_rejects_what_evaluate_rejects(h2):
     with pytest.raises(ValueError):
         evaluation_matrix(h2, riemann_roch_basis(h2, Divisor.zero()).functions,
@@ -512,26 +534,23 @@ def test_evaluation_matrix_rejects_what_evaluate_rejects(h2):
         evaluation_matrix(h2, [f], [off_curve])
 
 
-# lane sums short enough to fold within a test: GF(3^10) adds 31 terms per
-# segment, GF(3^7) and GF(5^6) 255, GF(3^5) 2047
-FOLDING = {3 ** 10: 31, 3 ** 7: 255, 5 ** 6: 255, 3 ** 5: 2047}
+# row lengths around 31, 255 and 2047 terms, on fields past the table cap
+# (GF(3^10), GF(3^7), GF(5^6)) and under it (GF(3^5))
+SUM_LENGTHS = {3 ** 10: 31, 3 ** 7: 255, 5 ** 6: 255, 3 ** 5: 2047}
 
 
-@pytest.mark.parametrize("q", sorted(FOLDING) + [3, 9, 25, 49, 81])
+@pytest.mark.parametrize("q", sorted(SUM_LENGTHS) + [3, 9, 25, 49, 81])
 def test_lane_sums_match_scalar_oracle(q):
     spec = GF(q)
     kern, ops = _kernel(spec), ScalarOps(spec)
-    seg = kern.seg
-    if q in FOLDING:
-        assert seg == FOLDING[q]
-        lengths = (seg - 1, seg, seg + 1, 2 * seg + 1)
+    if q in SUM_LENGTHS:
+        size = SUM_LENGTHS[q]
+        lengths = (size - 1, size, size + 1, 2 * size + 1)
     else:
-        assert seg > 700
         lengths = (spec.p - 1, spec.p, 2 * spec.p + 1, 700)
     rng = random.Random(4000 + q)
     for length in (0, 1) + lengths:
-        # q - 1 has every digit p - 1: its lanes reach seg * (p - 1), the most
-        # a lane holds before a segment is folded
+        # q - 1 has every digit p - 1: its digit sums reach length * (p - 1)
         rows = [[q - 1] * length, [rng.randrange(q) for _ in range(length)]]
         want = []
         for row in rows:
@@ -540,9 +559,7 @@ def test_lane_sums_match_scalar_oracle(q):
                 acc = ops.add(acc, x)
             want.append(acc)
         mat = as_array(rows, length)
-        assert kern.total(mat, axis=1).tolist() == want, length
-        assert kern.total(mat.T, axis=0).tolist() == want, length
-        # dot_t against a row of ones sums the same values
+        # dot_t against a row of ones sums the values of each row
         ones = as_array([[1] * length], length)
         assert kern.dot_t(mat, ones)[:, 0].tolist() == want, length
         assert kern.dot_t(mat[:1], mat[:1]).tolist() == [[scalar_dot(ops, rows[0], rows[0])]]
@@ -578,9 +595,12 @@ def test_dual_reads_pivots_off_the_stored_rref(q):
     spec = GF(q)
     kern = _kernel(spec)
     rng = random.Random(6000 + q)
-    for label, rows, n in rref_inputs(q, rng):
+    # high rate, k > n - k: full rank, and rank-deficient rows
+    high_rate = [("high-rate", [[rng.randrange(q) for _ in range(14)] for _ in range(11)], 14)]
+    high_rate += deficient_matrices(q, rng, [(14, 16)], 10) if q > 2 else []
+    for label, rows, n in rref_inputs(q, rng) + high_rate:
         code = LinearCode.from_rows(spec, as_array(rows, n), [f"c{i}" for i in range(n)])
-        want = kern.nullspace(code.matrix)
+        want = two_elimination_nullspace(kern, code.matrix)
         assert np.array_equal(dual(code).matrix, want), label
         assert dual(code).k == n - code.k, label
         assert codes.hull_dimension_by_rank(code) == codes.hull(code).k, label
@@ -680,6 +700,24 @@ def test_nullspace_runs_one_elimination(monkeypatch):
     shapes.clear()
     assert np.array_equal(two_elimination_nullspace(kern, mat), null)
     assert len(shapes) == 2
+
+
+@pytest.mark.parametrize("G", [3, 20])
+def test_dual_runs_one_elimination_on_the_code_rows(G, monkeypatch):
+    # hermitian-q3: [24, 3] and [24, 18], so the n - k dual rows differ from k
+    curve = hermitian_curve(3)
+    code = build_code(curve, curve.standard_D(), Divisor.of(Place.infinity(), G))
+    assert code.k != code.n - code.k
+    shapes = []
+    rref = gf._Kernel.rref
+
+    def counted(self, mat):
+        shapes.append(np.shape(mat))
+        return rref(self, mat)
+
+    monkeypatch.setattr(gf._Kernel, "rref", counted)
+    assert dual(code).k == code.n - code.k
+    assert shapes == [(code.k, code.n)]
 
 
 # every odd field of FIELD_SIZES, and five more layouts: GF(121) and
