@@ -4,19 +4,22 @@ All matrix work goes through the kernel of ``gf`` (``_kernel``), on numpy
 arrays of packed elements. ``build_code`` takes the values of an L(G) basis
 from ``functions``, which evaluates it in the log domain straight from the
 exponents, and ``evaluation_matrix`` evaluates any functions through the same
-evaluator. A ``LinearCode`` is its packed RREF array, and
-``evaluation_matrix`` and ``LinearCode.from_rows`` speak packed arrays too;
-``FieldElement`` rows appear only when ``LinearCode.generator`` is read, for
-printing. ``build_code`` tests an explicit D with ``curve.is_on_curve``;
-the standard D (one per curve) is the curve's own point list. The dual is
-the ``nullspace`` of the generator, one elimination on its k rows. Duality
-is always established numerically, by orthogonality plus the dimension
-count, never assumed from a formula.
+evaluator. A ``LinearCode`` is its packed RREF array, built on first read
+for a dual or a hull, whose dimension is known at once; ``evaluation_matrix``
+and ``LinearCode.from_rows`` speak packed arrays too, and ``FieldElement``
+rows appear only when ``LinearCode.generator`` is read, for printing.
+``build_code`` tests an explicit D with ``curve.is_on_curve``; the standard D
+(one per curve) is the curve's own point list. The dual has dimension n - k,
+and its matrix comes from one elimination on min(k, n - k) rows. Duality is
+always established numerically, by orthogonality plus the dimension count,
+never assumed from a formula.
 
-The hull comes from the k x k Gram matrix G * G^T (Massey's criterion): for
-a full-rank generator G, Hull(C) = { xG : x G G^T = 0 }. The route through
+The hull dimension is the nullity of one Gram matrix B * B^T, B a basis of
+the smaller of C and C-dual (Massey's criterion: for a full-rank B,
+Hull = { xB : x B B^T = 0 }, and Hull(C) = Hull(C-dual)). The route through
 two stacked n x n nullspaces gives the same canonical basis and is kept in
-the tests as the second route. A code computes its hull once and keeps it.
+the tests as the second route. A code computes its hull once and keeps it,
+and its dual shares it.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field as dataclass_field
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,22 +86,31 @@ class CodeProvenance:
 class LinearCode:
     """A linear code, stored as its generator in reduced row echelon form.
 
-    ``matrix`` is the read-only k x n array of packed elements. Codes are
-    equal when their fields, column labels and matrices are; the provenance
-    is not compared. ``generator`` and the hull are built on first use.
+    ``matrix`` is the read-only k x n array of packed elements. A code from
+    ``from_rows`` or ``build_code`` holds it from the start; one from ``dual``
+    or ``hull`` knows k at once and builds it the first time it is read.
+    Codes are equal when their fields, column labels and matrices are; the
+    provenance is not compared. ``generator`` and the hull are built on first
+    use, and a dual shares the hull of the code it was taken from.
     """
     field: FieldSpec
-    matrix: np.ndarray
+    k: int
     column_labels: tuple
+    # returns the packed RREF on the first read of ``matrix``
+    _build: Callable[[], np.ndarray] = dataclass_field(repr=False)
     provenance: Optional[CodeProvenance] = None
-
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[0]
+    # the code this one is the dual of: Hull(C-dual) = Hull(C)
+    _dual_of: Optional["LinearCode"] = dataclass_field(default=None, repr=False)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[1]
+        return len(self.column_labels)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        packed = self._build()
+        packed.setflags(write=False)
+        return packed
 
     @functools.cached_property
     def generator(self) -> tuple:
@@ -107,9 +119,18 @@ class LinearCode:
 
     @functools.cached_property
     def _hull(self) -> "LinearCode":
+        if self._dual_of is not None:
+            return self._dual_of._hull
         kern, gen = _kernel(self.field), self.matrix
-        basis = kern.dot_t(kern.nullspace(kern.dot_t(gen, gen)), gen.T)
-        return _code_from_packed(self.field, basis, self.column_labels)
+        dual_side = 2 * self.k > self.n
+        basis = _null_basis(kern, gen) if dual_side else gen
+        null = kern.nullspace(kern.dot_t(basis, basis))
+
+        def build():
+            rows = kern.dot_t(null, basis.T)
+            return kern.rref(rows)[0] if dual_side else rows
+
+        return LinearCode(self.field, len(null), self.column_labels, build)
 
     @staticmethod
     def from_rows(spec: FieldSpec, rows, column_labels,
@@ -136,7 +157,7 @@ class LinearCode:
         if not isinstance(other, LinearCode):
             return NotImplemented
         return (self.field == other.field and self.column_labels == other.column_labels
-                and np.array_equal(self.matrix, other.matrix))
+                and self.k == other.k and np.array_equal(self.matrix, other.matrix))
 
     def __hash__(self):
         return hash((self.field, self.column_labels, self.matrix.tobytes()))
@@ -144,12 +165,19 @@ class LinearCode:
     def __repr__(self):
         return f"LinearCode[{self.n},{self.k}] over {self.field!r}"
 
+    def __reduce__(self):
+        # pickled with its array, not the function that builds it
+        return _code_from_packed, (self.field, self.matrix, self.column_labels, self.provenance)
+
 
 def _code_from_packed(spec: FieldSpec, packed: np.ndarray, column_labels,
                       provenance: Optional[CodeProvenance] = None) -> LinearCode:
-    packed.setflags(write=False)
-    return LinearCode(field=spec, matrix=packed, column_labels=tuple(column_labels),
-                      provenance=provenance)
+    return LinearCode(spec, len(packed), tuple(column_labels), lambda: packed, provenance)
+
+
+def _null_basis(kern, gen: np.ndarray) -> np.ndarray:
+    """The unreduced basis of the dual read off an RREF generator."""
+    return kern.null_basis(gen, (gen != 0).argmax(axis=1) if gen.size else [])
 
 
 def evaluation_matrix(curve: KummerCurve, functions: Sequence,
@@ -160,20 +188,25 @@ def evaluation_matrix(curve: KummerCurve, functions: Sequence,
     dtype (``spec.unpack`` gives each ``FieldElement``). Each term
     x^t * N(y) / prod_i (y - alpha_i)^(d_i) of a function contributes
     sum_j c_j exp(L_j), with L_j the ``functions`` log of x^t y^j / prod_i
-    (y - alpha_i)^(d_i) at the place and c_j the coefficients of N, so a
-    function's row is one ``dot_t`` of its coefficients with its monomial
-    values. Raises ValueError at a place that is not affine and
-    ZeroDivisionError where a denominator vanishes.
+    (y - alpha_i)^(d_i) at the place and c_j the coefficients of N. The
+    matrix is one ``dot_t`` of the block-diagonal matrix of every function's
+    nonzero coefficients with the values of their monomials. Raises ValueError
+    at a place that is not affine and ZeroDivisionError where a denominator
+    vanishes.
     """
     logs = _monomial_logs(curve, [(t, dens, len(num)) for f in functions
                                   for t, (num, dens) in f.terms.items()], places)
     kern = _kernel(curve.field)
-    coeffs = [[c.n for num, _ in f.terms.values() for c in num] for f in functions]
-    values = np.split(kern.exp[logs], list(itertools.accumulate(map(len, coeffs)))[:-1])
-    out = np.zeros((len(functions), len(places)), dtype=kern.dtype)
-    for row, c, v in zip(out, coeffs, values):
-        row[:] = kern.dot_t(np.array([c], dtype=kern.dtype), v.T)[0]
-    return out
+    owner = np.array([i for i, f in enumerate(functions) for num, _ in f.terms.values()
+                      for _ in num], dtype=np.intp)
+    coeffs = np.array([c.n for f in functions for num, _ in f.terms.values() for c in num],
+                      dtype=kern.dtype)
+    used = coeffs.nonzero()[0]
+    # block diagonal: row i holds function i's nonzero coefficients, one
+    # column per monomial
+    blocks = np.zeros((len(functions), len(used)), dtype=kern.dtype)
+    blocks[owner[used], np.arange(len(used))] = coeffs[used]
+    return kern.dot_t(blocks, kern.exp[logs[used]].T)
 
 
 def _resolve_D(curve: KummerCurve, D) -> Tuple[Divisor, tuple]:
@@ -232,20 +265,36 @@ def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
 
 
 def dual(code: LinearCode) -> LinearCode:
-    """Euclidean dual: the canonical basis of the right kernel of the
-    generator, from ``nullspace``, one elimination on the code's k rows."""
-    return _code_from_packed(code.field, _kernel(code.field).nullspace(code.matrix),
-                             code.column_labels)
+    """Euclidean dual, of dimension n - k, sharing the hull of ``code``.
+
+    Its matrix is built on first read, from one elimination on the smaller
+    side: the ``nullspace`` of the k generator rows when k <= n - k, else the
+    RREF of the n - k rows of the null basis read off them. Both give the
+    unique canonical basis of the right kernel of the generator.
+    """
+    kern = _kernel(code.field)
+
+    def build():
+        gen = code.matrix
+        if 2 * code.k > code.n:
+            return kern.rref(_null_basis(kern, gen))[0]
+        return kern.nullspace(gen)
+
+    return LinearCode(code.field, code.n - code.k, code.column_labels, build,
+                      _dual_of=code)
 
 
 def hull(code: LinearCode) -> LinearCode:
-    """C intersect C-dual, from the Gram matrix G * G^T; computed once per code.
+    """C intersect C-dual: its dimension at once, its matrix on first read.
 
-    The RREF generator G has full rank, so xG lies in C-dual exactly when
-    x G G^T = 0: the hull has the basis N * G, N the RREF basis of that
-    k x k kernel (G G^T is symmetric). N * G is already in RREF: on the pivot
-    columns of G it equals N, and each of its rows starts at the pivot of G
-    that the row's leading 1 in N selects.
+    For a full-rank basis B of C or of C-dual, whose hulls are the same, xB
+    lies in the hull exactly when x B B^T = 0 (Massey's criterion), so the
+    dimension is the nullity of B B^T, one elimination on the smaller side.
+    With B the RREF generator G (k <= n - k), the hull has the basis N * G,
+    N the RREF kernel basis of G G^T, already in RREF: on the pivot columns
+    of G it equals N, and each row starts at the pivot of G that its leading
+    1 in N selects. With B the null basis read off G, N * B is row reduced
+    once. A code computes its hull once, and its dual shares it.
     """
     return code._hull
 
@@ -253,7 +302,7 @@ def hull(code: LinearCode) -> LinearCode:
 def hull_dimension_by_rank(code: LinearCode) -> int:
     """Second route: dim C + dim C-dual - rank of the stacked generators."""
     kern, gen = _kernel(code.field), code.matrix
-    dual_gen = kern.null_basis(gen, (gen != 0).argmax(axis=1))
+    dual_gen = _null_basis(kern, gen)
     _, pivots = kern.rref(np.vstack([gen, dual_gen]))
     return code.k + len(dual_gen) - len(pivots)
 

@@ -361,7 +361,8 @@ def _basis_rows(curve: KummerCurve, G: Divisor, places: Sequence[Place] = ()):
     the RREF of their values there, L(G) has the basis m_f - sum_p R[p, f] m_p
     over the free columns f, whose values at places are the rows. More than
     ``MAX_RR_DIMENSION`` monomials raise ValueError before any is evaluated;
-    the dimension self-test runs on the number of free columns."""
+    the dimension self-test runs on the number of free columns. With no
+    simple zeros R has no rows, every column is free and nothing is reduced."""
     ram, inf, zeros = _split_divisor(curve, G)
     components = list(_term_bounds(curve, ram, inf))
     if (count := sum(size for *_, size in components)) > MAX_RR_DIMENSION:
@@ -370,8 +371,10 @@ def _basis_rows(curve: KummerCurve, G: Divisor, places: Sequence[Place] = ()):
     kern, n = _kernel(curve.field), len(places)
     values = kern.exp[_monomial_logs(curve, components,
                                      tuple(places) + tuple(zeros) if zeros else places)]
-    reduced, pivots = kern.rref(values[:, n:].T)
-    free = np.delete(np.arange(len(values)), pivots)
+    reduced, pivots, free = values[:, n:].T, [], np.arange(len(values))
+    if zeros:
+        reduced, pivots = kern.rref(reduced)
+        free = np.delete(free, pivots)
     _check_dimension(curve, G, len(free))
     rows = values[free, :n]
     if pivots and n:

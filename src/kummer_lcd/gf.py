@@ -660,9 +660,12 @@ class _Kernel:
         otherwise both from the logs. With ``lanes`` the matrix stays encoded:
         each pivot decodes its column and row, adds the encoded multiples with
         one integer add, and the columns right of it are renormalised after
-        every ``lanes.every`` pivots. A swap copies two rows after the pass."""
+        every ``lanes.every`` pivots. A swap copies two rows after the pass.
+        A matrix with no rows comes back at once."""
         m = np.array(mat, dtype=self.dtype)
         rows, n = m.shape
+        if not rows:
+            return m, []
         spec, lanes = self.spec, self.lanes
         # the q multiples cost q rows of gathers, the logs about two per row of m
         table = self.prod if 2 * rows > self.units else None

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -506,6 +507,16 @@ def test_dual_of_full_space(h2):
     assert z.k == 0
     assert hull(z).k == 0
     assert dual(z).k == 6
+
+
+def test_codes_pickle_with_their_arrays(h3):
+    # a dual and a hull build their arrays on first read; a pickled code
+    # carries its array and comes back equal, read-only
+    code = build_code(h3, h3.standard_D(), Divisor.of(Place.infinity(), 20))
+    for original in (code, dual(code), hull(code)):
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy == original and copy.k == original.k
+        assert copy.provenance == original.provenance and not copy.matrix.flags.writeable
 
 
 def test_hull_examples(h2, c1):

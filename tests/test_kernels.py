@@ -683,16 +683,32 @@ def test_fused_rref_matches_the_trailing_block_route_on_drawn_matrices(case, log
     assert_fused_matches_trailing(kern, mat, (q, mat.shape, logs))
 
 
+@SETTINGS
+@given(ranked_matrices())
+def test_lazy_duals_and_hulls_match_the_eager_routes(case):
+    # drawn codes of every rate, their lazy duals, and those duals held as
+    # eager codes, whose hulls run on their own side
+    q, mat = case
+    spec, kern = GF(q), _kernel(GF(q))
+    labels = [f"c{i}" for i in range(mat.shape[1])]
+    code = LinearCode.from_rows(spec, mat, labels)
+    lazy = dual(code)
+    assert lazy.k == code.n - code.k
+    assert np.array_equal(lazy.matrix, two_elimination_nullspace(kern, code.matrix))
+    for c in (code, lazy, LinearCode.from_rows(spec, lazy.matrix, labels)):
+        dimension = codes.hull(c).k
+        assert dimension == codes.hull_dimension_by_rank(c) == codes.hull(dual(c)).k
+        gen = c.matrix
+        # the Gram route on the RREF generator, whatever the rate
+        want = kern.dot_t(kern.nullspace(kern.dot_t(gen, gen)), gen.T)
+        assert codes.hull(c).matrix.shape[0] == dimension == len(want)
+        assert np.array_equal(codes.hull(c).matrix, want)
+
+
 def test_nullspace_runs_one_elimination(monkeypatch):
     kern = _kernel(GF(16))
-    shapes = []
     rref = gf._Kernel.rref
-
-    def counted(self, mat):
-        shapes.append(np.shape(mat))
-        return rref(self, mat)
-
-    monkeypatch.setattr(gf._Kernel, "rref", counted)
+    shapes = counted_rrefs(monkeypatch)
     mat = as_array(deficient_matrices(16, random.Random(16), [(12, 20)], 7)[0][1], 20)
     null = kern.nullspace(mat)
     assert shapes == [(12, 20)] and null.shape == (20 - len(rref(kern, mat)[1]), 20)
@@ -702,12 +718,8 @@ def test_nullspace_runs_one_elimination(monkeypatch):
     assert len(shapes) == 2
 
 
-@pytest.mark.parametrize("G", [3, 20])
-def test_dual_runs_one_elimination_on_the_code_rows(G, monkeypatch):
-    # hermitian-q3: [24, 3] and [24, 18], so the n - k dual rows differ from k
-    curve = hermitian_curve(3)
-    code = build_code(curve, curve.standard_D(), Divisor.of(Place.infinity(), G))
-    assert code.k != code.n - code.k
+def counted_rrefs(monkeypatch) -> list:
+    """The shapes of the matrices every later ``_Kernel.rref`` call reduces."""
     shapes = []
     rref = gf._Kernel.rref
 
@@ -716,8 +728,34 @@ def test_dual_runs_one_elimination_on_the_code_rows(G, monkeypatch):
         return rref(self, mat)
 
     monkeypatch.setattr(gf._Kernel, "rref", counted)
-    assert dual(code).k == code.n - code.k
-    assert shapes == [(code.k, code.n)]
+    return shapes
+
+
+@pytest.mark.parametrize("G", [3, 20])
+def test_dual_runs_one_elimination_on_the_code_rows(G, monkeypatch):
+    # hermitian-q3: [24, 2] and [24, 18], so the n - k dual rows differ from k
+    curve = hermitian_curve(3)
+    code = build_code(curve, curve.standard_D(), Divisor.of(Place.infinity(), G))
+    assert code.k != code.n - code.k
+    shapes = counted_rrefs(monkeypatch)
+    the_dual = dual(code)
+    assert the_dual.k == code.n - code.k and shapes == []
+    # the nullspace of the k rows, or the RREF of the n - k null basis rows
+    assert the_dual.matrix.shape == (code.n - code.k, code.n)
+    assert shapes == [(min(code.k, code.n - code.k), code.n)]
+
+
+@pytest.mark.parametrize("G", [3, 20])
+def test_hull_dimension_runs_one_elimination_on_the_smaller_gram(G, monkeypatch):
+    curve = hermitian_curve(3)
+    code = build_code(curve, curve.standard_D(), Divisor.of(Place.infinity(), G))
+    shapes = counted_rrefs(monkeypatch)
+    side = min(code.k, code.n - code.k)
+    dimension = codes.hull(code).k
+    assert shapes == [(side, side)]
+    # a dual shares the hull of its code: no elimination at all
+    assert codes.hull(dual(code)) is codes.hull(code) and len(shapes) == 1
+    assert dimension == codes.hull_dimension_by_rank(code)
 
 
 # every odd field of FIELD_SIZES, and five more layouts: GF(121) and
