@@ -20,6 +20,13 @@ Hull = { xB : x B B^T = 0 }, and Hull(C) = Hull(C-dual)). The route through
 two stacked n x n nullspaces gives the same canonical basis and is kept in
 the tests as the second route. A code computes its hull once and keeps it,
 and its dual shares it.
+
+``min_distance`` tries two routes in turn, each while its count of words
+fits the budget. For a code from ``build_code``, C(D, G) with deg G < n,
+every nonzero word weighs at least n - deg G (the Goppa bound), so a word of
+that weight among the messages of weight 1 and 2 on the pivot rows proves d,
+once re-checked. Otherwise, and for a code with no provenance, the
+enumeration of one message per 1-dimensional subspace gives d.
 """
 
 from __future__ import annotations
@@ -77,6 +84,8 @@ _MINDIST_TABLE_CELLS = 1 << 21
 
 @dataclass(frozen=True)
 class CodeProvenance:
+    """The (curve, D, G) that ``build_code`` built a code from, and nothing
+    else: ``min_distance`` reads the Goppa bound n - deg G off it."""
     curve: KummerCurve
     D: Divisor
     G: Divisor
@@ -90,8 +99,10 @@ class LinearCode:
     ``from_rows`` or ``build_code`` holds it from the start; one from ``dual``
     or ``hull`` knows k at once and builds it the first time it is read.
     Codes are equal when their fields, column labels and matrices are; the
-    provenance is not compared. ``generator`` and the hull are built on first
-    use, and a dual shares the hull of the code it was taken from.
+    provenance is not compared. Only ``build_code`` sets a provenance, so a
+    code that has one is C(D, G) for its (curve, D, G). ``generator`` and the
+    hull are built on first use, and a dual shares the hull of the code it
+    was taken from.
     """
     field: FieldSpec
     k: int
@@ -133,9 +144,9 @@ class LinearCode:
         return LinearCode(self.field, len(null), self.column_labels, build)
 
     @staticmethod
-    def from_rows(spec: FieldSpec, rows, column_labels,
-                  provenance: Optional[CodeProvenance] = None) -> "LinearCode":
-        """The code spanned by rows, a k x n array-like of packed elements.
+    def from_rows(spec: FieldSpec, rows, column_labels) -> "LinearCode":
+        """The code spanned by rows, a k x n array-like of packed elements,
+        with no provenance.
 
         Raises ValueError when a row's length is not the number of column
         labels or an entry lies outside [0, q).
@@ -151,7 +162,7 @@ class LinearCode:
             raise ValueError(f"entries must be packed elements of {spec!r}, "
                              f"integers in [0, {spec.order})")
         reduced, _ = _kernel(spec).rref(mat)
-        return _code_from_packed(spec, reduced, column_labels, provenance)
+        return _code_from_packed(spec, reduced, column_labels)
 
     def __eq__(self, other):
         if not isinstance(other, LinearCode):
@@ -234,8 +245,9 @@ def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
 
     The rows are the values at D of the L(G) basis that ``functions``
     reads off the row reduction of the monomial values at G's simple zeros
-    (affine places with coefficient -1). A D of more than ``MAX_CODE_LENGTH``
-    places raises ValueError.
+    (affine places with coefficient -1). The code carries
+    ``CodeProvenance(curve, D, G)``; no other constructor sets one. A D of
+    more than ``MAX_CODE_LENGTH`` places raises ValueError.
     """
     D, places = _resolve_D(curve, D)
     n = len(places)
@@ -256,12 +268,11 @@ def build_code(curve: KummerCurve, D, G: Divisor) -> LinearCode:
     if G.degree >= n:
         raise ValueError(f"deg G = {G.degree} must be below n = {n}")
     rows = _basis_rows(curve, G, places)[-1]
-    code = LinearCode.from_rows(curve.field, rows, places,
-                                provenance=CodeProvenance(curve, D, G))
+    code = LinearCode.from_rows(curve.field, rows, places)
     if code.k != len(rows):
         raise RuntimeError(
             "evaluation lost rank; this cannot happen while deg G < n")
-    return code
+    return _code_from_packed(curve.field, code.matrix, places, CodeProvenance(curve, D, G))
 
 
 def dual(code: LinearCode) -> LinearCode:
@@ -488,34 +499,122 @@ def construction_divisors(kind: str, curve: KummerCurve) -> list:
 
 @dataclass(frozen=True)
 class MinDistanceResult:
+    """``route`` names what proved an exact d: "goppa-witness" or
+    "enumeration"; it is None when d is not exact."""
     d: Optional[int]
     exact: bool
     designed_bound: Optional[int]
+    route: Optional[str] = None
 
 
 def min_distance(code: LinearCode, budget: int = DEFAULT_MINDIST_BUDGET) -> MinDistanceResult:
-    """Exact minimum weight by message enumeration, within a workload budget.
+    """Exact minimum weight from a witness at the Goppa bound or by message
+    enumeration, each route within a workload budget.
 
-    When q^k <= budget, visits one message per 1-dimensional subspace, the
-    one whose first nonzero digit is 1: (q^k - 1)/(q - 1) words, since scalar
+    A code from ``build_code`` is C(D, G) with deg G < n, so every nonzero
+    word weighs at least n - deg G, the Goppa bound, reported as the designed
+    bound. First, while k + C(k, 2)(q - 1) <= budget, ``_witness_scan`` reads
+    the words of the messages of weight 1 and 2 on the pivot rows; one on
+    the bound proves d = n - deg G, once ``_check_witness`` has formed it
+    again and confirmed its weight and its zero product with the dual basis
+    (a failed check raises RuntimeError). Otherwise, when q^k <= budget, the
+    enumeration visits one message per 1-dimensional subspace, the one whose
+    first nonzero digit is 1: (q^k - 1)/(q - 1) words, since scalar
     multiples share a weight. The RREF generator copies a message onto its k
     pivot columns, so a word weighs as much as its message plus message . R,
-    R the generator on its n - k non-pivot columns. Otherwise reports only the
-    designed bound n - deg G, flagged inexact. A budget above
-    ``MAX_MINDIST_BUDGET`` raises ValueError.
+    R the generator on its n - k non-pivot columns. A code with no
+    provenance has no bound and only the enumeration. Past both routes, d is
+    None, flagged inexact. A budget above ``MAX_MINDIST_BUDGET`` raises
+    ValueError.
     """
     if budget > MAX_MINDIST_BUDGET:
         raise ValueError(f"budget {budget} is above the cap "
                          f"MAX_MINDIST_BUDGET = 2^32 = {MAX_MINDIST_BUDGET}")
     if code.k == 0:
         raise ValueError("the zero code has no minimum distance")
+    q, k = code.field.order, code.k
     designed = None
     if code.provenance is not None:
         designed = code.n - code.provenance.G.degree
-    if code.field.order ** code.k > budget:
+        if k + math.comb(k, 2) * (q - 1) <= budget:
+            weight, message = _witness_scan(code, designed)
+            if weight <= designed:
+                _check_witness(code, weight, message, designed)
+                return MinDistanceResult(d=designed, exact=True, designed_bound=designed,
+                                         route="goppa-witness")
+    if q ** k > budget:
         return MinDistanceResult(d=None, exact=False, designed_bound=designed)
     return MinDistanceResult(d=_min_weight_enum(code), exact=True,
-                             designed_bound=designed)
+                             designed_bound=designed, route="enumeration")
+
+
+def _witness_scan(code: LinearCode, stop: int = 0) -> Tuple[int, Tuple[int, int, int]]:
+    """Least weight over the messages of weight 1 and 2 whose first nonzero
+    digit is 1, and one message (i, j, c) that reaches it: the word
+    G_i + c * G_j, with j = i and c = 0 for a message of weight 1. Stops at
+    the first block whose least weight is at most ``stop``.
+
+    With R the generator on its w = n - k non-pivot columns, G_i weighs
+    1 + w less the zeros of R_i, and G_i + c * G_j (i < j, c != 0) weighs
+    2 + w less its zeros on R: the columns where R_i = R_j = 0, and the
+    columns where c = -R_i / R_j. That ratio is a difference of logs mod q - 1, so one
+    ``bincount`` of the pairs in a block counts the zeros of every c at once.
+    A ratio costs up to 32 bytes at once (int32 logs, masks, the intp index
+    that ``bincount`` takes, int64 counts), so a block holds at most
+    ``_MINDIST_TABLE_CELLS`` / 32 of them: about as many bytes as the
+    enumeration's tables of one-byte cells.
+    """
+    kern, gen = _kernel(code.field), code.matrix
+    k, n = gen.shape
+    width, units = n - k, kern.units
+    rest = np.delete(gen, (gen != 0).argmax(axis=1), axis=1)
+    zero = rest == 0
+    row_zeros = zero.sum(axis=1)
+    lead = int(row_zeros.argmax())
+    best = 1 + width - int(row_zeros[lead]), (lead, lead, 0)
+    if best[0] <= stop:
+        return best
+    # logs of -R and of R, narrow: their difference mod q - 1 is log c
+    neg_log = kern.log[kern.neg[rest]].astype(np.int32)
+    row_log = kern.log[rest].astype(np.int32)
+    bins = units + 1
+    first, second = np.triu_indices(k, 1)
+    step = max(1, _MINDIST_TABLE_CELLS // (32 * max(width, bins)))
+    for start in range(0, len(first), step):
+        i, j = first[start:start + step], second[start:start + step]
+        ratio = neg_log[i] - row_log[j]
+        ratio %= units
+        # bin ``units`` of each pair takes the columns where R_i or R_j is 0
+        zero_i, zero_j = zero[i], zero[j]
+        ratio[zero_i | zero_j] = units
+        ratio += (np.arange(len(i), dtype=np.int32) * bins)[:, None]
+        counts = np.bincount(ratio.ravel(), minlength=len(i) * bins).reshape(len(i), bins)
+        scalar = counts[:, :units].argmax(axis=1)
+        agree = counts[np.arange(len(i)), scalar] + (zero_i & zero_j).sum(axis=1)
+        at = int(agree.argmax())
+        weight = 2 + width - int(agree[at])
+        if weight < best[0]:
+            best = weight, (int(i[at]), int(j[at]), int(kern.exp[scalar[at]]))
+            if weight <= stop:
+                break
+    return best
+
+
+def _check_witness(code: LinearCode, weight: int, message: Tuple[int, int, int],
+                   bound: int) -> None:
+    """Form the word of ``message`` again with the kernel's add and mul, and
+    raise RuntimeError unless it weighs ``weight``, lies in the code by a
+    zero product with the null basis read off the generator, and does not
+    fall below the Goppa bound."""
+    kern, gen = _kernel(code.field), code.matrix
+    i, j, c = message
+    word = kern.add(gen[i], kern.mul(c, gen[j]))
+    if (np.count_nonzero(word) != weight
+            or kern.dot_t(word[None, :], _null_basis(kern, gen)).any()):
+        raise RuntimeError(f"the witness G_{i} + {c} * G_{j} fails its re-check")
+    if weight < bound:
+        raise RuntimeError(f"a word of weight {weight} lies below the Goppa bound "
+                           f"{bound}")
 
 
 def _min_weight_enum(code: LinearCode) -> int:

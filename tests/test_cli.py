@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from kummer_lcd import (builtin_curve, load_curve_spec, lub_closure_membership, parse_divisor,
-                        parse_function)
+from kummer_lcd import (builtin_curve, construction_divisors, format_divisor, load_curve_spec,
+                        lub_closure_membership, parse_divisor, parse_function)
 from kummer_lcd import cli, curves, gf
 from kummer_lcd.cli import main
 from kummer_lcd.codes import DEFAULT_MINDIST_BUDGET
@@ -773,6 +773,35 @@ def test_mindist_counts_past_255_columns(capsys):
                                  "designed_bound": 336}
 
 
+@pytest.mark.parametrize("curve, construction, d, bound", [
+    ("hermitian-q3", "hermitian", 13, 13), ("hermitian-q4", "hermitian", 39, 39),
+    ("hermitian-q5", "hermitian", 86, 86), ("curve1-q4", "curve1", 13, 13),
+    ("hermitian-q7", "hermitian", None, 267)])
+def test_mindist_of_the_construction_codes_past_the_budget(capsys, curve, construction, d,
+                                                           bound):
+    # q^k is far above the default budget; a word on the Goppa bound proves d
+    # up to q = 5, and on [336, 49] over GF(49) no message of weight 1 or 2
+    # reaches the bound 267
+    curve = builtin_curve(curve)
+    for G in construction_divisors(construction, curve):
+        report = run_json(capsys, "code", "mindist", "--curve", curve.label,
+                          "--G", format_divisor(G))
+        results = report["results"]
+        assert curve.field.order ** results["k"] > DEFAULT_MINDIST_BUDGET
+        assert (results["d"], results["exact"], results["designed_bound"]) == \
+            (d, d is not None, bound)
+
+
+def test_failed_witness_check_exits_1_with_a_message(capsys, monkeypatch):
+    from kummer_lcd import codes
+    scan = codes._witness_scan
+    monkeypatch.setattr(codes, "_witness_scan",
+                        lambda code, stop: (scan(code, stop)[0] - 1, scan(code, stop)[1]))
+    code, out, err = run_cli(capsys, "code", "mindist", "--curve", "hermitian-q4",
+                             "--G", "8*P2")
+    assert (code, out) == (1, "") and "self-check failed" in err and "re-check" in err
+
+
 def test_failed_self_check_exits_1_with_a_message(capsys, monkeypatch):
     import kummer_lcd.cli
 
@@ -939,8 +968,10 @@ PINNED_DIGESTS = {
         (0, "d5d2c285d513aa98f1eee4b8c230d56595aeb17873c777f505f71320f94a534e"),
     "code hull --curve hermitian-q3 --G 1*P1+2*P2+8*P3":
         (0, "e39aff13c0009c480f06ffacb43dc0bae7670fbc5671cf836c767524ccf068c8"),
+    # q^k = 9^9 is above the budget; a generator row of weight 13, on the
+    # Goppa bound, proves d = 13
     "code mindist --curve hermitian-q3 --G 1*P1+2*P2+8*P3":
-        (0, "148761b35eef74d199f90a2858175a0c06444b183400acbdc4bd47a660ba62e0"),
+        (0, "0f412e0bb0f2ac19d9eddccdfe76782c8717891ccd1b72cde8cabc284d561b45"),
     "code mindist --curve hermitian-q2 --G 3*Pinf+1*P1 --pretty":
         (0, "3eeb8fe3dceb88b45d3bd51bb8ae267ece0cbc0358281c42d4809fef2bf151cc"),
     "code lcd-check --construction hermitian --q 3":

@@ -106,6 +106,20 @@ def head_loop_min_weight(code):
     return best
 
 
+def low_weight_min_weight(code):
+    """Second route to the witness scan: the least weight over the messages
+    of weight 1 and 2 whose first nonzero digit is 1, each word G_i + c * G_j
+    formed in full with the kernel's add, one pair at a time."""
+    kern = _kernel(code.field)
+    gen = code.matrix
+    scalars = np.arange(1, code.field.order)
+    best = int(np.count_nonzero(gen, axis=1).min())
+    for i, j in itertools.combinations(range(code.k), 2):
+        words = kern.add(gen[i][None, :], kern.mul(scalars[:, None], gen[j][None, :]))
+        best = min(best, int(np.count_nonzero(words, axis=1).min()))
+    return best
+
+
 def stacked_nullspace_hull(code):
     """Second route: the hull as the kernel of C-dual stacked on C.
 
@@ -886,7 +900,8 @@ def test_min_distance_matches_full_enumeration_on_bundled_curves(family):
         small = _small_codes(curve, 1 << 16)
         assert small, curve.label
         for code in small:
-            assert min_distance(code).d == full_enumeration_min_weight(code), \
+            want = full_enumeration_min_weight(code)
+            assert min_distance(code).d == codes._min_weight_enum(code) == want, \
                 (curve.label, code.provenance.G)
 
 
@@ -906,7 +921,8 @@ def test_head_loop_matches_full_enumeration(q, monkeypatch, family):
     cases += [code for curve in family if curve.field.order == q
               for code in _small_codes(curve, 1 << 14)]
     for code in cases:
-        assert min_distance(code).d == full_enumeration_min_weight(code)
+        assert min_distance(code).d == codes._min_weight_enum(code) == \
+            full_enumeration_min_weight(code)
 
 
 def _edge_codes(q, rng):
@@ -960,18 +976,20 @@ def test_min_distance_counts_agreements_past_255(q):
 
 
 def test_min_distance_table_stays_under_the_cap(h3, monkeypatch):
-    # uncapped, this [24, 6] code over GF(9) holds 9^4 x 18 table cells
+    # uncapped, this [24, 6] code over GF(9) holds 9^4 x 18 table cells; its
+    # d = 16 is on the Goppa bound, so min_distance would take the witness
+    # route, and the enumeration is called directly
     code = build_code(h3, h3.standard_D(), Divisor.of(Place.infinity(), 8))
     assert code.k == 6
     cap = 1 << 12
     monkeypatch.setattr(codes, "_MINDIST_TABLE_CELLS", cap)
     tracemalloc.start()
     try:
-        d = min_distance(code).d
+        d = codes._min_weight_enum(code)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert d == 16
+    assert d == 16 == min_distance(code).d
     # 64 KiB: the tail, a block of heads and its comparison array hold at
     # most cap cells each, and a sum-table index 8 bytes a cell
     assert peak < 4 * cap * 4
@@ -983,17 +1001,98 @@ def test_min_distance_matches_full_enumeration_on_drawn_curves(case):
     curve, G = case
     code = build_code(curve, curve.standard_D(), G)
     assume(0 < code.k and curve.field.order ** code.k <= 1 << 14)
-    assert min_distance(code).d == full_enumeration_min_weight(code)
+    result = min_distance(code)
+    assert result.d == full_enumeration_min_weight(code) == codes._min_weight_enum(code)
+    # the witness route is taken exactly when a word on the Goppa bound has
+    # a message of weight 1 or 2
+    witness = low_weight_min_weight(code) == code.n - G.degree
+    assert result.route == ("goppa-witness" if witness else "enumeration")
 
 
-def test_min_distance_budget_gate_boundary(h3):
-    code = build_code(h3, h3.standard_D(), Divisor.of(Place.infinity(), 6))
-    words = h3.field.order ** code.k
+def test_min_distance_budget_gate_boundary(h4):
+    # d = 52 is one above the Goppa bound 51, so no witness exists and the
+    # enumeration decides; the 4 + 6 * 15 = 94 word scan fits both budgets
+    code = build_code(h4, h4.standard_D(), parse_divisor(h4, "3*P1+1*P4+5*P3"))
+    words = h4.field.order ** code.k
     exact = min_distance(code, budget=words)
-    assert exact.exact and exact.d == full_enumeration_min_weight(code)
+    assert exact.exact and exact.route == "enumeration"
+    assert exact.d == full_enumeration_min_weight(code) == 52
     gated = min_distance(code, budget=words - 1)
-    assert gated.d is None and not gated.exact
-    assert gated.designed_bound == exact.designed_bound == code.n - 6
+    assert gated.d is None and not gated.exact and gated.route is None
+    assert gated.designed_bound == exact.designed_bound == code.n - 9 == 51
+
+
+@pytest.mark.parametrize("G, d, route", [("8*P2", 52, "goppa-witness"),
+                                         ("3*P1+1*P4+5*P3", 52, "enumeration")])
+def test_min_distance_routes_are_pinned(h4, G, d, route):
+    code = build_code(h4, h4.standard_D(), parse_divisor(h4, G))
+    result = min_distance(code)
+    assert (result.d, result.exact, result.route) == (d, True, route)
+    assert (low_weight_min_weight(code) == result.designed_bound) == (route == "goppa-witness")
+
+
+@pytest.mark.parametrize("cap", [None, 64])
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 25, 27])
+def test_witness_scan_matches_the_pair_oracle(q, cap, monkeypatch):
+    # a 64-cell cap puts one pair in each block of the ratio count
+    if cap is not None:
+        monkeypatch.setattr(codes, "_MINDIST_TABLE_CELLS", cap)
+    rng = random.Random(7000 + q)
+    cases = _edge_codes(q, rng) + _random_codes(q, rng, count=6, max_words=q ** 14)
+    for code in cases:
+        weight, (i, j, c) = codes._witness_scan(code)
+        assert weight == low_weight_min_weight(code), (code, code.matrix.tolist())
+        kern = _kernel(code.field)
+        word = kern.add(code.matrix[i], kern.mul(c, code.matrix[j]))
+        assert np.count_nonzero(word) == weight and (i == j) == (c == 0)
+
+
+def test_witness_scan_stays_under_the_cap(monkeypatch):
+    # the q = 5 construction code, [120, 25] over GF(25): a word on the
+    # bound has weight 1, so the full scan runs without its stop; uncapped,
+    # its 300 pairs x 95 columns take one block of about 490 kB
+    curve = builtin_curve("hermitian-q5")
+    code = build_code(curve, curve.standard_D(), construction_divisors("hermitian", curve)[0])
+    assert (code.n, code.k) == (120, 25)
+    cap = 1 << 17
+    monkeypatch.setattr(codes, "_MINDIST_TABLE_CELLS", cap)
+    tracemalloc.start()
+    try:
+        weight, _ = codes._witness_scan(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weight == low_weight_min_weight(code) == 86
+    # a block holds cap / 32 ratios of at most 32 bytes each; the logs and
+    # the zero mask of R, 25 x 95 cells, come on top at up to 32 bytes a cell
+    assert peak < cap + 32 * code.k * (code.n - code.k)
+
+
+def test_a_witness_that_fails_its_recheck_raises(h4, monkeypatch):
+    code = build_code(h4, h4.standard_D(), parse_divisor(h4, "8*P2"))
+    weight, message = codes._witness_scan(code, 52)
+    assert weight == 52
+    monkeypatch.setattr(codes, "_witness_scan", lambda code, stop: (weight - 1, message))
+    with pytest.raises(RuntimeError, match="re-check"):
+        min_distance(code)
+    # a "dual" row e_l at a column l where the witness is nonzero
+    kern, (i, j, c) = _kernel(h4.field), message
+    word = kern.add(code.matrix[i], kern.mul(c, code.matrix[j]))
+    unit = np.eye(code.n, dtype=code.matrix.dtype)[[int(word.nonzero()[0][0])]]
+    monkeypatch.setattr(codes, "_null_basis", lambda kern, gen: unit)
+    monkeypatch.setattr(codes, "_witness_scan", lambda code, stop: (weight, message))
+    with pytest.raises(RuntimeError, match="re-check"):
+        min_distance(code)
+
+
+def test_a_word_below_the_goppa_bound_raises(h4):
+    # a provenance whose G is two degrees short of the code's own puts the
+    # bound at 54, above the generator row of weight 53
+    code = build_code(h4, h4.standard_D(), parse_divisor(h4, "8*P2"))
+    short = codes.CodeProvenance(h4, code.provenance.D, parse_divisor(h4, "6*P2"))
+    forged = codes._code_from_packed(h4.field, code.matrix, code.column_labels, short)
+    with pytest.raises(RuntimeError, match="weight 53 lies below the Goppa bound 54"):
+        min_distance(forged)
 
 
 def test_min_distance_refuses_a_budget_above_the_cap(h2):
