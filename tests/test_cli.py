@@ -795,8 +795,12 @@ def test_mindist_of_the_construction_codes_past_the_budget(capsys, curve, constr
 def test_failed_witness_check_exits_1_with_a_message(capsys, monkeypatch):
     from kummer_lcd import codes
     scan = codes._witness_scan
-    monkeypatch.setattr(codes, "_witness_scan",
-                        lambda code, stop: (scan(code, stop)[0] - 1, scan(code, stop)[1]))
+
+    def one_short(code, stop):
+        weight, message = scan(code, stop)
+        return weight - 1, message
+
+    monkeypatch.setattr(codes, "_witness_scan", one_short)
     code, out, err = run_cli(capsys, "code", "mindist", "--curve", "hermitian-q4",
                              "--G", "8*P2")
     assert (code, out) == (1, "") and "self-check failed" in err and "re-check" in err
