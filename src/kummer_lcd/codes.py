@@ -11,8 +11,8 @@ rows appear only when ``LinearCode.generator`` is read, for printing.
 ``build_code`` tests an explicit D with ``curve.is_on_curve``; the standard D
 (one per curve) is the curve's own point list. The dual has dimension n - k,
 and its matrix comes from one elimination on min(k, n - k) rows. Duality is
-always established numerically, by orthogonality plus the dimension count,
-never assumed from a formula.
+decided, never assumed from a formula: an RREF basis is unique, so C(D, H)
+is the dual of C(D, G) exactly when ``dual(C(D, G)) == C(D, H)``.
 
 The hull dimension is the nullity of one Gram matrix B * B^T, B a basis of
 the smaller of C and C-dual (Massey's criterion: for a full-rank B,
@@ -323,12 +323,8 @@ def is_lcd(code: LinearCode) -> bool:
 
 
 def is_self_orthogonal(code: LinearCode) -> bool:
-    return _orthogonal(code, code)
-
-
-def _orthogonal(a: LinearCode, b: LinearCode) -> bool:
-    """Whether G_a . G_b^T vanishes."""
-    return not _kernel(a.field).dot_t(a.matrix, b.matrix).any()
+    """C lies in C-dual exactly when Hull(C) = C."""
+    return hull(code).k == code.k
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +333,13 @@ def _orthogonal(a: LinearCode, b: LinearCode) -> bool:
 def verify_hull_theorem(curve: KummerCurve, D, G: Divisor, H: Divisor) -> dict:
     """Check numerically that Hull(C(D,G)) = C(D, gcd(G, H)).
 
-    Requires C(D,H) to be the Euclidean dual of C(D,G); anything else means H
-    is not the dual partner and is reported as an error.
+    Requires ``dual(C(D,G)) == C(D,H)``; anything else means H is not the
+    dual partner and raises ValueError.
     """
     D, places = _resolve_D(curve, D)
     code_G = build_code(curve, places, G)
     code_H = build_code(curve, places, H)
-    duality = _orthogonal(code_G, code_H) and code_G.k + code_H.k == code_G.n
-    if not duality:
+    if dual(code_G) != code_H:
         raise ValueError("C(D,H) is not the dual of C(D,G); wrong partner divisor")
     g = curve.genus
     n = code_G.n
@@ -449,10 +444,11 @@ def lcd_construct_maxcur(curve: KummerCurve, G: Divisor,
     """Build C(standard_D, G) plus a certificate that it is LCD.
 
     Every hypothesis (family membership, degree windows, gcd of degree g - 1
-    and non-special) and every conclusion (numeric duality, trivial hull) is
-    recomputed; a failing hypothesis comes back as a False flag rather than
-    an exception, with no LCD claim. C(D, G) and C(D, H) are built only when
-    deg G, and then deg H, lie in [0, n); otherwise duality is not verified.
+    and non-special) and every conclusion (``dual(C(D, G)) == C(D, H)``,
+    trivial hull) is recomputed; a failing hypothesis comes back as a False
+    flag rather than an exception, with no LCD claim. C(D, G) and C(D, H)
+    are built only when deg G, and then deg H, lie in [0, n); otherwise
+    duality is not verified.
     On a supported family, a G with an affine place in its support raises
     ValueError, as in dual_partner_divisor: it is invalid input, not a flag.
     """
@@ -471,8 +467,7 @@ def lcd_construct_maxcur(curve: KummerCurve, G: Divisor,
     checks["gcd_nonspecial"] = is_nonspecial(curve, A)
     code = build_code(curve, D, G) if 0 <= G.degree < n else None
     code_H = build_code(curve, D, H) if code is not None and 0 <= H.degree < n else None
-    checks["duality_verified"] = (code_H is not None and _orthogonal(code, code_H)
-                                  and code.k + code_H.k == n)
+    checks["duality_verified"] = code_H is not None and dual(code) == code_H
     checks["hull_trivial"] = code is not None and hull(code).k == 0
     return code, LcdCertificate(G=G, H=H, gcdGH=A, checks=checks, family=family)
 
@@ -500,11 +495,14 @@ def construction_divisors(kind: str, curve: KummerCurve) -> list:
 @dataclass(frozen=True)
 class MinDistanceResult:
     """``route`` names what proved an exact d: "goppa-witness" or
-    "enumeration"; it is None when d is not exact."""
+    "enumeration"; it is None when d is not exact, and ``exact`` reads it."""
     d: Optional[int]
-    exact: bool
     designed_bound: Optional[int]
     route: Optional[str] = None
+
+    @property
+    def exact(self) -> bool:
+        return self.route is not None
 
 
 def min_distance(code: LinearCode, budget: int = DEFAULT_MINDIST_BUDGET) -> MinDistanceResult:
@@ -540,12 +538,12 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_MINDIST_BUDGET) -> MinD
             weight, message = _witness_scan(code, designed)
             if weight <= designed:
                 _check_witness(code, weight, message, designed)
-                return MinDistanceResult(d=designed, exact=True, designed_bound=designed,
+                return MinDistanceResult(d=designed, designed_bound=designed,
                                          route="goppa-witness")
     if q ** k > budget:
-        return MinDistanceResult(d=None, exact=False, designed_bound=designed)
-    return MinDistanceResult(d=_min_weight_enum(code), exact=True,
-                             designed_bound=designed, route="enumeration")
+        return MinDistanceResult(d=None, designed_bound=designed)
+    return MinDistanceResult(d=_min_weight_enum(code), designed_bound=designed,
+                             route="enumeration")
 
 
 def _witness_scan(code: LinearCode, stop: int = 0) -> Tuple[int, Tuple[int, int, int]]:

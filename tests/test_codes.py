@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import math
 import pickle
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from kummer_lcd import codes
 from kummer_lcd.codes import MAX_MINDIST_BUDGET, _kernel
 from kummer_lcd.curves import AFFINE, builtin_curve, gcd_divisor, hermitian_curve
 from kummer_lcd.gf import format_element_pretty
-from test_properties import SETTINGS, curves_with_divisor
+from test_properties import SETTINGS, curves_with_divisor, divisors
 
 
 def full_enumeration_min_weight(code):
@@ -118,6 +120,17 @@ def low_weight_min_weight(code):
         words = kern.add(gen[i][None, :], kern.mul(scalars[:, None], gen[j][None, :]))
         best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return best
+
+
+def product_is_dual(code, other):
+    """Second route to duality: G * H^T = 0 and k + k_H = n, the check that
+    the comparison with the canonical form of the dual replaced."""
+    return (not _kernel(code.field).dot_t(code.matrix, other.matrix).any()
+            and code.k + other.k == code.n)
+
+
+def product_is_self_orthogonal(code):
+    return not _kernel(code.field).dot_t(code.matrix, code.matrix).any()
 
 
 def stacked_nullspace_hull(code):
@@ -614,6 +627,16 @@ def test_self_orthogonal_toy_code(h2):
     assert hull(C).k == C.k
 
 
+@SETTINGS
+@given(curves_with_divisor())
+def test_self_orthogonality_matches_the_product(case):
+    curve, G = case
+    code = build_code(curve, curve.standard_D(), G)
+    assert is_self_orthogonal(hull(code)) and product_is_self_orthogonal(hull(code))
+    for c in (code, dual(code)):
+        assert is_self_orthogonal(c) == product_is_self_orthogonal(c)
+
+
 def test_verify_hull_theorem_hermitian(h2):
     report = verify_hull_theorem(h2, h2.standard_D(),
                                  parse_divisor(h2, "3*Pinf+1*P1"),
@@ -648,6 +671,66 @@ def test_verify_hull_theorem_wrong_partner(h2):
         verify_hull_theorem(h2, h2.standard_D(),
                             parse_divisor(h2, "3*Pinf+1*P1"),
                             parse_divisor(h2, "1*P1+2*P2"))
+
+
+def test_duality_routes_agree_on_construction_partners(h2, h3, h4, c1, c2):
+    # H = K - G is the dual; H - Pinf is a subcode of it, one dimension
+    # short, and H - Pinf + P1 has its dimension but is not orthogonal
+    inf, P1 = Divisor.of(Place.infinity()), Divisor.of(Place.ramified(1))
+    checked = Counter()
+    for kind, curve in (("hermitian", h2), ("hermitian", h3), ("hermitian", h4),
+                        ("curve1", c1), ("curve2", c2)):
+        D = curve.standard_D()
+        for G in construction_divisors(kind, curve):
+            code = build_code(curve, D, G)
+            H = dual_partner_divisor(curve, G)
+            for name, partner in (("H", H), ("H-Pinf", H - inf), ("H-Pinf+P1", H - inf + P1)):
+                if not 0 <= partner.degree < D.degree:
+                    continue
+                code_H = build_code(curve, D, partner)
+                want, where = name == "H", (curve.label, format_divisor(G), name)
+                assert (dual(code) == code_H) is want, where
+                assert product_is_dual(code, code_H) is want, where
+                checked[name] += 1
+    assert checked == {"H": 8, "H-Pinf": 8, "H-Pinf+P1": 8}
+
+
+@SETTINGS
+@given(curves_with_divisor(), st.data())
+def test_duality_routes_agree_on_drawn_curves(case, data):
+    curve, G = case
+    D = curve.standard_D()
+    code = build_code(curve, D, G)
+    other = build_code(curve, D, data.draw(divisors(curve)))
+    partner = dual(code)
+    assert dual(code) == partner and product_is_dual(code, partner)
+    assert (dual(code) == other) == product_is_dual(code, other)
+
+
+@pytest.mark.parametrize("shift", ["move", "drop"])
+def test_a_wrong_partner_certificate_reports_no_duality(h3, monkeypatch, shift):
+    # move one unit of H from Pinf to P1 (same k_H, not orthogonal), or drop
+    # one unit at Pinf (k_H one short); both codes are still built
+    inf, P1 = Divisor.of(Place.infinity()), Divisor.of(Place.ramified(1))
+    wrong = codes._partner_total(h3) - inf + (P1 if shift == "move" else Divisor.zero())
+    constructions = construction_divisors("hermitian", h3)
+    monkeypatch.setattr(codes, "_partner_total", lambda curve: wrong)
+    build = codes.build_code
+    built = []
+
+    def recorded(curve, D, G):
+        built.append(G)
+        return build(curve, D, G)
+
+    monkeypatch.setattr(codes, "build_code", recorded)
+    for G in constructions:
+        built.clear()
+        code, cert = lcd_construct_maxcur(h3, G)
+        assert cert.H == wrong - G and built == [G, cert.H]
+        code_H = build(h3, h3.standard_D(), cert.H)
+        assert code_H.k == code.n - code.k - (shift == "drop")
+        assert cert.checks["duality_verified"] is False and cert.lcd is False
+        assert cert.checks["hull_trivial"]
 
 
 def test_dual_partner_examples(h2, c1):
@@ -833,6 +916,12 @@ def test_min_distance_budget_flag(h2):
     C = build_code(h2, h2.standard_D(), parse_divisor(h2, "3*Pinf+1*P1"))
     res = min_distance(C, budget=4)
     assert res.d is None and not res.exact and res.designed_bound == 2
+
+
+def test_min_distance_exact_is_read_off_the_route():
+    assert "exact" not in {f.name for f in dataclasses.fields(codes.MinDistanceResult)}
+    assert codes.MinDistanceResult(d=3, designed_bound=3, route="enumeration").exact
+    assert not codes.MinDistanceResult(d=None, designed_bound=3).exact
 
 
 def test_designed_distance_bound(family):

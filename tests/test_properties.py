@@ -43,15 +43,21 @@ def curves(draw):
 
 
 @st.composite
-def curves_with_divisor(draw):
-    curve = draw(curves())
+def divisors(draw, curve):
+    """A G on the ramified places and Pinf with 2g - 2 < deg G < n."""
     g, n = curve.genus, len(curve.affine_places())
     assume(2 * g - 1 < n)
     degree = draw(st.integers(2 * g - 1, n - 1))
     ram = [draw(st.integers(-curve.m, 2 * curve.m)) for _ in range(curve.r)]
     coeffs = {Place.ramified(i): c for i, c in enumerate(ram, start=1)}
     coeffs[Place.infinity()] = degree - sum(ram)
-    return curve, Divisor(coeffs)
+    return Divisor(coeffs)
+
+
+@st.composite
+def curves_with_divisor(draw):
+    curve = draw(curves())
+    return curve, draw(divisors(curve))
 
 
 @SETTINGS
