@@ -330,23 +330,24 @@ def is_self_orthogonal(code: LinearCode) -> bool:
 # ---------------------------------------------------------------------------
 # hull theorem verification and the maximal-family LCD construction
 
-def verify_hull_theorem(curve: KummerCurve, D, G: Divisor, H: Divisor) -> dict:
-    """Check numerically that Hull(C(D,G)) = C(D, gcd(G, H)).
+def verify_hull_theorem(code_G: LinearCode, code_H: LinearCode) -> dict:
+    """Check numerically that Hull(C(D,G)) = C(D, gcd(G, H)), for C(D,G) and
+    C(D,H) from ``build_code``; curve, D, G and H are read off their provenance.
 
     Requires ``dual(C(D,G)) == C(D,H)``; anything else means H is not the
-    dual partner and raises ValueError.
+    dual partner and raises ValueError, as does a code with no provenance.
     """
-    D, places = _resolve_D(curve, D)
-    code_G = build_code(curve, places, G)
-    code_H = build_code(curve, places, H)
+    if code_G.provenance is None or code_H.provenance is None:
+        raise ValueError("both codes must come from build_code")
     if dual(code_G) != code_H:
         raise ValueError("C(D,H) is not the dual of C(D,G); wrong partner divisor")
+    curve, G, H = code_G.provenance.curve, code_G.provenance.G, code_H.provenance.G
     g = curve.genus
     n = code_G.n
     A = gcd_divisor(G, H)
     hull_code = hull(code_G)
     gcd_nonspecial = is_nonspecial(curve, A)
-    gcd_code = build_code(curve, places, A)
+    gcd_code = build_code(curve, code_G.column_labels, A)
     report = {
         "n": n,
         "dim_G": code_G.k,

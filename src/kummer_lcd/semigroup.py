@@ -7,7 +7,7 @@ two independent ways: through least upper bounds of generators, and through
 the dimension-jump criterion ell(A) = ell(A - P_j) + 1 for every j. L(A)
 splits into m components whose sizes are floor sums (``functions``), and
 dropping one pole at P_j changes only the component t = -alpha_j mod m, by
-one; so the criterion reads every j off one size profile. The test suite
+one; so the criterion reads those l component sizes alone. The test suite
 checks the two routes agree box-exhaustively. alpha is 0 or a lub of generators
 iff each alpha_i > 0 is attained by a generator gamma <= alpha, gamma_i = alpha_i:
 (=>) the generators of a lub lie below it, and alpha_i is the largest gamma_i;
@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .curves import AFFINE, RAMIFIED, Divisor, KummerCurve, Place
-from .functions import _component_sizes
 
 __all__ = [
     "enumerate_nonspecial_degree_g",
@@ -100,12 +99,19 @@ def _compositions(total: int, parts: int):
 
 
 def _check_query(curve: KummerCurve, places: Sequence[int], alpha: Sequence[int]) -> tuple:
-    """alpha as a tuple of ints, once places and alpha pass every check."""
+    """alpha as a tuple of ints, once places and alpha pass every check.
+
+    A query that fails the whole-tuple test runs the checks one by one, so the
+    first failing check gives the message."""
     try:
+        places, alpha = tuple(places), tuple(alpha)
         places, alpha = tuple(map(operator.index, places)), tuple(map(operator.index, alpha))
     except TypeError:
         raise ValueError(f"place indices and alpha entries must be integers, "
-                         f"got {tuple(places)} and {tuple(alpha)}") from None
+                         f"got {places} and {alpha}") from None
+    if (places and len(set(places)) == len(places) == len(alpha)
+            and 1 <= min(places) and max(places) <= curve.r and min(alpha) >= 0):
+        return alpha
     if len(set(places)) != len(places):
         raise ValueError("places must be distinct")
     for i in places:
@@ -123,12 +129,19 @@ def semigroup_membership_oracle(curve: KummerCurve, places: Sequence[int],
 
     alpha belongs to the semigroup iff dropping any one chosen place from
     A = sum_j alpha_j P_ij lowers ell by exactly one. Dropping P_ij changes
-    only the component t = -alpha_j mod m of L(A), whose size falls by one,
-    so ell falls exactly when that component is nonempty.
+    only the component t = -alpha_j mod m of L(A), whose size
+    1 + sum_i floor((alpha_i + t) / m) + floor(-r t / m) falls by one, so ell
+    falls exactly when that size is at least one: l floor sums, O(l^2).
     """
     alpha = _check_query(curve, places, alpha)
-    sizes = _component_sizes(curve, alpha, 0)
-    return all(sizes[-a % curve.m] >= 1 for a in alpha)
+    m, r = curve.m, curve.r
+    for t in [-a % m for a in alpha]:
+        size = 1 + (-r * t) // m
+        for a in alpha:
+            size += (a + t) // m
+        if size < 1:
+            return False
+    return True
 
 
 def _gamma_in_box(curve: KummerCurve, l: int, bound: int) -> list:
@@ -181,19 +194,27 @@ def _semigroup_box(curve: KummerCurve, l: int, bound: int) -> np.ndarray:
 
 def lub_closure_membership(curve: KummerCurve, places: Sequence[int],
                            alpha: Sequence[int]) -> bool:
-    """Membership via least upper bounds of minimal generators."""
+    """Membership via least upper bounds of minimal generators.
+
+    A grid already built for (r, m, l) that covers alpha answers at once: the
+    tuple-size range and the box cap depend on r, m, l and the bound alone, so
+    they held when it was built; the field-size bound is tested per curve.
+    """
     alpha = _check_query(curve, places, alpha)
-    l = len(places)
-    if not 1 <= l < curve.field.order:
-        raise ValueError("tuple size must be positive and below the field size")
-    if l > _max_tuple_size(curve):
-        raise ValueError(
-            f"tuple size {l} outside the supported range 1..{_max_tuple_size(curve)}")
-    bound = max(alpha)
-    if (bound + 1) ** l > MAX_BOX_CELLS:
-        raise ValueError(f"box [0, {bound}]^{l} has {(bound + 1) ** l} cells, "
-                         f"above the cap of {MAX_BOX_CELLS}")
-    return bool(_semigroup_box(curve, l, bound)[tuple(alpha)])
+    l = len(alpha)
+    grid = _BOXES.get((curve.r, curve.m, l))
+    if grid is None or len(grid) <= max(alpha) or l >= curve.field.order:
+        if not 1 <= l < curve.field.order:
+            raise ValueError("tuple size must be positive and below the field size")
+        if l > _max_tuple_size(curve):
+            raise ValueError(
+                f"tuple size {l} outside the supported range 1..{_max_tuple_size(curve)}")
+        bound = max(alpha)
+        if (bound + 1) ** l > MAX_BOX_CELLS:
+            raise ValueError(f"box [0, {bound}]^{l} has {(bound + 1) ** l} cells, "
+                             f"above the cap of {MAX_BOX_CELLS}")
+        grid = _semigroup_box(curve, l, bound)
+    return bool(grid[alpha])
 
 
 def is_nonspecial_gns(curve: KummerCurve, A: Divisor) -> bool:

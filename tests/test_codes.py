@@ -637,19 +637,22 @@ def test_self_orthogonality_matches_the_product(case):
         assert is_self_orthogonal(c) == product_is_self_orthogonal(c)
 
 
+def hull_report(curve, G, H):
+    D = curve.standard_D()
+    return verify_hull_theorem(build_code(curve, D, G), build_code(curve, D, H))
+
+
 def test_verify_hull_theorem_hermitian(h2):
-    report = verify_hull_theorem(h2, h2.standard_D(),
-                                 parse_divisor(h2, "3*Pinf+1*P1"),
-                                 parse_divisor(h2, "1*P1+2*P2-1*Pinf"))
+    report = hull_report(h2, parse_divisor(h2, "3*Pinf+1*P1"),
+                         parse_divisor(h2, "1*P1+2*P2-1*Pinf"))
     assert report["hull_trivial"] and report["gcd_degree"] == 0
     assert report["gcd_degree_is_g_minus_1"] and report["gcd_nonspecial"]
     assert report["hull_matches_gcd_code"]
 
 
 def test_verify_hull_theorem_example1(c1):
-    report = verify_hull_theorem(c1, c1.standard_D(),
-                                 parse_divisor(c1, "4*Pinf+12*P1-1*P2"),
-                                 parse_divisor(c1, "2*P1+15*P2"))
+    report = hull_report(c1, parse_divisor(c1, "4*Pinf+12*P1-1*P2"),
+                         parse_divisor(c1, "2*P1+15*P2"))
     assert report["gcd"] == "2*P1-1*P2"
     assert report["gcd_degree"] == c1.genus - 1
     assert report["hull_trivial"]
@@ -660,17 +663,19 @@ def test_verify_hull_theorem_nontrivial_hull(h2):
     # of nonnegative degree, exercising the non-LCD branch
     G = Divisor.of(Place.infinity(), 1)
     H = dual_partner_divisor(h2, G)
-    report = verify_hull_theorem(h2, h2.standard_D(), G, H)
+    report = hull_report(h2, G, H)
     assert report["gcd_nonspecial"]
     assert report["hull_dimension"] == 1
     assert report["hull_matches_gcd_code"]
 
 
 def test_verify_hull_theorem_wrong_partner(h2):
-    with pytest.raises(ValueError):
-        verify_hull_theorem(h2, h2.standard_D(),
-                            parse_divisor(h2, "3*Pinf+1*P1"),
-                            parse_divisor(h2, "1*P1+2*P2"))
+    with pytest.raises(ValueError, match="wrong partner divisor"):
+        hull_report(h2, parse_divisor(h2, "3*Pinf+1*P1"), parse_divisor(h2, "1*P1+2*P2"))
+    # the dual of a built code has no provenance to read G or H off
+    code = build_code(h2, h2.standard_D(), parse_divisor(h2, "3*Pinf+1*P1"))
+    with pytest.raises(ValueError, match="both codes must come from build_code"):
+        verify_hull_theorem(code, dual(code))
 
 
 def test_duality_routes_agree_on_construction_partners(h2, h3, h4, c1, c2):

@@ -3,29 +3,36 @@
 A drawn spec is a prime p, an extension degree k, a set of r roots in
 GF(p^k), and an exponent m coprime to r and to p. The divisor G lives on the
 ramified places and Pinf, with degree in the window 2g - 2 < deg G < n.
-Semigroup points lie in a box [0, b]^l with b <= 2m, and the text forms of
+Semigroup points lie in a box [0, b]^l with b <= 3m, on drawn curves, on the
+six bundled ones, and, for the dimension-jump oracle against the full size
+profile, on a stand-in with only r, m <= 40. The text forms of
 elements, divisors and functions must parse back to equal objects. An exact
 minimum distance lies between the Goppa and Singleton bounds. An L(G) basis
 with simple zeros matches the monomial-by-monomial route of test_functions.
 """
 
 import math
+from types import SimpleNamespace
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from kummer_lcd import (GF, Divisor, FunctionElement, KummerCurve, Place,
-                        build_code, dual, ell, format_divisor, format_element,
-                        format_function, hull, hull_dimension_by_rank,
+                        build_code, builtin_curve, dual, ell, format_divisor,
+                        format_element, format_function, hull, hull_dimension_by_rank,
                         lub_closure_membership, min_distance, parse_divisor,
                         parse_element, parse_function, principal_divisor, riemann_roch_basis,
                         semigroup_membership_oracle)
-from kummer_lcd.functions import _times_roots
+from kummer_lcd.functions import _component_sizes, _times_roots
 from test_functions import basis_by_monomials, times_roots_by_factors
 from test_semigroup import box_matches_fold, jump_count_oracle
 
 # field sizes up to 27 keep a drawn curve at a few hundred points
 FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
+
+# the six curves of conftest's family, by their builtin names
+BUNDLED = ["hermitian-q2", "hermitian-q3", "hermitian-q4", "curve1-q4", "curve2-q2-r3",
+           "norm-trace-q2-r3"]
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -120,6 +127,32 @@ def test_membership_oracle_agrees_with_the_jump_count(curve, data):
         for alpha in data.draw(st.lists(point, min_size=1, max_size=6)):
             assert (semigroup_membership_oracle(curve, places, alpha)
                     == jump_count_oracle(curve, places, alpha))
+
+
+@SETTINGS
+@given(st.integers(1, 40), st.integers(1, 40), st.data())
+def test_the_oracle_reads_the_size_profile_at_the_jumped_components(r, m, data):
+    # the oracle and the size profile read nothing of a curve but r and m
+    curve = SimpleNamespace(r=r, m=m)
+    l = data.draw(st.integers(1, r))
+    places = tuple(data.draw(st.permutations(range(1, r + 1)))[:l])
+    point = st.tuples(*[st.integers(0, 3 * m)] * l)
+    for alpha in data.draw(st.lists(point, min_size=1, max_size=6)):
+        sizes = _component_sizes(curve, alpha, 0)
+        assert (semigroup_membership_oracle(curve, places, alpha)
+                == all(sizes[-a % m] >= 1 for a in alpha)), (r, m, places, alpha)
+
+
+@SETTINGS
+@given(st.sampled_from(BUNDLED), st.data())
+def test_lub_closure_agrees_with_the_oracle_on_bundled_curves(label, data):
+    curve = builtin_curve(label)
+    l = data.draw(st.integers(1, curve.r - curve.r // curve.m))
+    places = tuple(data.draw(st.permutations(range(1, curve.r + 1)))[:l])
+    point = st.tuples(*[st.integers(0, 3 * curve.m)] * l)
+    for alpha in data.draw(st.lists(point, min_size=1, max_size=6)):
+        assert (lub_closure_membership(curve, places, alpha)
+                == semigroup_membership_oracle(curve, places, alpha)), (label, places, alpha)
 
 
 @SETTINGS

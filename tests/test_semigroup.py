@@ -116,6 +116,12 @@ def test_membership_oracle_counts_the_dimension_jumps(family):
     ((1, 2), (1, -1), "alpha entries must be nonnegative"),
     ((1, 2), (1.5, 2), "place indices and alpha entries must be integers, got (1, 2) and (1.5, 2)"),
     ((1.0, 2), (1, 2), "place indices and alpha entries must be integers"),
+    (5, (1,), "place indices and alpha entries must be integers, got 5 and (1,)"),
+    ((1,), 5, "place indices and alpha entries must be integers, got (1,) and 5"),
+    # a query failing two checks gets the message of the first
+    ((4, 4), (1, 1), "places must be distinct"),
+    ((1, 4), (1,), "ramified index 4 out of range 1..3"),
+    ((1, 2), (-1,), "alpha and places must have the same length"),
 ])
 def test_membership_routes_refuse_a_bad_query(h3, route, places, alpha, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -126,6 +132,26 @@ def test_membership_routes_take_numpy_integers(h3):
     places, alpha = np.array([1, 2]), np.array([2, 2])
     assert semigroup_membership_oracle(h3, places, alpha) == lub_closure_membership(
         h3, places, alpha) == jump_count_oracle(h3, (1, 2), (2, 2))
+    places, alpha = (True, np.int16(3)), [np.uint8(5), False]
+    assert semigroup_membership_oracle(h3, places, alpha) == lub_closure_membership(
+        h3, places, alpha) == jump_count_oracle(h3, (1, 3), (5, 0))
+
+
+def test_lub_closure_refuses_a_tuple_size_it_cannot_answer(monkeypatch, h2):
+    monkeypatch.setattr(semigroup, "_BOXES", {})
+    assert semigroup_membership_oracle(h2, (), ())
+    with pytest.raises(ValueError, match="tuple size must be positive and below the field size"):
+        lub_closure_membership(h2, (), ())
+    r5 = KummerCurve(GF(7), [0, 1, 2, 3, 4], 3)
+    assert lub_closure_membership(r5, (1, 2, 3, 4), (1, 1, 1, 1))
+    with pytest.raises(ValueError, match=re.escape("tuple size 5 outside the supported range 1..4")):
+        lub_closure_membership(r5, (1, 2, 3, 4, 5), (1, 1, 1, 1, 1))
+    # y(y + 1) = x^3 over GF(2) shares (r, m) with hermitian-q2, whose grid for
+    # l = 2 answers its query, but l = 2 is not below its field size
+    gf2 = KummerCurve(GF(2), [0, 1], 3)
+    assert lub_closure_membership(h2, (1, 2), (4, 4))
+    with pytest.raises(ValueError, match="below the field size"):
+        lub_closure_membership(gf2, (1, 2), (1, 1))
 
 
 def test_lub_closure_examples(h2, h3):
