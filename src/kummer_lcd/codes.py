@@ -331,8 +331,8 @@ def is_self_orthogonal(code: LinearCode) -> bool:
 # hull theorem verification and the maximal-family LCD construction
 
 def verify_hull_theorem(code_G: LinearCode, code_H: LinearCode) -> dict:
-    """Check numerically that Hull(C(D,G)) = C(D, gcd(G, H)), for C(D,G) and
-    C(D,H) from ``build_code``; curve, D, G and H are read off their provenance.
+    """Check numerically that Hull(C(D,G)) = C(D, gcd(G, H)) for C(D,G) and
+    C(D,H) from ``build_code``, read off their provenance and columns.
 
     Requires ``dual(C(D,G)) == C(D,H)``; anything else means H is not the
     dual partner and raises ValueError, as does a code with no provenance.
