@@ -101,24 +101,22 @@ def _compositions(total: int, parts: int):
 def _check_query(curve: KummerCurve, places: Sequence[int], alpha: Sequence[int]) -> tuple:
     """alpha as a tuple of ints, once places and alpha pass every check.
 
-    A query that fails the whole-tuple test runs the checks one by one, so the
-    first failing check gives the message."""
+    The checks run in a fixed order on whole tuples, so the first failing
+    check gives the message."""
     try:
         places, alpha = tuple(places), tuple(alpha)
         places, alpha = tuple(map(operator.index, places)), tuple(map(operator.index, alpha))
     except TypeError:
         raise ValueError(f"place indices and alpha entries must be integers, "
                          f"got {places} and {alpha}") from None
-    if (places and len(set(places)) == len(places) == len(alpha)
-            and 1 <= min(places) and max(places) <= curve.r and min(alpha) >= 0):
-        return alpha
     if len(set(places)) != len(places):
         raise ValueError("places must be distinct")
-    for i in places:
-        curve.ramified_index(i)
+    if places and not (1 <= min(places) and max(places) <= curve.r):
+        for i in places:
+            curve.ramified_index(i)
     if len(alpha) != len(places):
         raise ValueError("alpha and places must have the same length")
-    if any(a < 0 for a in alpha):
+    if alpha and min(alpha) < 0:
         raise ValueError("alpha entries must be nonnegative")
     return alpha
 
@@ -194,27 +192,19 @@ def _semigroup_box(curve: KummerCurve, l: int, bound: int) -> np.ndarray:
 
 def lub_closure_membership(curve: KummerCurve, places: Sequence[int],
                            alpha: Sequence[int]) -> bool:
-    """Membership via least upper bounds of minimal generators.
-
-    A grid already built for (r, m, l) that covers alpha answers at once: the
-    tuple-size range and the box cap depend on r, m, l and the bound alone, so
-    they held when it was built; the field-size bound is tested per curve.
-    """
+    """Membership via least upper bounds of minimal generators."""
     alpha = _check_query(curve, places, alpha)
-    l = len(alpha)
-    grid = _BOXES.get((curve.r, curve.m, l))
-    if grid is None or len(grid) <= max(alpha) or l >= curve.field.order:
-        if not 1 <= l < curve.field.order:
-            raise ValueError("tuple size must be positive and below the field size")
-        if l > _max_tuple_size(curve):
-            raise ValueError(
-                f"tuple size {l} outside the supported range 1..{_max_tuple_size(curve)}")
-        bound = max(alpha)
-        if (bound + 1) ** l > MAX_BOX_CELLS:
-            raise ValueError(f"box [0, {bound}]^{l} has {(bound + 1) ** l} cells, "
-                             f"above the cap of {MAX_BOX_CELLS}")
-        grid = _semigroup_box(curve, l, bound)
-    return bool(grid[alpha])
+    l = len(places)
+    if not 1 <= l < curve.field.order:
+        raise ValueError("tuple size must be positive and below the field size")
+    if l > _max_tuple_size(curve):
+        raise ValueError(
+            f"tuple size {l} outside the supported range 1..{_max_tuple_size(curve)}")
+    bound = max(alpha)
+    if (bound + 1) ** l > MAX_BOX_CELLS:
+        raise ValueError(f"box [0, {bound}]^{l} has {(bound + 1) ** l} cells, "
+                         f"above the cap of {MAX_BOX_CELLS}")
+    return bool(_semigroup_box(curve, l, bound)[alpha])
 
 
 def is_nonspecial_gns(curve: KummerCurve, A: Divisor) -> bool:
