@@ -115,6 +115,7 @@ def test_membership_oracle_counts_the_dimension_jumps(family):
     ((1, 2), (1,), "alpha and places must have the same length"),
     ((1, 2), (1, -1), "alpha entries must be nonnegative"),
     ((1, 2), (1.5, 2), "place indices and alpha entries must be integers, got (1, 2) and (1.5, 2)"),
+    ([1, 2], [1.5, 2], "place indices and alpha entries must be integers, got (1, 2) and (1.5, 2)"),
     ((1.0, 2), (1, 2), "place indices and alpha entries must be integers"),
     (5, (1,), "place indices and alpha entries must be integers, got 5 and (1,)"),
     ((1,), 5, "place indices and alpha entries must be integers, got (1,) and 5"),
