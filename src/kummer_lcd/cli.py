@@ -168,9 +168,11 @@ def cmd_semigroup(args) -> Report:
 def cmd_nonspecial(args) -> Report:
     curve = _resolve_curve(args.curve)
     if args.degree == "g":
+        if args.minus is not None:
+            raise ParseError("--minus applies to --degree g-1 only")
         divisor = nonspecial_degree_g(curve)
     else:
-        P = parse_place(curve, args.minus or "Pinf")
+        P = parse_place(curve, args.minus if args.minus is not None else "Pinf")
         divisor = nonspecial_degree_g_minus_1(curve, P)
     return Report({"curve": args.curve, "degree": args.degree, "minus": args.minus}, {
         "divisor": format_divisor(divisor),

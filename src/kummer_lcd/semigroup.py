@@ -39,7 +39,7 @@ __all__ = [
     "semigroup_multiplicity",
 ]
 
-# lub_closure_membership refuses boxes (bound + 1)^l with more cells (16 MB).
+# _semigroup_box refuses to build boxes (bound + 1)^l with more cells (16 MB).
 MAX_BOX_CELLS = 1 << 24
 # gamma_plus_multi refuses generating sets with more vectors, counted first
 MAX_GENERATORS = 1 << 18
@@ -169,12 +169,15 @@ def _semigroup_box(curve: KummerCurve, l: int, bound: int) -> np.ndarray:
     """H(P_1..P_l) on [0, B]^l for some B >= bound, as a read-only boolean grid
     whose restriction to [0, bound]^l is H there. alpha is in H iff each alpha_i > 0
     is attained (module docstring): axis i keeps alpha_i = 0 and the generators'
-    prefix ORs along every other axis.
+    prefix ORs along every other axis. A box to build above MAX_BOX_CELLS is refused.
     """
     key = (curve.r, curve.m, l)
     grid = _BOXES.get(key)
     if grid is not None and grid.shape[0] > bound:
         return grid
+    if (bound + 1) ** l > MAX_BOX_CELLS:
+        raise ValueError(f"box [0, {bound}]^{l} has {(bound + 1) ** l} cells, "
+                         f"above the cap of {MAX_BOX_CELLS}")
     gens = np.array(_gamma_in_box(curve, l, bound), dtype=np.intp).reshape(-1, l)
     grid = np.ones((bound + 1,) * l, dtype=bool)
     attained = np.empty_like(grid)
@@ -192,19 +195,13 @@ def _semigroup_box(curve: KummerCurve, l: int, bound: int) -> np.ndarray:
 
 def lub_closure_membership(curve: KummerCurve, places: Sequence[int],
                            alpha: Sequence[int]) -> bool:
-    """Membership via least upper bounds of minimal generators."""
+    """Membership via least upper bounds of minimal generators, for 1 <= l <= r - floor(r/m)."""
     alpha = _check_query(curve, places, alpha)
     l = len(places)
-    if not 1 <= l < curve.field.order:
-        raise ValueError("tuple size must be positive and below the field size")
-    if l > _max_tuple_size(curve):
+    if not 1 <= l <= _max_tuple_size(curve):
         raise ValueError(
             f"tuple size {l} outside the supported range 1..{_max_tuple_size(curve)}")
-    bound = max(alpha)
-    if (bound + 1) ** l > MAX_BOX_CELLS:
-        raise ValueError(f"box [0, {bound}]^{l} has {(bound + 1) ** l} cells, "
-                         f"above the cap of {MAX_BOX_CELLS}")
-    return bool(_semigroup_box(curve, l, bound)[alpha])
+    return bool(_semigroup_box(curve, l, max(alpha))[alpha])
 
 
 def is_nonspecial_gns(curve: KummerCurve, A: Divisor) -> bool:

@@ -495,6 +495,23 @@ def test_semigroup_empty_tuple_is_a_parse_error(capsys):
     assert err.startswith("parse error: --tuple '': ")
 
 
+@pytest.mark.parametrize("minus_arg", ["garbage", "P3", "Pinf", ""])
+def test_nonspecial_degree_g_refuses_a_minus(capsys, minus_arg):
+    code, out, err = run_cli(capsys, "nonspecial", "--curve", "hermitian-q3",
+                             "--degree", "g", f"--minus={minus_arg}")
+    assert code == 2 and out == ""
+    assert err == "parse error: --minus applies to --degree g-1 only\n"
+
+
+@pytest.mark.parametrize("minus_arg", ["", " "])
+def test_nonspecial_empty_minus_is_a_parse_error(capsys, minus_arg):
+    # an empty --minus reaches the place parser, as a blank one does
+    code, out, err = run_cli(capsys, "nonspecial", "--curve", "hermitian-q3",
+                             "--degree", "g-1", f"--minus={minus_arg}")
+    assert code == 2 and out == ""
+    assert err == f"parse error: bad place {minus_arg!r}\n"
+
+
 @pytest.mark.parametrize("tuple_arg", ["a,b", "1,9", "1,2"])
 def test_semigroup_gaps_refuses_a_tuple(capsys, tuple_arg):
     code, out, err = run_cli(capsys, "semigroup", "gaps", "--curve", "hermitian-q2",

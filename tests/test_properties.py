@@ -11,6 +11,7 @@ minimum distance lies between the Goppa and Singleton bounds. An L(G) basis
 with simple zeros matches the monomial-by-monomial route of test_functions.
 """
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -19,10 +20,11 @@ from hypothesis import strategies as st
 
 from kummer_lcd import (GF, Divisor, FunctionElement, KummerCurve, Place,
                         build_code, builtin_curve, dual, ell, format_divisor,
-                        format_element, format_function, hull, hull_dimension_by_rank,
-                        lub_closure_membership, min_distance, parse_divisor,
-                        parse_element, parse_function, principal_divisor, riemann_roch_basis,
-                        semigroup_membership_oracle)
+                        format_element, format_function, gamma_plus_multi, gap_set_single,
+                        hull, hull_dimension_by_rank, is_nonspecial_gns,
+                        lub_closure_membership, min_distance, nonspecial_degree_g,
+                        parse_divisor, parse_element, parse_function, principal_divisor,
+                        riemann_roch_basis, semigroup, semigroup_membership_oracle)
 from kummer_lcd.functions import _component_sizes, _times_roots
 from test_functions import basis_by_monomials, times_roots_by_factors
 from test_semigroup import box_matches_fold, jump_count_oracle
@@ -107,8 +109,7 @@ def test_min_distance_lies_between_goppa_and_singleton(case):
 @SETTINGS
 @given(curves(), st.data())
 def test_lub_closure_agrees_with_the_oracle(curve, data):
-    top = min(curve.r, curve.r - curve.r // curve.m, curve.field.order - 1)
-    l = data.draw(st.integers(1, top))
+    l = data.draw(st.integers(1, curve.r - curve.r // curve.m))
     places = tuple(sorted(data.draw(st.sets(st.integers(1, curve.r),
                                             min_size=l, max_size=l))))
     bound = data.draw(st.integers(0, 2 * curve.m))
@@ -141,6 +142,45 @@ def test_the_oracle_reads_the_size_profile_at_the_jumped_components(r, m, data):
         sizes = _component_sizes(curve, alpha, 0)
         assert (semigroup_membership_oracle(curve, places, alpha)
                 == all(sizes[-a % m] >= 1 for a in alpha)), (r, m, places, alpha)
+
+
+def _primes_above(r, m):
+    """The two smallest primes p > r with p not dividing m."""
+    primes = (p for p in itertools.count(r + 1)
+              if all(p % d for d in range(2, p)) and m % p)
+    return next(primes), next(primes)
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(1, 9), st.data())
+def test_semigroup_answers_do_not_depend_on_the_field(r, m, data):
+    # the same r roots 0..r-1 over two prime fields: one (r, m), two curves
+    assume(math.gcd(r, m) == 1)
+    pair = [KummerCurve(GF(p), range(r), m) for p in _primes_above(r, m)]
+    window = r - r // m
+
+    def answers(curve):
+        A = nonspecial_degree_g(curve)
+        return (gap_set_single(curve),
+                [gamma_plus_multi(curve, l) for l in range(2, window + 1)],
+                A, is_nonspecial_gns(curve, A))
+
+    assert answers(pair[0]) == answers(pair[1])
+    assert answers(pair[0])[3]
+    if not window:
+        return
+    l = data.draw(st.integers(1, window))
+    places = tuple(data.draw(st.permutations(range(1, r + 1)))[:l])
+    # at most 2^14 cells a box
+    point = st.tuples(*[st.integers(0, min(3 * m, int(2 ** (14 / l)) - 1))] * l)
+    alphas = data.draw(st.lists(point, min_size=1, max_size=6))
+    for curve in pair:
+        # the grid cache is keyed by (r, m, l): each curve builds its own
+        semigroup._BOXES.clear()
+        for alpha in alphas:
+            assert (lub_closure_membership(curve, places, alpha)
+                    == semigroup_membership_oracle(curve, places, alpha)), (
+                curve.label, places, alpha)
 
 
 @SETTINGS

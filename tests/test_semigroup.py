@@ -14,7 +14,8 @@ from kummer_lcd import (GF, Divisor, KummerCurve, Place, builtin_curve, ell,
                         semigroup_membership_oracle, semigroup_multiplicity)
 from kummer_lcd import semigroup
 from kummer_lcd.functions import _ell_fast
-from kummer_lcd.semigroup import MAX_BOX_CELLS, _gamma_in_box, _semigroup_box
+from kummer_lcd.semigroup import (MAX_BOX_CELLS, _gamma_in_box, _max_tuple_size,
+                                  _semigroup_box)
 from test_functions import term_sum_ell
 
 
@@ -141,18 +142,41 @@ def test_membership_routes_take_numpy_integers(h3):
 def test_lub_closure_refuses_a_tuple_size_it_cannot_answer(monkeypatch, h2):
     monkeypatch.setattr(semigroup, "_BOXES", {})
     assert semigroup_membership_oracle(h2, (), ())
-    with pytest.raises(ValueError, match="tuple size must be positive and below the field size"):
+    with pytest.raises(ValueError, match=re.escape("tuple size 0 outside the supported range 1..2")):
         lub_closure_membership(h2, (), ())
     r5 = KummerCurve(GF(7), [0, 1, 2, 3, 4], 3)
     assert lub_closure_membership(r5, (1, 2, 3, 4), (1, 1, 1, 1))
     with pytest.raises(ValueError, match=re.escape("tuple size 5 outside the supported range 1..4")):
         lub_closure_membership(r5, (1, 2, 3, 4, 5), (1, 1, 1, 1, 1))
-    # y(y + 1) = x^3 over GF(2) shares (r, m) with hermitian-q2, whose grid for
-    # l = 2 answers its query, but l = 2 is not below its field size
+    # y(y + 1) = x^3 over GF(2) shares (r, m) with hermitian-q2, so the field
+    # does not bound l: both answer from the grid the oracle agrees with
     gf2 = KummerCurve(GF(2), [0, 1], 3)
-    assert lub_closure_membership(h2, (1, 2), (4, 4))
-    with pytest.raises(ValueError, match="below the field size"):
-        lub_closure_membership(gf2, (1, 2), (1, 1))
+    for curve in (gf2, h2):
+        assert lub_closure_membership(curve, (1, 2), (1, 1))
+        assert semigroup_membership_oracle(curve, (1, 2), (1, 1))
+
+
+def test_lub_closure_answers_tuples_that_fill_the_field(monkeypatch):
+    # r = q roots fill GF(q) and q < m, so the window 1..r - floor(r/m) runs up to l = q
+    cases = 0
+    for q in (2, 3, 4, 5, 7):
+        field = GF(q)
+        for m in range(q + 1, q + 5):
+            if math.gcd(q, m) != 1:
+                continue
+            curve = KummerCurve(field, field.elements(), m)
+            monkeypatch.setattr(semigroup, "_BOXES", {})
+            assert _max_tuple_size(curve) == q
+            for l in range(1, q + 1):
+                places = tuple(range(q - l + 1, q + 1))
+                bound = round(1000 ** (1 / l)) - 1  # about a thousand points a box
+                # descending, so the first query builds the whole box
+                for alpha in itertools.product(range(bound, -1, -1), repeat=l):
+                    assert (lub_closure_membership(curve, places, alpha)
+                            == semigroup_membership_oracle(curve, places, alpha)), (
+                        q, m, places, alpha)
+            cases += 1
+    assert cases == 15
 
 
 def test_lub_closure_examples(h2, h3):
