@@ -165,8 +165,8 @@ def test_semigroup_answers_do_not_depend_on_the_field(r, m, data):
                 [gamma_plus_multi(curve, l) for l in range(2, window + 1)],
                 A, is_nonspecial_gns(curve, A))
 
-    assert answers(pair[0]) == answers(pair[1])
-    assert answers(pair[0])[3]
+    first, second = map(answers, pair)
+    assert first == second and first[3]
     if not window:
         return
     l = data.draw(st.integers(1, window))
