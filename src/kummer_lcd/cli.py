@@ -305,13 +305,18 @@ def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command in _COMMANDS, built on the first main() call
     and reused (parse_args leaves it unchanged). Handlers are stored by name,
     and main looks each up when its call runs, so a handler rebound later is
-    reached. Options are named in full: no parser takes a prefix."""
+    reached. Options are named in full: no parser takes a prefix.
+
+    Its ``leaves`` map the words of each command, as ("code", "mindist") or
+    ("semigroup",), to the command's own parser, which holds those words as
+    defaults too: alone, it gives the namespace that the whole tree gives."""
     parser = argparse.ArgumentParser(
         prog="kummer-lcd", allow_abbrev=False,
         description="Evaluation codes, hulls, and LCD constructions on "
                     "Kummer-type curves.")
     sub = parser.add_subparsers(dest="command", required=True)
     groups: dict = {}
+    parser.leaves = {}
     for group, group_help, name, handler, options in _COMMANDS:
         if group not in groups:
             command = sub.add_parser(group, allow_abbrev=False, help=group_help)
@@ -320,8 +325,26 @@ def _build_parser() -> argparse.ArgumentParser:
             command = groups[group].add_parser(name, allow_abbrev=False)
         for option, kwargs in options + (_PRETTY,):
             command.add_argument(option, **kwargs)
-        command.set_defaults(handler=handler)
+        command.set_defaults(handler=handler, command=group, **({"what": name} if name else {}))
+        parser.leaves[(group, name) if name else (group,)] = command
     return parser
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The namespace of argv, parsed by the parser its first words name.
+
+    Above a command's own parser, the tree only hands it the words that
+    follow, so the two parse alike, help and argparse errors included. The
+    whole tree parses argv when its first words name no command, and when
+    the command's parser leaves words over, whose error the tree prints."""
+    parser = _build_parser()
+    for words in (tuple(argv[:2]), tuple(argv[:1])):
+        if words in parser.leaves:
+            args, extra = parser.leaves[words].parse_known_args(argv[len(words):])
+            if not extra:
+                return args
+            break
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -329,7 +352,7 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 2, -1, -1):  # "--G -1*Pinf" reads as "--G=-1*Pinf"
         if argv[i] in ("--G", "--divisor", "--minus") and re.match(r"-[\dP]", argv[i + 1]):
             argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     command = " ".join(filter(None, (args.command, getattr(args, "what", None))))
     try:
         report = globals()[args.handler](args)

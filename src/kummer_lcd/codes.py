@@ -521,7 +521,10 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_MINDIST_BUDGET) -> MinD
     first nonzero digit is 1: (q^k - 1)/(q - 1) words, since scalar
     multiples share a weight. The RREF generator copies a message onto its k
     pivot columns, so a word weighs as much as its message plus message . R,
-    R the generator on its n - k non-pivot columns. A code with no
+    R the generator on its n - k non-pivot columns, which both routes keep
+    by a boolean mask; the witness scan reads the pairs i < j in row-major
+    order off the mask i < j too, with no numpy index helper, whose fixed
+    cost outweighs the scan at small k. A code with no
     provenance has no bound and only the enumeration. Past both routes, d is
     None, flagged inexact. A budget above ``MAX_MINDIST_BUDGET`` raises
     ValueError.
@@ -566,7 +569,7 @@ def _witness_scan(code: LinearCode, stop: int = 0) -> Tuple[int, Tuple[int, int,
     kern, gen = _kernel(code.field), code.matrix
     k, n = gen.shape
     width, units = n - k, kern.units
-    rest = np.delete(gen, (gen != 0).argmax(axis=1), axis=1)
+    rest = _non_pivot_columns(gen)
     zero = rest == 0
     row_zeros = zero.sum(axis=1)
     lead = int(row_zeros.argmax())
@@ -577,7 +580,7 @@ def _witness_scan(code: LinearCode, stop: int = 0) -> Tuple[int, Tuple[int, int,
     neg_log = kern.log[kern.neg[rest]].astype(np.int32)
     row_log = kern.log[rest].astype(np.int32)
     bins = units + 1
-    first, second = np.triu_indices(k, 1)
+    first, second = _pairs(k)
     step = max(1, _MINDIST_TABLE_CELLS // (32 * max(width, bins)))
     for start in range(0, len(first), step):
         i, j = first[start:start + step], second[start:start + step]
@@ -597,6 +600,19 @@ def _witness_scan(code: LinearCode, stop: int = 0) -> Tuple[int, Tuple[int, int,
             if weight <= stop:
                 break
     return best
+
+
+def _pairs(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of 0..k-1 in row-major order, as np.triu_indices(k, 1)
+    lists them, read off the mask i < j."""
+    return (np.arange(k)[:, None] < np.arange(k)).nonzero()
+
+
+def _non_pivot_columns(gen: np.ndarray) -> np.ndarray:
+    """An RREF generator on its n - k non-pivot columns, in order."""
+    free = np.ones(gen.shape[1], dtype=bool)
+    free[(gen != 0).argmax(axis=1)] = False
+    return gen.compress(free, axis=1)
 
 
 def _check_witness(code: LinearCode, weight: int, message: Tuple[int, int, int],
@@ -639,7 +655,7 @@ def _min_weight_enum(code: LinearCode) -> int:
     gen = code.matrix
     k, n = gen.shape
     width = n - k
-    rest = np.delete(gen, (gen != 0).argmax(axis=1), axis=1)
+    rest = _non_pivot_columns(gen)
     neg_rest = kern.neg[rest]
     scalars = np.arange(q, dtype=kern.dtype)
 

@@ -558,7 +558,7 @@ def parse_divisor(curve: KummerCurve, text: str) -> Divisor:
     s = text.strip()
     if s == "0":
         return Divisor.zero()
-    total, sign, pieces = Divisor.zero(), 1, _split_top(s, "[+-]")
+    terms, sign, pieces = [], 1, _split_top(s, "[+-]")
     for cut, term in zip(["+"] + pieces[1::2], pieces[::2]):
         # a run of signs multiplies out, as in +-1*P1; a trailing sign is dropped
         sign *= -1 if cut == "-" else 1
@@ -566,6 +566,6 @@ def parse_divisor(curve: KummerCurve, text: str) -> Divisor:
         if term:
             coeff_text, place_text = term.split("*", 1) if "*" in term else ("1", term)
             coeff = _parse_int(coeff_text.strip(), f"bad divisor coefficient in {term!r}")
-            total = total + Divisor.of(parse_place(curve, place_text), sign * coeff)
+            terms.append((parse_place(curve, place_text), sign * coeff))
             sign = 1
-    return total
+    return Divisor(terms)  # sums the coefficients of a repeated place

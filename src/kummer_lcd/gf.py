@@ -713,9 +713,13 @@ class _Kernel:
         return (m if lanes is None else lanes.dec.take(m)), pivots
 
     def null_basis(self, reduced: np.ndarray, pivots) -> np.ndarray:
-        """Unreduced basis e_f - sum_p R[p, f] e_p (f free) of { v : R . v = 0 }, R an RREF."""
+        """Unreduced basis e_f - sum_p R[p, f] e_p (f free) of { v : R . v = 0 }, R an RREF.
+        The free columns are those a boolean mask keeps off the pivots, in
+        order: at a few pivots the mask costs a fraction of ``np.delete``."""
         n = reduced.shape[1]
-        free = np.delete(np.arange(n), pivots)
+        free = np.ones(n, dtype=bool)
+        free[pivots] = False
+        free = free.nonzero()[0]
         basis = np.zeros((free.size, n), dtype=self.dtype)
         basis[np.arange(free.size), free] = 1
         basis[:, pivots] = self.neg[reduced[:, free]].T

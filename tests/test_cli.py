@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummer_lcd import (builtin_curve, construction_divisors, format_divisor, load_curve_spec,
                         lub_closure_membership, parse_divisor, parse_function)
@@ -14,7 +18,8 @@ from kummer_lcd import cli, curves, gf
 from kummer_lcd.cli import main
 from kummer_lcd.codes import DEFAULT_MINDIST_BUDGET
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run_cli(capsys, *argv):
@@ -728,6 +733,69 @@ def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     assert runs == [_call(capsys, argv) for argv in sequence]
     assert built
+
+
+COMMAND_WORDS = [(group, name) if name else (group,) for group, _, name, *_ in cli._COMMANDS]
+OPTION_NAMES = sorted({option for *_, options in cli._COMMANDS
+                       for option, _ in options + (cli._PRETTY,) if option.startswith("-")})
+VALUES = ["hermitian-q2", "3*Pinf", "-1*P1", "1", "-5", "0", "x", "gaps", "gamma", "g", "g-1",
+          "hermitian", "maxcur", "1,2", "", "all", "standard", "a b"]
+
+
+@st.composite
+def grammar_argv(draw):
+    """An argv from the words and options of _COMMANDS: exact and misspelt
+    command words, then options with and without values, --opt=value,
+    repeats, junk, -h and --."""
+    words = draw(st.sampled_from(COMMAND_WORDS) | st.sampled_from([
+        (), ("code",), ("cod", "mindist"), ("code", "mindis"), ("Code", "build"),
+        ("semigroups",), ("mindist",), ("code", "--"), ("--", "code", "mindist"),
+        ("-h",), ("code", "-h"), ("--pretty", "curve", "info"), ("code", "mindist", "code")]))
+    option = st.sampled_from(OPTION_NAMES + ["-h", "--help", "--bogus", "-x", "--cur"])
+    token = (option | st.sampled_from(VALUES) | st.sampled_from(["--", "-", "junk"])
+             | st.builds("{}={}".format, option, st.sampled_from(VALUES)))
+    pairs = st.tuples(option, st.sampled_from(VALUES)) | st.tuples(token)
+    return list(words) + [t for pair in draw(st.lists(pairs, max_size=6)) for t in pair]
+
+
+def _parse_outcome(parse, argv):
+    """The namespace of one parse, or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_the_command_parser_parses_as_the_whole_tree(data):
+    """main parses with the parser its first words name; every argv gives
+    the namespace, or the exit code and output, of a freshly built tree."""
+    whole = cli._build_parser.__wrapped__()
+    argv = data.draw(grammar_argv())
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(whole.parse_args, argv)
+
+
+def test_every_bench_argv_takes_its_command_parser(capsys, monkeypatch):
+    """The CLI tasks of perfbench/golden parse with their command's own
+    parser alone: none falls back to the whole tree."""
+    argvs = [task["argv"] for path in sorted((ROOT / "perfbench" / "golden").glob("*.json"))
+             for pool in json.loads(path.read_text())["pools"].values()
+             for task in pool if task["kind"] == "cli"]
+    parser, whole, seen = cli._build_parser(), [], []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: whole.append(argv) or parse_args(argv))
+    for *_, handler, _ in cli._COMMANDS:
+        monkeypatch.setattr(cli, handler, lambda args: seen.append(args) or cli.Report({}, {}))
+    for argv in argvs:
+        assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert len(argvs) > 200 and whole == [] and len(seen) == len(argvs)
+    for args, argv in zip(seen, argvs):  # each reached the handler its words name
+        words = [w for w in (args.command, getattr(args, "what", None)) if w]
+        assert argv[:len(words)] == words
 
 
 def test_importing_the_cli_builds_no_parser():

@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import json
 import math
 import pickle
 import random
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from kummer_lcd.codes import MAX_MINDIST_BUDGET, _kernel
 from kummer_lcd.curves import AFFINE, builtin_curve, gcd_divisor, hermitian_curve
 from kummer_lcd.gf import format_element_pretty
 from test_properties import SETTINGS, curves_with_divisor, divisors
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def full_enumeration_min_weight(code):
@@ -1160,6 +1164,75 @@ def test_witness_scan_stays_under_the_cap(monkeypatch):
     # a block holds cap / 32 ratios of at most 32 bytes each; the logs and
     # the zero mask of R, 25 x 95 cells, come on top at up to 32 bytes a cell
     assert peak < cap + 32 * code.k * (code.n - code.k)
+
+
+def test_the_pairs_are_those_of_triu_indices():
+    for k in range(13):
+        pairs = codes._pairs(k)
+        want = np.triu_indices(k, 1)
+        assert all(got.dtype == w.dtype and np.array_equal(got, w)
+                   for got, w in zip(pairs, want)), k
+
+
+@pytest.mark.parametrize("q", [2, 9, 16, 25])
+def test_the_non_pivot_columns_are_those_np_delete_leaves(q):
+    rng = random.Random(8000 + q)
+    for code in _edge_codes(q, rng) + _random_codes(q, rng, count=6, max_words=q ** 14):
+        gen = code.matrix
+        want = np.delete(gen, (gen != 0).argmax(axis=1), axis=1)
+        got = codes._non_pivot_columns(gen)
+        assert got.dtype == want.dtype and np.array_equal(got, want), gen.tolist()
+
+
+# (weight, message) of the witness scan on each code of the mindist-enum
+# pool, as it stood when the scan still called np.triu_indices and np.delete
+POOL_WITNESSES = {
+    "md-c1-k4/0": (25, (0, 0, 0)), "md-c1-k4/1": (25, (0, 0, 0)),
+    "md-c1-k4/2": (25, (0, 0, 0)), "md-c1-k4/3": (25, (0, 0, 0)),
+    "md-c1-k4/4": (25, (0, 0, 0)), "md-c1-k4/5": (25, (0, 0, 0)),
+    "md-c1-k4/6": (25, (0, 0, 0)), "md-c1-k4/7": (25, (0, 1, 4)),
+    "md-c1-k4/8": (25, (0, 1, 4)), "md-c1-k4/9": (25, (0, 0, 0)),
+    "md-c1-k4/10": (25, (0, 0, 0)), "md-c1-k4/11": (25, (0, 0, 0)),
+    "md-c1-k4/12": (25, (0, 0, 0)), "md-c1-k4/13": (25, (0, 1, 4)),
+    "md-c1-k4/14": (25, (0, 0, 0)), "md-c1-k4/15": (25, (0, 0, 0)),
+    "md-c1-k5/0": (24, (0, 0, 0)), "md-c1-k5/1": (24, (1, 1, 0)),
+    "md-c1-k5/2": (24, (1, 1, 0)), "md-c1-k5/3": (24, (1, 1, 0)),
+    "md-c1-k5/4": (24, (1, 1, 0)), "md-c1-k5/5": (24, (1, 1, 0)),
+    "md-h3-k5/0": (17, (2, 2, 0)), "md-h3-k5/1": (17, (1, 1, 0)),
+    "md-h3-k5/2": (17, (1, 1, 0)), "md-h3-k5/3": (17, (0, 1, 2)),
+    "md-h3-k5/4": (17, (0, 1, 3)), "md-h3-k5/5": (17, (0, 2, 4)),
+    "md-h3-k5/6": (17, (0, 1, 3)), "md-h3-k5/7": (17, (1, 1, 0)),
+    "md-h3-k5/8": (17, (0, 0, 0)), "md-h3-k5/9": (17, (1, 1, 0)),
+    "md-h3-k5/10": (17, (0, 0, 0)), "md-h3-k5/11": (17, (1, 1, 0)),
+    "md-h3-k5/12": (17, (2, 2, 0)), "md-h3-k5/13": (17, (1, 1, 0)),
+    "md-h3-k5/14": (17, (0, 1, 4)), "md-h3-k5/15": (17, (0, 1, 3)),
+    "md-h3-k6/0": (16, (0, 0, 0)), "md-h3-k6/1": (16, (0, 0, 0)),
+    "md-h3-k6/2": (16, (2, 2, 0)), "md-h3-k6/3": (16, (0, 0, 0)),
+    "md-h3-k6/4": (16, (0, 1, 1)), "md-h3-k6/5": (16, (0, 0, 0)),
+    "md-h3-k6/6": (16, (0, 0, 0)), "md-h3-k6/7": (16, (0, 0, 0)),
+    "md-h4-k4/0": (52, (0, 1, 6)), "md-h4-k4/1": (52, (0, 1, 10)),
+    "md-h4-k4/2": (52, (0, 1, 5)), "md-h4-k4/3": (52, (0, 1, 5)),
+    "md-h4-k4/4": (52, (2, 2, 0)), "md-h4-k4/5": (51, (0, 1, 5)),
+    "md-h4-k4/6": (52, (0, 1, 2)), "md-h4-k4/7": (51, (0, 3, 4)),
+    "md-h4-k4/8": (52, (0, 1, 11)), "md-h4-k4/9": (51, (0, 0, 0)),
+    "md-h4-k4/10": (52, (0, 0, 0)), "md-h4-k4/11": (52, (0, 1, 3)),
+    "md-h4-k4/12": (52, (0, 1, 10)), "md-h4-k4/13": (52, (0, 0, 0)),
+    "md-h4-k4/14": (52, (0, 0, 0)), "md-h4-k4/15": (51, (0, 2, 12)),
+}
+
+
+def test_witness_scan_keeps_its_witness_on_every_mindist_pool_code():
+    """So no pool task proves d from a different witness than it did."""
+    golden = json.loads((ROOT / "perfbench" / "golden" / "mindist-enum.json").read_text())
+    got = {}
+    for pool in golden["pools"].values():
+        for task in pool:
+            argv = task["argv"]
+            curve = builtin_curve(argv[argv.index("--curve") + 1])
+            G = parse_divisor(curve, argv[argv.index("--G") + 1])
+            code = build_code(curve, curve.standard_D(), G)
+            got[task["key"].split("/", 1)[1]] = codes._witness_scan(code, code.n - G.degree)
+    assert got == POOL_WITNESSES
 
 
 def test_a_witness_that_fails_its_recheck_raises(h4, monkeypatch):

@@ -590,6 +590,44 @@ def test_null_basis_of_an_rref_matches_nullspace(q):
         assert not kern.dot_t(kern.null_basis(reduced, pivots), mat).any(), label
 
 
+def delete_null_basis(kern, reduced, pivots):
+    """The null basis with its free columns from np.delete, as it was formed
+    before a boolean mask picked them: the oracle of ``null_basis``."""
+    n = reduced.shape[1]
+    free = np.delete(np.arange(n), pivots)
+    basis = np.zeros((free.size, n), dtype=kern.dtype)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = kern.neg[reduced[:, free]].T
+    return basis
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
+def test_null_basis_equals_the_delete_formula(q):
+    kern = _kernel(GF(q))
+    rng = random.Random(5500 + q)
+    cases = [(label, *kern.rref(as_array(rows, n))) for label, rows, n in rref_inputs(q, rng)]
+    cases += [("no-pivots", np.zeros((0, 6), dtype=kern.dtype), []),
+              ("all-pivots", np.eye(6, dtype=kern.dtype), list(range(6))),
+              ("no-columns", np.zeros((0, 0), dtype=kern.dtype), [])]
+    for label, reduced, pivots in cases:
+        # the pivots as rref lists them and as _null_basis reads them off
+        for read in (pivots, (reduced != 0).argmax(axis=1) if reduced.size else []):
+            got, want = kern.null_basis(reduced, read), delete_null_basis(kern, reduced, read)
+            assert got.dtype == want.dtype and np.array_equal(got, want), label
+
+
+@given(st.data())
+def test_null_basis_of_a_drawn_rref_equals_the_delete_formula(data):
+    q = data.draw(st.sampled_from(FIELD_SIZES))
+    k, n = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 9))
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    kern = _kernel(GF(q))
+    reduced, pivots = kern.rref(as_array(rows, n))
+    assert np.array_equal(kern.null_basis(reduced, pivots),
+                          delete_null_basis(kern, reduced, pivots))
+
+
 @pytest.mark.parametrize("q", [2, 9, 16, 25])
 def test_dual_reads_pivots_off_the_stored_rref(q):
     spec = GF(q)

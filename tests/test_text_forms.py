@@ -22,6 +22,7 @@ from kummer_lcd import (Divisor, FunctionElement, ParseError, Place, builtin_cur
                         format_divisor, format_element, format_element_pretty,
                         format_function, parse_divisor, parse_element, parse_function,
                         parse_place, riemann_roch_basis)
+from kummer_lcd.gf import _split_top
 
 BUNDLED = ("hermitian-q2", "hermitian-q3", "hermitian-q4", "curve1-q4",
            "curve2-q2-r3", "norm-trace-q2-r3")
@@ -84,6 +85,55 @@ MALFORMED = {
 def test_malformed_text_is_a_parse_error(h2, parse, text):
     with pytest.raises(ParseError):
         parse(h2.field if parse is parse_element else h2, text)
+
+
+def per_term_sum(curve, text):
+    """parse_divisor as it was when it summed one Divisor per term: the
+    oracle of the parse that builds one Divisor from all its terms."""
+    s = text.strip()
+    if s == "0":
+        return Divisor.zero()
+    total, sign, pieces = Divisor.zero(), 1, _split_top(s, "[+-]")
+    for cut, term in zip(["+"] + pieces[1::2], pieces[::2]):
+        sign *= -1 if cut == "-" else 1
+        term = term.strip()
+        if term:
+            coeff_text, place_text = term.split("*", 1) if "*" in term else ("1", term)
+            total = total + Divisor.of(parse_place(curve, place_text), sign * int(coeff_text))
+            sign = 1
+    return total
+
+
+@st.composite
+def term_lists(draw):
+    """Text of a term list on hermitian-q2 with repeated places, runs of
+    signs and a trailing sign, and whether its terms cancel in full."""
+    signs = st.sampled_from(["", "+", "-", "+-", "--", "-+-", " - ", "+ +"])
+    labels = st.sampled_from(["Pinf", "P_inf", "P1", "P2", "P(a,a)", "P([1,0],[0,1])"])
+    terms = draw(st.lists(st.tuples(signs, st.integers(0, 4) | st.none(), labels), max_size=8))
+    cancel = draw(st.booleans())
+    if cancel:  # each term again with the opposite sign
+        terms += [("-" if sign.count("-") % 2 == 0 else "+", c, label)
+                  for sign, c, label in terms]
+    # a term after the first needs a sign to part it from the one before
+    text = "".join(f"{sign if i == 0 or sign.strip() else '+'}"
+                   f"{'' if c is None else f'{c}*'}{label}"
+                   for i, (sign, c, label) in enumerate(terms))
+    return text + draw(st.sampled_from(["", "+", "-", "+-"])), cancel
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_lists(), st.sampled_from(MALFORMED[parse_divisor]))
+def test_one_divisor_from_all_terms_equals_the_per_term_sum(h2, case, bad):
+    text, cancel = case
+    got = parse_divisor(h2, text)
+    assert got == per_term_sum(h2, text)
+    if cancel:
+        assert got == Divisor.zero() and got.is_zero()
+    # a malformed term fails the parse wherever it sits among good ones
+    for spoiled in (f"{text}+{bad}", f"{bad}+{text}"):
+        with pytest.raises(ParseError):
+            parse_divisor(h2, spoiled)
 
 
 def test_well_formed_text_absent_from_the_curve_is_a_value_error(h2):
