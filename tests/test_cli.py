@@ -735,7 +735,9 @@ def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
     assert built
 
 
-COMMAND_WORDS = [(group, name) if name else (group,) for group, _, name, *_ in cli._COMMANDS]
+COMMAND_OPTIONS = {(group, name) if name else (group,): options + (cli._PRETTY,)
+                   for group, _, name, _, options in cli._COMMANDS}
+COMMAND_WORDS = list(COMMAND_OPTIONS)
 OPTION_NAMES = sorted({option for *_, options in cli._COMMANDS
                        for option, _ in options + (cli._PRETTY,) if option.startswith("-")})
 VALUES = ["hermitian-q2", "3*Pinf", "-1*P1", "1", "-5", "0", "x", "gaps", "gamma", "g", "g-1",
@@ -745,8 +747,9 @@ VALUES = ["hermitian-q2", "3*Pinf", "-1*P1", "1", "-5", "0", "x", "gaps", "gamma
 @st.composite
 def grammar_argv(draw):
     """An argv from the words and options of _COMMANDS: exact and misspelt
-    command words, then options with and without values, --opt=value,
-    repeats, junk, -h and --."""
+    command words, then, after exact words, often the command's declared
+    options with values of their kind, then options with and without
+    values, --opt=value, repeats, junk, -h and --."""
     words = draw(st.sampled_from(COMMAND_WORDS) | st.sampled_from([
         (), ("code",), ("cod", "mindist"), ("code", "mindis"), ("Code", "build"),
         ("semigroups",), ("mindist",), ("code", "--"), ("--", "code", "mindist"),
@@ -755,7 +758,19 @@ def grammar_argv(draw):
     token = (option | st.sampled_from(VALUES) | st.sampled_from(["--", "-", "junk"])
              | st.builds("{}={}".format, option, st.sampled_from(VALUES)))
     pairs = st.tuples(option, st.sampled_from(VALUES)) | st.tuples(token)
-    return list(words) + [t for pair in draw(st.lists(pairs, max_size=6)) for t in pair]
+    declared = []
+    if words in COMMAND_OPTIONS and draw(st.booleans()):
+        for name, kwargs in COMMAND_OPTIONS[words]:
+            positional = not name.startswith("-")
+            if not positional and not kwargs.get("required") and draw(st.booleans()):
+                continue
+            declared += [] if positional else [name]
+            if kwargs.get("action") != "store_true":
+                kinds = kwargs.get("choices") or (["1", "3"] if kwargs.get("type") is int
+                                                  else VALUES)
+                declared.append(draw(st.sampled_from(kinds)))
+    extra = draw(st.lists(pairs, max_size=2 if declared else 6))
+    return list(words) + declared + [t for pair in extra for t in pair]
 
 
 def _parse_outcome(parse, argv):
@@ -769,12 +784,11 @@ def _parse_outcome(parse, argv):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_the_command_parser_parses_as_the_whole_tree(data):
+@given(grammar_argv())
+def test_the_command_parser_parses_as_the_whole_tree(argv):
     """main parses with the parser its first words name; every argv gives
     the namespace, or the exit code and output, of a freshly built tree."""
     whole = cli._build_parser.__wrapped__()
-    argv = data.draw(grammar_argv())
     assert _parse_outcome(cli._parse, argv) == _parse_outcome(whole.parse_args, argv)
 
 
