@@ -361,7 +361,8 @@ def _basis_rows(curve: KummerCurve, G: Divisor, places: Sequence[Place] = ()):
     the RREF of their values there, L(G) has the basis m_f - sum_p R[p, f] m_p
     over the free columns f, whose values at places are the rows. More than
     ``MAX_RR_DIMENSION`` monomials raise ValueError before any is evaluated;
-    the dimension self-test runs on the number of free columns. With no
+    the dimension self-test runs on the number of free columns, which a
+    boolean mask keeps off the pivots, as in ``null_basis``. With no
     simple zeros R has no rows, every column is free and nothing is reduced."""
     ram, inf, zeros = _split_divisor(curve, G)
     components = list(_term_bounds(curve, ram, inf))
@@ -371,10 +372,11 @@ def _basis_rows(curve: KummerCurve, G: Divisor, places: Sequence[Place] = ()):
     kern, n = _kernel(curve.field), len(places)
     values = kern.exp[_monomial_logs(curve, components,
                                      tuple(places) + tuple(zeros) if zeros else places)]
-    reduced, pivots, free = values[:, n:].T, [], np.arange(len(values))
+    reduced, pivots, free = values[:, n:].T, [], np.ones(len(values), dtype=bool)
     if zeros:
         reduced, pivots = kern.rref(reduced)
-        free = np.delete(free, pivots)
+        free[pivots] = False
+    free = free.nonzero()[0]
     _check_dimension(curve, G, len(free))
     rows = values[free, :n]
     if pivots and n:

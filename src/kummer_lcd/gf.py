@@ -27,12 +27,15 @@ that. Row reduction is one fused pass per pivot, which eliminates the pivot
 column and scales the pivot row together, and a nullspace is one row
 reduction. Under the table cap an odd field row reduces in narrow lanes
 (uint16, or uint32 for GF(3^6)), adding encoded multiples with one integer
-add and renormalising every (2^bits - p) // (p - 1) pivots. Every field sum
-along an axis is a product G * H^T (``dot_t``): an XOR reduction of the
-gathered products for p = 2, and for odd p one float64 product of digit
-planes, exact while k * n * (p - 1)^2 < 2^53. The kernel row reduces, takes
-nullspaces and forms G * H^T; it reads only the ``FieldSpec`` tables, so
-``functions`` and ``codes`` share it.
+add and renormalising every (2^bits - p) // (p - 1) pivots; like p = 2, a
+matrix of at most 2^14 cells adds to whole rows, a larger one to the
+trailing columns. Every field sum along an axis is a product G * H^T
+(``dot_t``): an XOR reduction of the gathered products for p = 2; for odd p
+under the table cap and at most 2^14 products, a lane sum of the gathered
+product cube, and otherwise one float64 product of digit planes, exact while
+k * n * (p - 1)^2 < 2^53. The kernel row reduces, takes nullspaces and forms
+G * H^T; it reads only the ``FieldSpec`` tables, so ``functions`` and
+``codes`` share it.
 """
 
 from __future__ import annotations
@@ -549,6 +552,12 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
 # of products for p = 2, and the float64 digit planes of one block for odd p
 _DOT_CHUNK_CELLS = 1 << 16
 _PLANE_CELLS = 1 << 18
+# the size rules of an odd field with lanes, each at its measured crossover
+# (see ``_Kernel.rref`` and ``_Kernel.dot_t``): rref adds to whole rows while
+# rows * n <= _WHOLE_ROW_CELLS, and dot_t sums the gathered product cube while
+# len(a) * len(b) * n <= _CUBE_CELLS
+_WHOLE_ROW_CELLS = 1 << 14
+_CUBE_CELLS = 1 << 14
 # largest q^2-cell table the kernel builds, for products, odd-p sums and
 # lane products; larger fields multiply through the logs and add digit by digit
 _ADD_TABLE_CELLS = 1 << 21
@@ -594,6 +603,13 @@ class _Kernel:
     126 adds for GF(9), 62 for GF(25), 41 for GF(49)), 4 for GF(81) (every
     6), and 3 in a uint32 for GF(3^6) (every 2); every other kernel has None.
     ``planes[i, n]`` is digit i of n as a float64, which ``dot_t`` reads.
+
+    Small shapes over an odd field with lanes take the routes that p = 2
+    takes, each by a size read off its input: ``rref`` adds to whole rows
+    while rows * n <= ``_WHOLE_ROW_CELLS``, and ``dot_t`` gathers and sums its
+    product cube while len(a) * len(b) * n <= ``_CUBE_CELLS``. Both are 2^14,
+    their measured crossovers; larger shapes keep the trailing update and
+    the digit planes.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -654,14 +670,31 @@ class _Kernel:
         """Reduced row echelon form of a copy of mat: (rank x n rows, pivots),
         one pass per pivot: with inv the inverse of the pivot entry, row i gains
         -m[i, col] * inv times the pivot row, and the pivot row inv - 1 times
-        itself (a lead of 1). It XORs whole rows for p = 2 and adds m[:, col:]
-        for odd p. With ``prod`` and at least q / 2 rows, the factors come from
-        its row -inv and the multiples of the pivot row from its q rows;
-        otherwise both from the logs. With ``lanes`` the matrix stays encoded:
-        each pivot decodes its column and row, adds the encoded multiples with
-        one integer add, and the columns right of it are renormalised after
-        every ``lanes.every`` pivots. A swap copies two rows after the pass.
-        A matrix with no rows comes back at once."""
+        itself (a lead of 1). The pivot is the diagonal entry when that is
+        nonzero, else the first nonzero entry below it. It XORs whole rows for
+        p = 2 and adds m[:, col:] for odd p. With ``prod`` and at least q / 2
+        rows, the factors come from its row -inv and the multiples of the
+        pivot row from its q rows; otherwise both from the logs. With
+        ``lanes`` the matrix stays encoded: each pivot decodes its column and
+        row, adds the encoded multiples with one integer add, and the columns
+        right of it are renormalised after every ``lanes.every`` pivots.
+
+        While rows * n <= ``_WHOLE_ROW_CELLS`` the lanes take whole rows, as
+        p = 2 does: the pivot row is zero left of its pivot, so the columns
+        there gain encoded zeros, and whole rows are renormalised. An add on
+        contiguous rows costs a fraction of one on the strided block
+        m[:, col:] (0.5 against 3 us on 9 x 24 words), so small shapes gain;
+        but whole rows also gather, add and renormalise the zeros left of the
+        pivot, a cost that grows with the matrix and with 1 / ``lanes.every``.
+        Measured
+        on a 2-core Xeon (numpy 2.4), whole rows against m[:, col:]: x0.7 to
+        x1.0 at every shape from 2^8 to 2^17 cells for GF(9), GF(25), GF(27)
+        and GF(49); GF(81) and GF(125) (every 6) cross near 2^14 cells on
+        square shapes and stay ahead to 2^17 on rows three times as long;
+        GF(3^5) and GF(3^6) (every 2) cross near 2^12 on square shapes and
+        lose up to x1.3 between 2^12 and 2^14, on fields no bundled curve
+        has. A swap copies two rows after the pass. A matrix with no rows
+        comes back at once."""
         m = np.array(mat, dtype=self.dtype)
         rows, n = m.shape
         if not rows:
@@ -670,26 +703,32 @@ class _Kernel:
         # the q multiples cost q rows of gathers, the logs about two per row of m
         table = self.prod if 2 * rows > self.units else None
         multiples, exp = table, self.exp
+        # p = 2 XORs whole rows; lanes add whole rows below _WHOLE_ROW_CELLS
+        whole = self.p == 2
         if lanes is not None:
             m, exp, left = lanes.enc[m], lanes.exp, lanes.every
             multiples = None if table is None else lanes.prod
+            whole = rows * n <= _WHOLE_ROW_CELLS
         pivots = []
         for col in range(n):
             rank = len(pivots)
             if rank == rows:
                 break
             column = m[:, col] if lanes is None else lanes.dec.take(m[:, col])
-            found = column[rank:].nonzero()[0]
-            if not found.size:
-                continue
-            pivot = rank + int(found[0])
+            if column[rank]:
+                pivot = rank
+            else:
+                found = column[rank:].nonzero()[0]
+                if not found.size:
+                    continue
+                pivot = rank + int(found[0])
             inv = spec.exp[self.units - spec.log[column[pivot]]]
             if table is None:
                 factors = self.exp[self.log[column] + spec.log[spec.neg[inv]]]
             else:
                 factors = table[spec.neg[inv]].take(column)
             factors[pivot] = spec._add(inv, spec.neg[1])
-            row = m[pivot, 0 if self.p == 2 else col:]
+            row = m[pivot, 0 if whole else col:]
             if lanes is not None:
                 row = lanes.dec.take(row)
             # prod is symmetric: its rows at the entries of row are its columns there
@@ -699,6 +738,11 @@ class _Kernel:
                 m ^= products
             elif lanes is None:
                 m[:, col:] = self.add(m[:, col:], products)
+            elif whole:
+                m += products
+                left -= 1
+                if not left:
+                    m, left = lanes.norm.take(m), lanes.every
             else:
                 m[:, col:] += products
                 left -= 1
@@ -735,15 +779,34 @@ class _Kernel:
     def dot_t(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The matrix a . b^T, the kernel's one route for sums along an axis.
         For p = 2, the XOR reduction of the products gathered from the logs
-        of a and b, rows of a in chunks under ``_DOT_CHUNK_CELLS``. For odd p,
-        digit i of a . b^T is sum_j A_ij . B_j^T mod p, with B_j digit j of b
-        and A_ij digit i of a * t^j: one float64 product of the stacked digit
-        planes, exact while k * n * (p - 1)^2 < 2^53, so longer rows are cut
-        into pieces that keep it. Rows of b are taken in blocks, and within
-        each rows of a in chunks, whose digit planes stay under
+        of a and b, rows of a in chunks under ``_DOT_CHUNK_CELLS``.
+
+        For odd p with ``lanes`` and len(a) * len(b) * n <= ``_CUBE_CELLS``,
+        the encoded product cube is one gather from ``lanes.prod`` at one flat
+        index, laid out term by term, and summed in the lanes: groups of
+        ``lanes.every + 1`` terms are added and renormalised until that many
+        are left, whose sum is decoded once. The cube and the planes cross
+        near 2^14 products: measured on a 2-core Xeon (numpy 2.4), the cube
+        takes x0.3 to x0.5 of the planes' time at 10^3 products and x0.6 to
+        x0.8 at 8 000, for GF(9) to GF(3^6) and rows of 24 and 120 terms;
+        x0.85 to x1.0 at 16 000; x1.3 to x2.4 at 24 000.
+
+        Otherwise digit i of a . b^T is sum_j A_ij . B_j^T mod p, with B_j
+        digit j of b and A_ij digit i of a * t^j: one float64 product of the
+        stacked digit planes, exact while k * n * (p - 1)^2 < 2^53, so longer
+        rows are cut into pieces that keep it. Rows of b are taken in blocks,
+        and within each rows of a in chunks, whose digit planes stay under
         ``_PLANE_CELLS`` cells."""
+        n, k, lanes = a.shape[1], len(self.weights), self.lanes
+        if lanes is not None and len(a) * len(b) * n <= _CUBE_CELLS:
+            # words[j, i, l] is a[i, j] * b[l, j] encoded; every + 1 words fit a sum
+            words = lanes.prod.ravel().take(
+                np.multiply(a.T, len(lanes.enc), dtype=np.intp)[:, :, None] + b.T[:, None, :])
+            while len(words) > lanes.every + 1:
+                words = lanes.norm.take(np.add.reduceat(
+                    words, np.arange(0, len(words), lanes.every + 1), axis=0, dtype=words.dtype))
+            return lanes.dec.take(words.sum(axis=0, dtype=words.dtype))
         out = np.zeros((len(a), len(b)), dtype=self.dtype)
-        n, k = a.shape[1], len(self.weights)
         if self.p == 2:
             log_a, log_b = self.log[a], self.log[b]
             step = max(1, _DOT_CHUNK_CELLS // max(1, b.size))

@@ -3,6 +3,7 @@ import random
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -295,6 +296,22 @@ def test_lift_matches_the_factor_by_factor_route(family):
                 for e in range(3 * p * p + 1):
                     assert (list(_times_roots(num, [alpha], [e]))
                             == times_roots_by_factors(num, [alpha], [e])), (curve.label, e)
+
+
+@pytest.mark.parametrize("name, text, zeros", [
+    ("hermitian-q2", "10*Pinf", 1), ("hermitian-q3", "13*Pinf", 2),
+    ("hermitian-q3", "1*P1+2*P2+8*P3", 3), ("curve1-q4", "2*P1-1*P2+15*Pinf", 2),
+    ("curve1-q4", "4*Pinf", 5), ("hermitian-q3", "2*Pinf", 0)])
+def test_basis_rows_keeps_the_free_columns_np_delete_leaves(name, text, zeros):
+    # the free columns were np.delete(np.arange(monomials), pivots) before a
+    # boolean mask kept them; 4*Pinf on curve1-q4 has more zeros than monomials
+    curve = builtin_curve(name)
+    G = parse_divisor(curve, text) - Divisor({p: 1 for p in curve.affine_places()[:zeros]})
+    components, reduced, pivots, free, _ = _basis_rows(curve, G)
+    monomials = sum(size for *_, size in components)
+    assert free.dtype == np.arange(1).dtype
+    assert free.tolist() == np.delete(np.arange(monomials), pivots).tolist()
+    assert len(pivots) == (min(zeros, monomials) if zeros else 0)
 
 
 def basis_by_monomials(curve, G):

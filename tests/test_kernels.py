@@ -917,3 +917,118 @@ def test_plane_dot_t_matches_the_gather_product(q, monkeypatch):
                 assert got.dtype == kern.dtype and np.array_equal(got, product), (a.shape, b.shape)
                 # a transposed view, as the hull passes it
                 assert np.array_equal(kern.dot_t(b, np.ascontiguousarray(a.T).T), product.T)
+
+
+def whole_row_cases(q, rng):
+    """lane_cases plus matrices of q - 1, every digit p - 1: one of rank 1,
+    and one that is q - 1 off a zero diagonal, so its first pivot needs a
+    swap. Each is square, with more rows than the lanes add between two
+    renormalisations, up to 40."""
+    size = min(LANE_LAYOUTS[q][2] + 4, 40)
+    size += (size - 1) % GF(q).p == 0
+    full = np.full((size, size), q - 1)
+    return lane_cases(q, rng) + [("all-(q-1)", full.tolist(), size),
+                                 ("zero-diagonal", (full * (1 - np.eye(size, dtype=int))).tolist(), size)]
+
+
+@pytest.mark.parametrize("route", ["whole", "trailing"])
+@pytest.mark.parametrize("q", LANE_FIELDS)
+def test_whole_row_lanes_match_the_packed_routes(q, route, monkeypatch):
+    # every shape through whole rows, then every shape through m[:, col:]
+    monkeypatch.setattr(gf, "_WHOLE_ROW_CELLS", 1 << 40 if route == "whole" else -1)
+    kern = _kernel(GF(q))
+    rng = random.Random(14000 + q)
+    every = LANE_LAYOUTS[q][2]
+    renormalised = False
+    for label, rows, n in whole_row_cases(q, rng):
+        mat = as_array(rows, n)
+        renormalised |= len(assert_lanes_match_packed(kern, mat, label)) > every
+        assert np.array_equal(kern.nullspace(mat), two_elimination_nullspace(kern, mat)), label
+    # only GF(7) adds 10921 times between two renormalisations
+    assert renormalised == (every < 150)
+
+
+@SETTINGS
+@given(ranked_matrices(tuple(LANE_FIELDS)), st.booleans())
+def test_whole_row_lanes_match_the_packed_routes_on_drawn_matrices(case, whole):
+    q, mat = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gf, "_WHOLE_ROW_CELLS", 1 << 40 if whole else -1)
+        assert_lanes_match_packed(_kernel(GF(q)), mat, (q, mat.shape, whole))
+
+
+@pytest.mark.parametrize("q", [81, 729])
+def test_the_cell_count_picks_whole_rows(q, monkeypatch):
+    # whole rows renormalise the whole matrix, the trailing update only the
+    # columns right of the pivot: a matrix of exactly _WHOLE_ROW_CELLS cells
+    # takes whole rows, one more cell than the count the trailing update
+    kern = gf._Kernel(GF(q))
+    norm, widths = kern.lanes.norm, []
+
+    class Recorded:
+        def take(self, words):
+            widths.append(words.shape[1])
+            return norm.take(words)
+
+    kern.lanes = kern.lanes._replace(norm=Recorded())
+    rows, n = 14, 20
+    mat = np.random.default_rng(15000 + q).integers(0, q, (rows, n))
+    want = trailing_rref(kern, mat)
+    for count, whole in ((rows * n, True), (rows * n - 1, False)):
+        monkeypatch.setattr(gf, "_WHOLE_ROW_CELLS", count)
+        widths.clear()
+        got = kern.rref(mat)
+        assert got[1] == want[1] and np.array_equal(got[0], want[0])
+        # GF(81) renormalises every 6 pivots, GF(3^6) every 2
+        assert len(widths) == len(got[1]) // kern.lanes.every > 1
+        assert (set(widths) == {n}) if whole else (max(widths) < n)
+
+
+@pytest.mark.parametrize("route", ["cube", "planes"])
+@pytest.mark.parametrize("q", LANE_FIELDS)
+def test_cube_dot_t_matches_the_gather_product(q, route, monkeypatch):
+    # every shape through the product cube, then through the digit planes
+    monkeypatch.setattr(gf, "_CUBE_CELLS", 1 << 40 if route == "cube" else -1)
+    spec = GF(q)
+    kern, every = _kernel(spec), LANE_LAYOUTS[q][2]
+    rng = np.random.default_rng(16000 + q)
+    # rows of every and every + 1 terms: the first sum holds every + 1 terms,
+    # and one more term takes a renormalised second group; GF(7) adds 10921
+    shapes = DOT_SHAPES + [(1, 2, every), (2, 1, every + 1), (2, 2, every + 2)]
+    cases = [(rng.integers(0, q, (ra, n)), rng.integers(0, q, (rb, n))) for ra, rb, n in shapes]
+    # every digit p - 1: the fullest lanes; rows of 40 take three groups for GF(3^6)
+    cases += [(np.full((ra, n), q - 1), np.full((rb, n), q - 1))
+              for ra, rb, n in ((5, 7, 40), (1, 1, every), (1, 1, every + 1), (1, 1, every + 2))]
+    for a, b in cases:
+        got, want = kern.dot_t(a, b), gather_dot_t(kern, a, b)
+        assert got.dtype == kern.dtype and np.array_equal(got, want), (a.shape, b.shape)
+        assert np.array_equal(kern.dot_t(b, np.ascontiguousarray(a.T).T), want.T)
+
+
+def counted_tensordots(monkeypatch) -> list:
+    """One entry for every later ``np.tensordot`` call, the BLAS route of
+    ``dot_t``."""
+    calls, tensordot = [], np.tensordot
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return tensordot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "tensordot", counted)
+    return calls
+
+
+def test_small_odd_products_stay_out_of_blas(monkeypatch):
+    # the hermitian-q3 construction code: its basis, its RREF, its Gram
+    # matrix of 9 x 9 x 24 products and its hull; then the [720, 565]
+    # hermitian-q9 code, whose Gram matrix of the 155 dual rows has 155 x 155
+    # x 720 products
+    small, large = hermitian_curve(3), hermitian_curve(9)
+    G = Divisor({Place.ramified(1): 1, Place.ramified(2): 2, Place.ramified(3): 8})
+    calls = counted_tensordots(monkeypatch)
+    code = build_code(small, small.standard_D(), G)
+    assert (code.n, code.k, codes.hull(code).k) == (24, 9, 0) and calls == []
+    code = build_code(large, large.standard_D(), Divisor.of(Place.infinity(), 600))
+    assert calls == [] and (code.n, code.k) == (720, 565)
+    dimension = codes.hull(code).k
+    assert calls and dimension == codes.hull_dimension_by_rank(code)
