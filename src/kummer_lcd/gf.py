@@ -677,7 +677,8 @@ class _Kernel:
         pivot row from its q rows; otherwise both from the logs. With
         ``lanes`` the matrix stays encoded: each pivot decodes its column and
         row, adds the encoded multiples with one integer add, and the columns
-        right of it are renormalised after every ``lanes.every`` pivots.
+        from the pivot's on are renormalised after every ``lanes.every``
+        pivots.
 
         While rows * n <= ``_WHOLE_ROW_CELLS`` the lanes take whole rows, as
         p = 2 does: the pivot row is zero left of its pivot, so the columns
@@ -686,13 +687,12 @@ class _Kernel:
         m[:, col:] (0.5 against 3 us on 9 x 24 words), so small shapes gain;
         but whole rows also gather, add and renormalise the zeros left of the
         pivot, a cost that grows with the matrix and with 1 / ``lanes.every``.
-        Measured
-        on a 2-core Xeon (numpy 2.4), whole rows against m[:, col:]: x0.7 to
-        x1.0 at every shape from 2^8 to 2^17 cells for GF(9), GF(25), GF(27)
-        and GF(49); GF(81) and GF(125) (every 6) cross near 2^14 cells on
-        square shapes and stay ahead to 2^17 on rows three times as long;
-        GF(3^5) and GF(3^6) (every 2) cross near 2^12 on square shapes and
-        lose up to x1.3 between 2^12 and 2^14, on fields no bundled curve
+        Measured on a 2-core Xeon (numpy 2.4), whole rows against m[:, col:]:
+        x0.7 to x1.0 at every shape from 2^8 to 2^17 cells for GF(9), GF(25),
+        GF(27) and GF(49); GF(81) and GF(125) (every 6) cross near 2^14
+        cells on square shapes and stay ahead to 2^17 on rows three times as
+        long; GF(3^5) and GF(3^6) (every 2) cross near 2^12 on square shapes
+        and lose up to x1.3 between 2^12 and 2^14, on fields no bundled curve
         has. A swap copies two rows after the pass. A matrix with no rows
         comes back at once."""
         m = np.array(mat, dtype=self.dtype)
@@ -728,7 +728,8 @@ class _Kernel:
             else:
                 factors = table[spec.neg[inv]].take(column)
             factors[pivot] = spec._add(inv, spec.neg[1])
-            row = m[pivot, 0 if whole else col:]
+            start = 0 if whole else col
+            row = m[pivot, start:]
             if lanes is not None:
                 row = lanes.dec.take(row)
             # prod is symmetric: its rows at the entries of row are its columns there
@@ -738,17 +739,11 @@ class _Kernel:
                 m ^= products
             elif lanes is None:
                 m[:, col:] = self.add(m[:, col:], products)
-            elif whole:
-                m += products
-                left -= 1
-                if not left:
-                    m, left = lanes.norm.take(m), lanes.every
             else:
-                m[:, col:] += products
+                m[:, start:] += products
                 left -= 1
                 if not left:
-                    m[:, col + 1:] = lanes.norm.take(m[:, col + 1:])
-                    left = lanes.every
+                    m[:, start:], left = lanes.norm.take(m[:, start:]), lanes.every
             if pivot != rank:
                 held = m[rank, col:].copy()
                 m[rank, col:], m[pivot, col:] = m[pivot, col:], held
