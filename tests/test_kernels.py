@@ -960,7 +960,7 @@ def test_whole_row_lanes_match_the_packed_routes_on_drawn_matrices(case, whole):
 @pytest.mark.parametrize("q", [81, 729])
 def test_the_cell_count_picks_whole_rows(q, monkeypatch):
     # whole rows renormalise the whole matrix, the trailing update only the
-    # columns right of the pivot: a matrix of exactly _WHOLE_ROW_CELLS cells
+    # columns from the pivot on: a matrix of exactly _WHOLE_ROW_CELLS cells
     # takes whole rows, one more cell than the count the trailing update
     kern = gf._Kernel(GF(q))
     norm, widths = kern.lanes.norm, []
