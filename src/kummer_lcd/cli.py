@@ -20,6 +20,7 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional, Sequence
 from . import reference_checks
 from .codes import (LinearCode, build_code, construction_divisors, dual, hull,
@@ -307,44 +308,118 @@ def _build_parser() -> argparse.ArgumentParser:
     and main looks each up when its call runs, so a handler rebound later is
     reached. Options are named in full: no parser takes a prefix.
 
-    Its ``leaves`` map the words of each command, as ("code", "mindist") or
-    ("semigroup",), to the command's own parser, which holds those words as
-    defaults too: alone, it gives the namespace that the whole tree gives."""
+    Its ``table`` maps the words of each command, as ("code", "mindist") or
+    ("semigroup",), to what ``_parse_by_table`` reads: the namespace of the
+    command when no option is given, its options by name, its positional (or
+    None) and the dests it requires, each option the argparse Action that
+    ``add_argument`` made for the tree."""
     parser = argparse.ArgumentParser(
         prog="kummer-lcd", allow_abbrev=False,
         description="Evaluation codes, hulls, and LCD constructions on "
                     "Kummer-type curves.")
     sub = parser.add_subparsers(dest="command", required=True)
     groups: dict = {}
-    parser.leaves = {}
+    parser.table = {}
     for group, group_help, name, handler, options in _COMMANDS:
         if group not in groups:
             command = sub.add_parser(group, allow_abbrev=False, help=group_help)
             groups[group] = command.add_subparsers(dest="what", required=True) if name else None
         if name:
             command = groups[group].add_parser(name, allow_abbrev=False)
-        for option, kwargs in options + (_PRETTY,):
-            command.add_argument(option, **kwargs)
-        command.set_defaults(handler=handler, command=group, **({"what": name} if name else {}))
-        parser.leaves[(group, name) if name else (group,)] = command
+        actions = [command.add_argument(option, **kwargs) for option, kwargs in options + (_PRETTY,)]
+        command.set_defaults(handler=handler)
+        parser.table[(group, name) if name else (group,)] = (
+            {**{action.dest: action.default for action in actions}, "handler": handler,
+             "command": group, **({"what": name} if name else {})},
+            {action.option_strings[0]: action for action in actions if action.option_strings},
+            next((action for action in actions if not action.option_strings), None),
+            {action.dest for action in actions if action.required})
     return parser
 
 
-def _parse(argv: list) -> argparse.Namespace:
-    """The namespace of argv, parsed by the parser its first words name.
+def _parse_by_table(command: tuple, argv: list) -> Optional[argparse.Namespace]:
+    """The namespace that argparse gives a well-formed argv of one command,
+    read off its ``_build_parser`` table entry: ``--opt value``,
+    ``--opt=value``, flags, types, choices and one positional. None for what
+    only argparse answers as argparse does: help, ``--``, an unknown or
+    missing word, a separate value that starts with "-", a failed type or
+    choice, a missing required option."""
+    namespace, options, positional, required = command
+    namespace, given = dict(namespace), set()
+    words = iter(argv)
+    for word in words:
+        if not word.startswith("-"):
+            action, value = positional, word
+            if action is None or action.dest in given:
+                return None
+        else:
+            name, equals, value = word.partition("=")
+            action = options.get(name)
+            if action is None:
+                return None
+            if action.nargs == 0:  # a flag takes no value
+                if equals:
+                    return None
+                value = action.const
+            elif not equals:
+                value = next(words, "-")  # a missing value declines as "-" does
+                if value.startswith("-"):
+                    return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        namespace[action.dest] = value
+        given.add(action.dest)
+    return argparse.Namespace(**namespace) if required <= given else None
 
-    Above a command's own parser, the tree only hands it the words that
-    follow, so the two parse alike, help and argparse errors included. The
-    whole tree parses argv when its first words name no command, and when
-    the command's parser leaves words over, whose error the tree prints."""
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The namespace of argv: from the table when its first words name a
+    command and ``_parse_by_table`` takes the words that follow, else from
+    the whole tree, which prints its own help and errors."""
     parser = _build_parser()
     for words in (tuple(argv[:2]), tuple(argv[:1])):
-        if words in parser.leaves:
-            args, extra = parser.leaves[words].parse_known_args(argv[len(words):])
-            if not extra:
+        if words in parser.table:
+            args = _parse_by_table(parser.table[words], argv[len(words):])
+            if args is not None:
                 return args
             break
     return parser.parse_args(argv)
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, written directly: with an indent the
+    stdlib runs its pure-Python encoder. ``indent`` is a newline and the
+    indentation of value's own line. Strings take the stdlib's ASCII
+    escaping, tuples print as lists, bools are tested before ints, floats
+    print as json prints them, and any other type raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, brackets = [encode_basestring_ascii(key) + ": " + _json(item, inner)
+                           for key, item in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [_json(item, inner) for item in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def main(argv=None) -> int:
@@ -361,7 +436,7 @@ def main(argv=None) -> int:
         if args.pretty:
             _emit_pretty(output)
         else:
-            print(json.dumps(output, indent=2))
+            print(_json(output))
         if args.pretty and report.matrix is not None:
             _print_matrix_pretty(report.matrix)
         sys.stdout.flush()

@@ -515,8 +515,8 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_MINDIST_BUDGET) -> MinD
     bound. First, while k + C(k, 2)(q - 1) <= budget, ``_witness_scan`` reads
     the words of the messages of weight 1 and 2 on the pivot rows; one on
     the bound proves d = n - deg G, once ``_check_witness`` has formed it
-    again and confirmed its weight and its zero product with the dual basis
-    (a failed check raises RuntimeError). Otherwise, when q^k <= budget, the
+    again and confirmed its weight and that it lies in the code (a failed
+    check raises RuntimeError). Otherwise, when q^k <= budget, the
     enumeration visits one message per 1-dimensional subspace, the one whose
     first nonzero digit is 1: (q^k - 1)/(q - 1) words, since scalar
     multiples share a weight. The RREF generator copies a message onto its k
@@ -618,14 +618,19 @@ def _non_pivot_columns(gen: np.ndarray) -> np.ndarray:
 def _check_witness(code: LinearCode, weight: int, message: Tuple[int, int, int],
                    bound: int) -> None:
     """Form the word of ``message`` again with the kernel's add and mul, and
-    raise RuntimeError unless it weighs ``weight``, lies in the code by a
-    zero product with the null basis read off the generator, and does not
-    fall below the Goppa bound."""
+    raise RuntimeError unless it weighs ``weight``, lies in the code and does
+    not fall below the Goppa bound. With A the generator on its non-pivot
+    columns F and I on its pivot columns P, a word lies in the code exactly
+    when word_F = word_P . A: the zero product with the null basis [-A^T | I],
+    in k(n - k) products and with no basis built."""
     kern, gen = _kernel(code.field), code.matrix
     i, j, c = message
     word = kern.add(gen[i], kern.mul(c, gen[j]))
-    if (np.count_nonzero(word) != weight
-            or kern.dot_t(word[None, :], _null_basis(kern, gen)).any()):
+    pivots = (gen != 0).argmax(axis=1)
+    free = np.ones(code.n, dtype=bool)
+    free[pivots] = False
+    if (np.count_nonzero(word) != weight or not np.array_equal(
+            kern.dot_t(word[None, pivots], _non_pivot_columns(gen).T)[0], word[free])):
         raise RuntimeError(f"the witness G_{i} + {c} * G_{j} fails its re-check")
     if weight < bound:
         raise RuntimeError(f"a word of weight {weight} lies below the Goppa bound "

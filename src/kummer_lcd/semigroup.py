@@ -170,6 +170,9 @@ def _semigroup_box(curve: KummerCurve, l: int, bound: int) -> np.ndarray:
     whose restriction to [0, bound]^l is H there. alpha is in H iff each alpha_i > 0
     is attained (module docstring): axis i keeps alpha_i = 0 and the generators'
     prefix ORs along every other axis. A box to build above MAX_BOX_CELLS is refused.
+    The first grid of an (r, m, l) is built to bound; a rebuild grows B to at
+    least twice the old one, as far as MAX_BOX_CELLS allows, so bounds that
+    keep rising rebuild O(log bound) times.
     """
     key = (curve.r, curve.m, l)
     grid = _BOXES.get(key)
@@ -178,6 +181,10 @@ def _semigroup_box(curve: KummerCurve, l: int, bound: int) -> np.ndarray:
     if (bound + 1) ** l > MAX_BOX_CELLS:
         raise ValueError(f"box [0, {bound}]^{l} has {(bound + 1) ** l} cells, "
                          f"above the cap of {MAX_BOX_CELLS}")
+    if grid is not None:
+        side = min(2 * grid.shape[0], round(MAX_BOX_CELLS ** (1 / l)))
+        side -= side ** l > MAX_BOX_CELLS  # the rounded root may lie one above
+        bound = max(bound, side - 1)
     gens = np.array(_gamma_in_box(curve, l, bound), dtype=np.intp).reshape(-1, l)
     grid = np.ones((bound + 1,) * l, dtype=bool)
     attained = np.empty_like(grid)

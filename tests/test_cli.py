@@ -792,24 +792,87 @@ def test_the_command_parser_parses_as_the_whole_tree(argv):
     assert _parse_outcome(cli._parse, argv) == _parse_outcome(whole.parse_args, argv)
 
 
+MINDIST = ["code", "mindist", "--curve", "hermitian-q2", "--G", "3*Pinf"]
+
+
+@pytest.mark.parametrize("argv, taken", [
+    (MINDIST + ["--curve", "hermitian-q3"], True),  # a repeat: the last value
+    (MINDIST + ["--budget=-5", "--pretty", "--pretty"], True),
+    (["semigroup", "--curve=hermitian-q3", "gaps", "--tuple="], True),
+    (["code", "lcd-check", "--q", "3", "--construction", "curve1"], True),
+    (["semigroup", "gaps", "gamma", "--curve", "hermitian-q3"], False),
+    (["semigroup", "--curve", "hermitian-q3"], False),
+    (["semigroup", "gap", "--curve", "hermitian-q3"], False),
+    (MINDIST + ["--pretty=1"], False),
+    (MINDIST + ["--budget", "-5"], False),
+    (MINDIST + ["--budget", "5x"], False),
+    (MINDIST + ["--budget"], False),
+    (MINDIST + ["--", "junk"], False),
+    (MINDIST + ["junk"], False),
+    (MINDIST + ["-h"], False),
+    (["code", "mindist", "--curve", "hermitian-q2"], False),
+    (["code", "lcd-check", "--construction=bogus"], False),
+    (["curve", "info", "--curve", "-x"], False),
+])
+def test_the_table_takes_well_formed_argv_and_leaves_the_rest_to_the_tree(argv, taken):
+    """Edge cases of the table route: what it takes parses as the tree
+    parses it, and what it declines the tree answers with its own exit."""
+    table = cli._build_parser().table
+    words = tuple(argv[:2]) if tuple(argv[:2]) in table else tuple(argv[:1])
+    assert (cli._parse_by_table(table[words], argv[len(words):]) is not None) == taken
+    whole = cli._build_parser.__wrapped__()
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(whole.parse_args, argv)
+
+
 def test_every_bench_argv_takes_its_command_parser(capsys, monkeypatch):
-    """The CLI tasks of perfbench/golden parse with their command's own
-    parser alone: none falls back to the whole tree."""
+    """The CLI tasks of perfbench/golden parse from the command table alone:
+    no argparse parse runs, neither a command's parser nor the whole tree."""
     argvs = [task["argv"] for path in sorted((ROOT / "perfbench" / "golden").glob("*.json"))
              for pool in json.loads(path.read_text())["pools"].values()
              for task in pool if task["kind"] == "cli"]
-    parser, whole, seen = cli._build_parser(), [], []
-    parse_args = parser.parse_args
-    monkeypatch.setattr(parser, "parse_args", lambda argv: whole.append(argv) or parse_args(argv))
+    cli._build_parser()
+    parsed, seen = [], []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *a, **kw: parsed.append(a) or parse_known_args(self, *a, **kw))
     for *_, handler, _ in cli._COMMANDS:
         monkeypatch.setattr(cli, handler, lambda args: seen.append(args) or cli.Report({}, {}))
     for argv in argvs:
         assert main(list(argv)) == 0
     capsys.readouterr()
-    assert len(argvs) > 200 and whole == [] and len(seen) == len(argvs)
+    assert len(argvs) > 200 and parsed == [] and len(seen) == len(argvs)
     for args, argv in zip(seen, argvs):  # each reached the handler its words name
         words = [w for w in (args.command, getattr(args, "what", None)) if w]
         assert argv[:len(words)] == words
+    # a separate value that starts with "-" is the tree's to parse, and is seen
+    assert main(["code", "lcd-check", "--construction", "hermitian", "--q", "-3"]) == 0
+    assert parsed and seen[-1].q == -3
+
+
+JSON_TEXT = st.text(st.characters(blacklist_categories=())) | st.sampled_from(
+    ["", "\x00\x1f\x7f\n\t\"\\/", "\u00e9\u2028\u2029", "\ud800", "\U0001f600", "P(a^5,1)"])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT
+                | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 2**64]))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_the_report_writer_prints_as_json_dumps(value):
+    """main's writer gives the text of json.dumps(value, indent=2), byte for
+    byte: nested dicts and lists, tuples, empty containers, bools before
+    ints, None, escaped non-ASCII and control characters, nan and +-inf."""
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"x", [object()], {"a": {"b": 1j}}])
+def test_the_report_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        cli._json(value)
 
 
 def test_importing_the_cli_builds_no_parser():

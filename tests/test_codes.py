@@ -1242,11 +1242,12 @@ def test_a_witness_that_fails_its_recheck_raises(h4, monkeypatch):
     monkeypatch.setattr(codes, "_witness_scan", lambda code, stop: (weight - 1, message))
     with pytest.raises(RuntimeError, match="re-check"):
         min_distance(code)
-    # a "dual" row e_l at a column l where the witness is nonzero
+    # a non-pivot block whose row i differs at one column: the word, of the
+    # right weight, then leaves the code the re-check reads off that block
     kern, (i, j, c) = _kernel(h4.field), message
-    word = kern.add(code.matrix[i], kern.mul(c, code.matrix[j]))
-    unit = np.eye(code.n, dtype=code.matrix.dtype)[[int(word.nonzero()[0][0])]]
-    monkeypatch.setattr(codes, "_null_basis", lambda kern, gen: unit)
+    block = codes._non_pivot_columns(code.matrix).copy()
+    block[i, 0] = kern.add(block[i, 0], 1)
+    monkeypatch.setattr(codes, "_non_pivot_columns", lambda gen: block)
     monkeypatch.setattr(codes, "_witness_scan", lambda code, stop: (weight, message))
     with pytest.raises(RuntimeError, match="re-check"):
         min_distance(code)

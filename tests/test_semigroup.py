@@ -239,16 +239,47 @@ def test_lub_closure_answers_do_not_depend_on_query_order(monkeypatch, h4):
 def test_attained_coordinates_grid_equals_the_fold(family, monkeypatch):
     boxes = 0
     for curve in family:
-        # an empty cache, bounds ascending: each box is built, not restricted
-        monkeypatch.setattr(semigroup, "_BOXES", {})
         for l in range(1, curve.r - curve.r // curve.m + 1):
             for bound in range(curve.m, 2 * curve.m + 1):
                 if (bound + 1) ** l <= 1 << 16:
+                    # an empty cache: each box is built to its bound, not restricted
+                    monkeypatch.setattr(semigroup, "_BOXES", {})
                     assert box_matches_fold(curve, l, bound), (curve.label, l, bound)
                     grid = semigroup._BOXES[(curve.r, curve.m, l)]
                     assert grid.shape == (bound + 1,) * l
                     boxes += 1
     assert boxes == 111
+
+
+def test_rising_bounds_rebuild_the_box_a_logarithmic_number_of_times(monkeypatch, h3):
+    """Queries of one (r, m, l) box in ascending order: each rebuild at least
+    doubles the bound, so the generators are gathered O(log bound) times, and
+    every answer is the dimension-jump oracle's."""
+    monkeypatch.setattr(semigroup, "_BOXES", {})
+    bounds = []
+    monkeypatch.setattr(semigroup, "_gamma_in_box",
+                        lambda curve, l, bound: bounds.append(bound) or _gamma_in_box(curve, l, bound))
+    places, top = (1, 3), 40
+    for alpha in sorted(itertools.product(range(top + 1), repeat=2), key=max):
+        assert (lub_closure_membership(h3, places, alpha)
+                == semigroup_membership_oracle(h3, places, alpha)), alpha
+    assert bounds == [0, 1, 3, 7, 15, 31, 63]  # one build per bound before
+    assert semigroup._BOXES[(3, 4, 2)].shape == (64, 64)
+
+
+def test_a_rebuilt_box_grows_within_the_cell_cap(monkeypatch, h3):
+    """Growth stops at the largest box within MAX_BOX_CELLS, a bound that fits
+    is never refused, and one past the cap is refused as before."""
+    monkeypatch.setattr(semigroup, "_BOXES", {})
+    monkeypatch.setattr(semigroup, "MAX_BOX_CELLS", 1000)  # 10^3 cells: bounds up to 9
+    assert _semigroup_box(h3, 3, 5).shape == (6, 6, 6)
+    assert _semigroup_box(h3, 3, 6).shape == (10, 10, 10)  # not 12^3
+    assert _semigroup_box(h3, 3, 9).shape == (10, 10, 10)
+    with pytest.raises(ValueError, match="1331 cells, above the cap of 1000"):
+        _semigroup_box(h3, 3, 10)
+    for alpha in itertools.product(range(10), repeat=3):
+        assert (lub_closure_membership(h3, (1, 2, 3), alpha)
+                == semigroup_membership_oracle(h3, (1, 2, 3), alpha)), alpha
 
 
 def test_curves_with_equal_r_and_m_share_the_semigroup_caches(monkeypatch, h2):
