@@ -326,7 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
             groups[group] = command.add_subparsers(dest="what", required=True) if name else None
         if name:
             command = groups[group].add_parser(name, allow_abbrev=False)
-        actions = [command.add_argument(option, **kwargs) for option, kwargs in options + (_PRETTY,)]
+        actions = [command.add_argument(option, **kwargs)
+                   for option, kwargs in options + (_PRETTY,)]
         command.set_defaults(handler=handler)
         parser.table[(group, name) if name else (group,)] = (
             {**{action.dest: action.default for action in actions}, "handler": handler,
@@ -342,8 +343,9 @@ def _parse_by_table(command: tuple, argv: list) -> Optional[argparse.Namespace]:
     read off its ``_build_parser`` table entry: ``--opt value``,
     ``--opt=value``, flags, types, choices and one positional. None for what
     only argparse answers as argparse does: help, ``--``, an unknown or
-    missing word, a separate value that starts with "-", a failed type or
-    choice, a missing required option."""
+    missing word, a second positional, a value given to a flag, a separate
+    value that starts with "-", a failed type or choice, a missing required
+    option."""
     namespace, options, positional, required = command
     namespace, given = dict(namespace), set()
     words = iter(argv)

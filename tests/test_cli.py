@@ -833,8 +833,12 @@ def test_every_bench_argv_takes_its_command_parser(capsys, monkeypatch):
     cli._build_parser()
     parsed, seen = [], []
     parse_known_args = argparse.ArgumentParser.parse_known_args
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
-                        lambda self, *a, **kw: parsed.append(a) or parse_known_args(self, *a, **kw))
+
+    def recorded(self, *args, **kwargs):
+        parsed.append(args)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recorded)
     for *_, handler, _ in cli._COMMANDS:
         monkeypatch.setattr(cli, handler, lambda args: seen.append(args) or cli.Report({}, {}))
     for argv in argvs:

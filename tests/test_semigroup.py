@@ -257,8 +257,12 @@ def test_rising_bounds_rebuild_the_box_a_logarithmic_number_of_times(monkeypatch
     every answer is the dimension-jump oracle's."""
     monkeypatch.setattr(semigroup, "_BOXES", {})
     bounds = []
-    monkeypatch.setattr(semigroup, "_gamma_in_box",
-                        lambda curve, l, bound: bounds.append(bound) or _gamma_in_box(curve, l, bound))
+
+    def gather(curve, l, bound):
+        bounds.append(bound)
+        return _gamma_in_box(curve, l, bound)
+
+    monkeypatch.setattr(semigroup, "_gamma_in_box", gather)
     places, top = (1, 3), 40
     for alpha in sorted(itertools.product(range(top + 1), repeat=2), key=max):
         assert (lub_closure_membership(h3, places, alpha)
